@@ -186,7 +186,7 @@ def _check_schur_orthogonality(ctx: SuiteContext, t: int):
 def _check_perm_representation(ctx: SuiteContext, t: int):
     if t > 4:
         return []
-    d = 2 if t <= 3 else 2
+    d = 2
     perms = all_permutations(t)
     rng = np.random.default_rng(ctx.check_seed("perm_representation_property", t))
     pairs = (

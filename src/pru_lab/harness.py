@@ -33,12 +33,7 @@ from .operators import (
 )
 from .pru import pru_average_state
 from .schur_weyl import ratio_report
-from .twirls import (
-    clifford_twirl,
-    distinct_overlap_after_clifford,
-    haar_twirl_exact,
-    pf_twirl,
-)
+from .twirls import distinct_overlap_after_clifford, haar_twirl_exact, pf_twirl
 
 SCHEMA = "pru-lab/1"
 
@@ -286,14 +281,17 @@ def run_security_experiment(config: ExperimentConfig) -> ExperimentReport:
     psi = build_state(config.state_family, config.n, t, config.dim_e, config.seed)
 
     rho_hr = haar_twirl_exact(psi, d, t)
-    clifford_seed = [config.seed, 1]
     if config.clifford_method == "none":
         xi = psi.to_density()
+        overlap_info = None
+        mc_slack = 0.0
     else:
-        xi = clifford_twirl(
+        overlap_info = distinct_overlap_after_clifford(
             psi, config.n, t, method=config.clifford_method, samples=config.clifford_samples,
-            seed=clifford_seed,
+            seed=[config.seed, 1],
         )
+        xi = overlap_info["state"]
+        mc_slack = config.mc_sigma * overlap_info["std_error"]
     rho_fr = pf_twirl(xi, d, t)
     distance = trace_distance(rho_fr, rho_hr)
 
@@ -304,16 +302,6 @@ def run_security_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     deficits = ratio_report(d, t)
     max_deficit = max(float(r.deficit) for r in deficits)
-
-    if config.clifford_method == "none":
-        overlap_info = None
-        mc_slack = 0.0
-    else:
-        overlap_info = distinct_overlap_after_clifford(
-            psi, config.n, t, method=config.clifford_method, samples=config.clifford_samples,
-            seed=clifford_seed,
-        )
-        mc_slack = config.mc_sigma * overlap_info["std_error"]
 
     quantities = {
         "trace_distance_fr_hr": distance,

@@ -25,7 +25,11 @@ DEFAULT_DIM_CAP = 2**14
 
 
 def dim_cap() -> int:
-    return int(os.environ.get("PRU_LAB_DIM_CAP", DEFAULT_DIM_CAP))
+    raw = os.environ.get("PRU_LAB_DIM_CAP", DEFAULT_DIM_CAP)
+    try:
+        return int(raw)
+    except ValueError:
+        raise CapacityError(f"PRU_LAB_DIM_CAP must be an integer, got {raw!r}") from None
 
 
 def check_capacity(dim: int):
@@ -328,6 +332,19 @@ def tensor_power(U: DenseOperator, t: int) -> DenseOperator:
     return DenseOperator(out, regs)
 
 
+def apply_on_axis(mats: np.ndarray, tensor: np.ndarray, axis: int) -> np.ndarray:
+    """Multiply ``mats`` into one axis: out[.., i, ..] = sum_j M[i, j] tensor[.., j, ..].
+
+    ``mats`` is one (m, m) matrix or a (count, m, m) stack.  For a stack,
+    axis 0 of ``tensor`` is a batch axis of length 1 or count, and result
+    entry s is M_s applied to batch entry s (or to the single shared one).
+    """
+    lead = mats.ndim - 2
+    moved = np.moveaxis(tensor, axis, lead)  # one matrix product per stack entry
+    out = mats @ moved.reshape(moved.shape[: lead + 1] + (prod(moved.shape[lead + 1 :]),))
+    return np.moveaxis(out.reshape(out.shape[:lead] + moved.shape[lead:]), lead, axis)
+
+
 def apply_to_registers(U: np.ndarray | DenseOperator, state: StateVector, indices: list[int]) -> StateVector:
     """Apply ``U`` to the selected tensor factors of ``state``.
 
@@ -345,7 +362,7 @@ def apply_to_registers(U: np.ndarray | DenseOperator, state: StateVector, indice
     rest = [i for i in range(len(regs)) if i not in indices]
     psi = np.transpose(psi, indices + rest)
     shaped = psi.reshape(sel_dim, -1)
-    out = (mat @ shaped).reshape([regs[i] for i in indices] + [regs[i] for i in rest])
+    out = apply_on_axis(mat, shaped, 0).reshape([regs[i] for i in indices] + [regs[i] for i in rest])
     out = np.transpose(out, np.argsort(indices + rest))
     return StateVector(out.reshape(-1), regs)
 

@@ -15,8 +15,6 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from .clifford import sample_clifford
 from .errors import CapacityError, DomainError
 from .operators import (
@@ -26,10 +24,10 @@ from .operators import (
     PermutationD,
     StateVector,
     as_generator,
-    check_capacity,
     phase_op,
     perm_op,
 )
+from .twirls import _average_conjugation, _stacked
 
 KEY_BYTES = 16
 PRU_DENSE_QUBIT_CAP = 4
@@ -166,28 +164,12 @@ def pru_average_state_from_keys(psi: StateVector, t: int, n: int, keys) -> Densi
     Keys are sorted before accumulation so the result depends only on the
     key multiset, bitwise.
     """
-    d = 2**n
-    nA = d**t
-    if psi.dim % nA:
-        raise DomainError(f"state dim {psi.dim} not divisible by d^t = {nA}")
-    dim_e = psi.dim // nA
-    check_capacity(psi.dim)
-    shaped = psi.amplitudes.reshape((d,) * t + (dim_e,))
     keys = sorted(keys)
-    acc = np.zeros((psi.dim, psi.dim), dtype=complex)
-    for key in keys:
-        U = pru_unitary(key, n).entries
-        v = shaped
-        for axis in range(t):
-            v = np.moveaxis(np.tensordot(U, v, axes=([1], [axis])), 0, axis)
-        vec = v.reshape(psi.dim)
-        acc += np.outer(vec, vec.conj())
-    mean = acc / len(keys)
-    mean = (mean + mean.conj().T) / 2
-    nkeys = len(keys)
-    var = max(1.0 - float(np.sum(np.abs(mean) ** 2)), 0.0) * nkeys / max(nkeys - 1, 1)
-    meta = {"num_keys": nkeys, "std_error_fro": float(np.sqrt(var / nkeys))}
-    return DensityMatrix(mean, (nA, dim_e), meta=meta)
+    mats = (pru_unitary(key, n).entries for key in keys)
+    avg = _average_conjugation(psi, 2**n, t, _stacked(mats))
+    meta = {"num_keys": len(keys), "std_error_fro": avg.std_error_fro}
+    nA = 2 ** (n * t)
+    return DensityMatrix(avg.mean, (nA, psi.dim // nA), meta=meta)
 
 
 def pru_average_state(psi: StateVector, t: int, n: int, num_keys: int, seed) -> DensityMatrix:

@@ -10,6 +10,14 @@ d^{#cycles}); the permutation-phase twirl is evaluated combinatorially per
 basis pair, enumerating injective relabelings of the few values present
 rather than the full label permutation group.
 
+Every ensemble average -- the Monte-Carlo Haar and permutation-phase
+twirls, the Clifford twirl (enumerated or sampled), ``ensemble_twirl`` and
+the keyed average in ``pru`` -- goes through one driver,
+``_average_conjugation``, which conjugates thin factors of the input by
+batches of single-register unitaries.  ``distinct_overlap_after_clifford``
+takes its per-sample overlaps from the same pass and also returns the
+twirled state, so one Clifford pass serves both.
+
 Monte-Carlo runs draw their randomness per fixed-size chunk from seeds
 derived as (seed, chunk index), and chunks are reduced in ascending order,
 so results are reproducible however the chunks are scheduled.
@@ -21,6 +29,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -31,6 +40,7 @@ from .operators import (
     DenseOperator,
     DensityMatrix,
     StateVector,
+    apply_on_axis,
     check_capacity,
     derive_seed,
     distinct_mask,
@@ -48,7 +58,7 @@ from .symgroup import PermutationT, all_permutations
 
 PF_PAIR_CAP = 1 << 20  # exact PF twirl enumerates d^{2t} basis pairs
 MC_CHUNK = 512  # fixed chunk size; seeds derive as (seed, chunk index)
-MC_BATCH_DIM_CAP = 64  # batched-matrix MC path is for small system factors
+_SUB_BATCH_ELEMENTS = 1 << 16  # complex entries per conjugated sub-batch; bounds driver memory
 
 
 @dataclass(frozen=True)
@@ -164,90 +174,126 @@ def haar_twirl_schur_weyl(state, decomp: IsotypicDecomposition):
 
 
 # ---------------------------------------------------------------------------
-# Shared Monte-Carlo driver for ensembles given as batched system matrices.
+# The averaging driver shared by every ensemble of local unitaries.
 # ---------------------------------------------------------------------------
 
-def _mc_batched_twirl(state, d: int, t: int, samples: int, seed, draw_batch, label: str):
-    """Average (M x I) X (M x I)^dag over sampled system matrices M.
+class _Average(NamedTuple):
+    mean: np.ndarray
+    was_state: bool
+    std_error_fro: float
+    values: np.ndarray | None  # per-sample expectations, when weights were given
 
-    ``draw_batch(rng, count)`` returns a (count, d^t, d^t) stack.  Pure
-    inputs go through a vector path; operators through a batched
-    conjugation.  The Frobenius standard error of the mean comes for free
-    because conjugation preserves the Frobenius norm sample by sample.
+
+def _factors(state):
+    """Thin factors of X = L diag(w) R^dag plus the was-a-state flag.
+
+    A state vector is its own one-column factor; anything else goes through
+    an SVD with numerically zero singular values dropped.
     """
-    n = d**t
-    if n > MC_BATCH_DIM_CAP:
-        raise CapacityError(f"batched MC twirl capped at system dim {MC_BATCH_DIM_CAP}")
-    pure_vec = state.amplitudes if isinstance(state, StateVector) else None
+    if isinstance(state, StateVector):
+        psi = state.amplitudes[:, None]
+        return psi, np.ones(1), psi, True
     matrix, was_state = _as_matrix(state)
-    dim_e = _system_split(matrix.shape[0], d, t)
-    total = matrix.shape[0]
+    u, s, vh = np.linalg.svd(matrix)
+    keep = s > s[0] * matrix.shape[0] * np.finfo(float).eps
+    return u[:, keep], s[keep], vh[keep].conj().T, was_state
+
+
+def _average_conjugation(state, d: int, t: int, batches, weights=None) -> _Average:
+    """Mean of (U^{x t} x I) X (U^{x t} x I)^dag over every U in ``batches``.
+
+    ``batches`` yields (count, d, d) stacks of single-register unitaries.
+    Each stack is applied along the first t tensor axes of the factors of
+    X and folded into the sum with one matrix product.  The Frobenius
+    standard error of the mean comes for free, because conjugation keeps
+    the Frobenius norm sample by sample.  Given a diagonal observable
+    ``weights`` on the system factor (length d^t), the per-sample values
+    Tr[(diag(weights) x I) U X U^dag] are returned too.  Only state inputs
+    are Hermitised.
+    """
+    left0, w, right0, was_state = _factors(state)
+    total, rank = left0.shape
+    dim_e = _system_split(total, d, t)
+    shaped = (1, rank) + (d,) * t + (dim_e,)
+    if weights is not None:
+        weights = np.repeat(np.asarray(weights, dtype=float), dim_e)
+    step = max(1, _SUB_BATCH_ELEMENTS // max(total * rank, 1))
+
+    def conjugated(us, factor):  # (count, rank, total): factor columns, conjugated
+        tensor = factor.T.reshape(shaped)
+        for axis in range(2, t + 2):
+            tensor = apply_on_axis(us, tensor, axis)
+        return tensor.reshape(len(us), rank, total)
+
+    def folded(us):  # sum over us of (U L) diag(w) (U R)^dag, and per-sample values
+        left = conjugated(us, left0)
+        right = (left if right0 is left0 else conjugated(us, right0)).conj()
+        right *= w[:, None]
+        vals = None if weights is None else np.einsum("i,ski,ski->s", weights, left, right)
+        return left.reshape(-1, total).T @ right.reshape(-1, total), vals
 
     acc = np.zeros((total, total), dtype=complex)
-    for chunk_index, count in _chunk_seeds(samples):
-        rng = np.random.default_rng(derive_seed(seed, chunk_index))
-        ms = draw_batch(rng, count)
-        if pure_vec is not None:
-            vecs = np.einsum("sax,xe->sae", ms, pure_vec.reshape(n, dim_e)).reshape(count, total)
-            acc += vecs.T @ vecs.conj()
-        else:
-            arr = matrix.reshape(n, dim_e, n, dim_e)
-            acc += np.einsum("sax,xeyf,sby->aebf", ms, arr, ms.conj(), optimize=True).reshape(
-                total, total
-            )
-    mean = acc / samples
-    mean = (mean + mean.conj().T) / 2
-    input_sq = float(np.sum(np.abs(matrix) ** 2))
-    mean_sq = float(np.sum(np.abs(mean) ** 2))
-    var = max(input_sq - mean_sq, 0.0) * samples / max(samples - 1, 1)
+    values, samples = [], 0
+    for batch in batches:
+        for start in range(0, len(batch), step):
+            us = batch[start : start + step]
+            block, vals = folded(us)
+            acc += block
+            values.append(vals)
+            samples += len(us)
+    if samples < 1:
+        raise DomainError("an ensemble average needs at least one unitary")
+    acc /= samples
+    if was_state:
+        acc += acc.conj().T
+        acc /= 2
+    var = max(float(np.sum(w**2)) - float(np.sum(np.abs(acc) ** 2)), 0.0)
+    var *= samples / max(samples - 1, 1)
+    per_sample = None if weights is None else np.concatenate(values)
+    return _Average(acc, was_state, float(np.sqrt(var / samples)), per_sample)
+
+
+def _stacked(mats):
+    """Group an iterable of d x d matrices into (count, d, d) batches."""
+    it = iter(mats)
+    while chunk := list(itertools.islice(it, MC_CHUNK)):
+        yield np.stack(chunk)
+
+
+def _pf_unitaries(d: int, count: int, rng) -> np.ndarray:
+    """A batch of (label permutation) x (random sign pattern) matrices."""
+    perms = np.argsort(rng.random((count, d)), axis=1)
+    signs = (1.0 - 2.0 * rng.integers(0, 2, size=(count, d))).astype(complex)
+    pf = np.zeros((count, d, d), dtype=complex)
+    pf[np.arange(count)[:, None], perms, np.arange(d)[None, :]] = signs
+    return pf
+
+
+def _sampled_twirl(state, d: int, t: int, samples: int, seed, draw, label: str):
+    batches = (
+        draw(d, count, np.random.default_rng(derive_seed(seed, chunk_index)))
+        for chunk_index, count in _chunk_seeds(samples)
+    )
+    avg = _average_conjugation(state, d, t, batches)
     meta = {
         "method": "monte_carlo",
         "ensemble": label,
         "samples": samples,
         "seed": seed,
-        "std_error_fro": float(np.sqrt(var / samples)),
+        "std_error_fro": avg.std_error_fro,
     }
-    return _wrap(mean, was_state, d, t, meta=meta)
-
-
-def _haar_batch(d: int, t: int):
-    n = d**t
-
-    def draw(rng, count):
-        us = haar_unitaries(d, count, rng)
-        ms = us
-        for _ in range(t - 1):
-            ms = np.einsum("sab,scd->sacbd", ms, us).reshape(count, -1, n)
-        return ms
-
-    return draw
-
-
-def _pf_batch(d: int, t: int):
-    n = d**t
-
-    def draw(rng, count):
-        perms = np.argsort(rng.random((count, d)), axis=1)
-        signs = (1.0 - 2.0 * rng.integers(0, 2, size=(count, d))).astype(complex)
-        pf = np.zeros((count, d, d), dtype=complex)
-        pf[np.arange(count)[:, None], perms, np.arange(d)[None, :]] = signs
-        ms = pf
-        for _ in range(t - 1):
-            ms = np.einsum("sab,scd->sacbd", ms, pf).reshape(count, -1, n)
-        return ms
-
-    return draw
+    return _wrap(avg.mean, avg.was_state, d, t, meta=meta)
 
 
 def haar_twirl_mc(state, d: int, t: int, samples: int, seed):
     """Monte-Carlo Haar twirl, deterministic per seed."""
-    return _mc_batched_twirl(state, d, t, samples, seed, _haar_batch(d, t), "haar")
+    return _sampled_twirl(state, d, t, samples, seed, haar_unitaries, "haar")
 
 
 def pf_twirl_mc(state, d: int, t: int, samples: int, seed):
     """Monte-Carlo permutation-phase twirl over sampled (permutation, sign
     pattern) pairs, deterministic per seed."""
-    return _mc_batched_twirl(state, d, t, samples, seed, _pf_batch(d, t), "pf")
+    return _sampled_twirl(state, d, t, samples, seed, _pf_unitaries, "pf")
 
 
 # ---------------------------------------------------------------------------
@@ -375,32 +421,34 @@ def pf_twirl_distinct_formula(state, decomp: IsotypicDecomposition):
 
 def ensemble_twirl(state, ops, d: int, t: int):
     """Exact t-fold twirl over an explicit list of unitaries on C^d."""
-    matrix, was_state = _as_matrix(state)
-    dim_e = _system_split(matrix.shape[0], d, t)
-    nA = d**t
-    arr = matrix.reshape(nA, dim_e, nA, dim_e)
-    acc = np.zeros_like(arr)
-    for op in ops:
-        U = op.entries if isinstance(op, DenseOperator) else np.asarray(op)
-        M = U
-        for _ in range(t - 1):
-            M = np.kron(M, U)
-        acc += np.einsum("ax,xeyf,by->aebf", M, arr, M.conj(), optimize=True)
-    mean = (acc / len(ops)).reshape(matrix.shape)
-    mean = (mean + mean.conj().T) / 2
-    return _wrap(mean, was_state, d, t, meta={"method": "exact", "samples": len(ops)})
-
-
-def _apply_local_tensor(U: np.ndarray, psi_shaped: np.ndarray, t: int) -> np.ndarray:
-    """Apply U to each of the first t axes of a shaped state tensor."""
-    v = psi_shaped
-    for axis in range(t):
-        v = np.moveaxis(np.tensordot(U, v, axes=([1], [axis])), 0, axis)
-    return v
+    mats = (op.entries if isinstance(op, DenseOperator) else np.asarray(op) for op in ops)
+    avg = _average_conjugation(state, d, t, _stacked(mats))
+    return _wrap(avg.mean, avg.was_state, d, t, meta={"method": "exact", "samples": len(ops)})
 
 
 def _clifford_sample_seed(seed, index: int) -> list:
     return derive_seed(seed, index // MC_CHUNK, index % MC_CHUNK)
+
+
+def _clifford_average(state, n: int, t: int, method: str, samples: int, seed, weights=None):
+    """The Clifford twirl plus, under Monte-Carlo, the per-sample values of
+    ``weights`` (None for the exact enumeration)."""
+    d = 2**n
+    if method == "exact":
+        return ensemble_twirl(state, enumerate_cliffords(n, allow_two_qubit=True), d, t), None
+    if method != "monte_carlo":
+        raise DomainError(f"unknown method {method!r}")
+    mats = (
+        sample_clifford(n, _clifford_sample_seed(seed, i)).to_dense().entries for i in range(samples)
+    )
+    avg = _average_conjugation(state, d, t, _stacked(mats), weights)
+    meta = {
+        "method": "monte_carlo",
+        "samples": samples,
+        "seed": seed,
+        "std_error_fro": avg.std_error_fro,
+    }
+    return _wrap(avg.mean, avg.was_state, d, t, meta=meta), avg.values
 
 
 def clifford_twirl(state, n: int, t: int, method: str = "exact", samples: int = 0, seed: int = 0):
@@ -408,57 +456,10 @@ def clifford_twirl(state, n: int, t: int, method: str = "exact", samples: int = 
 
     Exact averaging enumerates the group for n <= 2; otherwise a seeded
     Monte-Carlo estimate is returned, with the Frobenius standard error of
-    the mean attached to the metadata.  Pure inputs are twirled in the
-    state picture (one tensor application per sample), so the t-fold
-    operator is never materialized.
+    the mean attached to the metadata.  Sample i is drawn from the seed
+    (seed, i // MC_CHUNK, i % MC_CHUNK).
     """
-    d = 2**n
-    pure_vec = state.amplitudes if isinstance(state, StateVector) else None
-    matrix, was_state = _as_matrix(state)
-    dim_e = _system_split(matrix.shape[0], d, t)
-    nA = d**t
-    total = matrix.shape[0]
-
-    if method == "exact":
-        if n > 2:
-            raise CapacityError("exact Clifford averaging supported for n <= 2")
-        return ensemble_twirl(state, enumerate_cliffords(n, allow_two_qubit=True), d, t)
-
-    if method != "monte_carlo":
-        raise DomainError(f"unknown method {method!r}")
-    if samples < 1:
-        raise DomainError("monte_carlo requires samples >= 1")
-
-    acc = np.zeros((total, total), dtype=complex)
-    if pure_vec is not None:
-        shaped = pure_vec.reshape((d,) * t + (dim_e,))
-        index = 0
-        for chunk_index, count in _chunk_seeds(samples):
-            vecs = np.empty((count, total), dtype=complex)
-            for i in range(count):
-                U = sample_clifford(n, _clifford_sample_seed(seed, index)).to_dense().entries
-                vecs[i] = _apply_local_tensor(U, shaped, t).reshape(total)
-                index += 1
-            acc += vecs.T @ vecs.conj()
-    else:
-        for index in range(samples):
-            U = sample_clifford(n, _clifford_sample_seed(seed, index)).to_dense().entries
-            M = U
-            for _ in range(t - 1):
-                M = np.kron(M, U)
-            big = np.kron(M, np.eye(dim_e))
-            acc += big @ matrix @ big.conj().T
-    mean = acc / samples
-    mean = (mean + mean.conj().T) / 2
-    input_sq = float(np.sum(np.abs(matrix) ** 2))
-    var = max(input_sq - float(np.sum(np.abs(mean) ** 2)), 0.0) * samples / max(samples - 1, 1)
-    meta = {
-        "method": "monte_carlo",
-        "samples": samples,
-        "seed": seed,
-        "std_error_fro": float(np.sqrt(var / samples)),
-    }
-    return _wrap(mean, was_state, d, t, meta=meta)
+    return _clifford_average(state, n, t, method, samples, seed)[0]
 
 
 def distinct_overlap_after_clifford(
@@ -469,41 +470,29 @@ def distinct_overlap_after_clifford(
 
     The bound multiplies the t(t-1)/2 colliding pairs by the operator norm
     2/(d(d+1)) of the Haar average of a doubled projector, times the
-    collision projector trace d.  For pure inputs under Monte-Carlo the
-    overlap is a per-sample scalar, so the reported standard error is the
-    plain sample one (and the sampled Cliffords match clifford_twirl's for
-    the same seed).
+    collision projector trace d.  Under Monte-Carlo the overlap is a
+    per-sample scalar from the same pass that builds the twirled state, so
+    the reported standard error is the plain sample one.  The twirled
+    state itself is returned under "state".
     """
     d = 2**n
     bound = 1.0 - t * (t - 1) / (d + 1)
     mask = distinct_mask(d, t)
-
-    if method == "monte_carlo" and isinstance(state, StateVector):
-        psi = state.amplitudes
-        dim_e = _system_split(psi.shape[0], d, t)
-        shaped = psi.reshape((d,) * t + (dim_e,))
-        vals = np.zeros(samples)
-        for i in range(samples):
-            U = sample_clifford(n, _clifford_sample_seed(seed, i)).to_dense().entries
-            v = _apply_local_tensor(U, shaped, t)
-            vals[i] = float(np.sum(np.abs(v.reshape(d**t, dim_e))[mask] ** 2))
-        overlap = float(vals.mean())
-        se = float(vals.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
-        result = {
-            "overlap": overlap,
-            "bound": bound,
-            "std_error": se,
-            "method": "monte_carlo",
-            "samples": samples,
-        }
-        return _assert_overlap_bound(result)
-
-    twirled = clifford_twirl(state, n, t, method=method, samples=samples, seed=seed)
-    dim_e = twirled.dim // d**t
-    diag = np.real(np.diagonal(twirled.entries)).reshape(d**t, dim_e)
-    overlap = float(diag[mask].sum())
-    se = (twirled.meta or {}).get("std_error_fro", 0.0)
-    result = {"overlap": overlap, "bound": bound, "std_error": se, "method": method, "samples": samples}
+    twirled, values = _clifford_average(state, n, t, method, samples, seed, weights=mask)
+    if values is None:
+        diag = np.real(np.diagonal(twirled.entries)).reshape(d**t, -1)
+        overlap, se = float(diag[mask].sum()), 0.0
+    else:
+        overlap = float(values.real.mean())
+        se = float(values.real.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
+    result = {
+        "overlap": overlap,
+        "bound": bound,
+        "std_error": se,
+        "method": method,
+        "samples": samples,
+        "state": twirled,
+    }
     return _assert_overlap_bound(result)
 
 

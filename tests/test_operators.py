@@ -13,6 +13,7 @@ from pru_lab import (
     StateVector,
     all_permutations,
     apply_to_registers,
+    cli_main,
     distinct_projector,
     partial_trace,
     perm_op,
@@ -22,7 +23,7 @@ from pru_lab import (
     tensor_power,
     trace_distance,
 )
-from pru_lab.operators import distinct_mask, falling_factorial, haar_unitaries
+from pru_lab.operators import dim_cap, distinct_mask, falling_factorial, haar_unitaries
 
 from conftest import random_state
 
@@ -183,6 +184,14 @@ def test_capacity_cap(monkeypatch):
         subsystem_perm_op(PermutationT.identity(2), 4)
     monkeypatch.delenv("PRU_LAB_DIM_CAP")
     subsystem_perm_op(PermutationT.identity(2), 4)
+
+
+def test_capacity_cap_must_be_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv("PRU_LAB_DIM_CAP", "abc")
+    with pytest.raises(CapacityError, match="PRU_LAB_DIM_CAP"):
+        dim_cap()
+    assert cli_main(["security", "--n", "1", "--t", "2"]) == 1
+    assert "error: PRU_LAB_DIM_CAP" in capsys.readouterr().err
 
 
 def test_distinct_mask_matches_projector():

@@ -1,0 +1,174 @@
+"""The shared averaging driver against an explicit Kronecker-product oracle,
+the Clifford layer's single pass, and twirls of non-Hermitian operators."""
+
+import numpy as np
+import pytest
+
+from pru_lab import (
+    DenseOperator,
+    DensityMatrix,
+    ExperimentConfig,
+    StateVector,
+    clifford_twirl,
+    haar_twirl_exact,
+    haar_twirl_mc,
+    pf_twirl,
+    pf_twirl_mc,
+    run_security_experiment,
+    sample_clifford,
+    trace_distance,
+)
+from pru_lab import twirls
+from pru_lab.operators import distinct_mask, haar_unitaries
+
+from conftest import random_state
+
+
+def kron_oracle(X: np.ndarray, us: np.ndarray, t: int):
+    """Slow reference: per-sample (U^{x t} x I) X (.)^dag built from
+    explicit Kronecker products, returned as a (count, D, D) stack."""
+    d = us.shape[1]
+    dim_e = X.shape[0] // d**t
+    out = []
+    for U in us:
+        M = U
+        for _ in range(t - 1):
+            M = np.kron(M, U)
+        big = np.kron(M, np.eye(dim_e))
+        out.append(big @ X @ big.conj().T)
+    return np.stack(out)
+
+
+def _clifford_batch(d, count, rng):
+    n = d.bit_length() - 1
+    seeds = rng.integers(0, 2**31, size=count)
+    return np.stack([sample_clifford(n, int(s)).to_dense().entries for s in seeds])
+
+
+ENSEMBLES = {"haar": haar_unitaries, "pf": twirls._pf_unitaries, "clifford": _clifford_batch}
+
+
+def _inputs(d, t, dim_e, seed):
+    """Pure, rank-1 density, full-rank Hermitian and non-Hermitian inputs."""
+    total = d**t * dim_e
+    regs = (d**t, dim_e)
+    psi = random_state(total, regs, seed)
+    rng = np.random.default_rng(seed + 1)
+    A = rng.standard_normal((total, total)) + 1j * rng.standard_normal((total, total))
+    return {
+        "pure": psi,
+        "rank1_density": psi.to_density(),
+        "full_rank_hermitian": DenseOperator(A + A.conj().T, regs),
+        "non_hermitian": DenseOperator(A, regs),
+    }
+
+
+def _matrix(x):
+    if isinstance(x, StateVector):
+        return np.outer(x.amplitudes, x.amplitudes.conj())
+    return np.asarray(x.entries)
+
+
+@pytest.mark.parametrize("ensemble", sorted(ENSEMBLES))
+@pytest.mark.parametrize("d,t,dim_e", [(2, 2, 1), (2, 3, 2), (4, 2, 2)])
+def test_driver_matches_kron_oracle(ensemble, d, t, dim_e):
+    rng = np.random.default_rng(d * 100 + t * 10 + dim_e)
+    # two uneven batches exercise the accumulation across batches
+    batches = [ENSEMBLES[ensemble](d, 5, rng), ENSEMBLES[ensemble](d, 7, rng)]
+    us = np.concatenate(batches)
+    mask = distinct_mask(d, t)
+    weights = np.repeat(mask, dim_e).astype(float)
+    for label, x in _inputs(d, t, dim_e, seed=d + t + dim_e).items():
+        X = _matrix(x)
+        per_sample = kron_oracle(X, us, t)
+        want = per_sample.mean(axis=0)
+        want_se = np.sqrt(
+            np.sum(np.abs(per_sample - want) ** 2) / (len(us) * (len(us) - 1))
+        )
+        want_values = np.einsum("i,sii->s", weights, per_sample)
+        avg = twirls._average_conjugation(x, d, t, iter(batches), weights=mask)
+        assert np.abs(avg.mean - want).max() < 1e-12, label
+        assert abs(avg.std_error_fro - want_se) < 1e-12, label
+        assert np.abs(avg.values - want_values).max() < 1e-12, label
+        assert avg.was_state == isinstance(x, (StateVector, DensityMatrix))
+
+
+def test_driver_sub_batches_match_whole_batches(monkeypatch):
+    d, t, dim_e = 2, 2, 2
+    us = haar_unitaries(d, 9, np.random.default_rng(4))
+    x = _inputs(d, t, dim_e, seed=4)["full_rank_hermitian"]
+    whole = twirls._average_conjugation(x, d, t, [us])
+    monkeypatch.setattr(twirls, "_SUB_BATCH_ELEMENTS", 3 * 8 * 8)  # three samples at a time
+    split = twirls._average_conjugation(x, d, t, [us])
+    assert np.abs(whole.mean - split.mean).max() < 1e-12
+    assert np.abs(whole.mean - kron_oracle(_matrix(x), us, t).mean(axis=0)).max() < 1e-12
+
+
+def test_per_sample_overlaps_match_direct_projection():
+    n, t, dim_e = 2, 2, 3
+    d = 2**n
+    psi = random_state(d**t * dim_e, (d**t, dim_e), 12)
+    samples, seed = 40, 6
+    info = twirls.distinct_overlap_after_clifford(
+        psi, n, t, method="monte_carlo", samples=samples, seed=seed
+    )
+    mask = np.repeat(distinct_mask(d, t), dim_e)
+    direct = []
+    for i in range(samples):
+        U = sample_clifford(n, twirls._clifford_sample_seed(seed, i)).to_dense().entries
+        big = np.kron(np.kron(U, U), np.eye(dim_e))
+        direct.append(float(np.sum(np.abs((big @ psi.amplitudes)[mask]) ** 2)))
+    assert info["overlap"] == pytest.approx(np.mean(direct), abs=1e-12)
+    assert info["std_error"] == pytest.approx(np.std(direct, ddof=1) / np.sqrt(samples), abs=1e-12)
+    twirled = clifford_twirl(psi, n, t, method="monte_carlo", samples=samples, seed=seed)
+    assert np.abs(info["state"].entries - twirled.entries).max() < 1e-12
+
+
+def test_security_run_samples_each_clifford_once(monkeypatch):
+    seeds = []
+    real = twirls.sample_clifford
+
+    def counting(n, seed):
+        seeds.append(tuple(seed))
+        return real(n, seed)
+
+    monkeypatch.setattr(twirls, "sample_clifford", counting)
+    samples = 24
+    run_security_experiment(
+        ExperimentConfig(n=2, t=2, clifford_method="monte_carlo", clifford_samples=samples,
+                         num_keys=2, seed=1)
+    )
+    assert len(seeds) == samples
+    assert len(set(seeds)) == samples
+
+
+def test_exact_security_run_enumerates_once(monkeypatch):
+    calls = []
+    real = twirls.enumerate_cliffords
+
+    def counting(n, **kwargs):
+        calls.append(n)
+        return real(n, **kwargs)
+
+    monkeypatch.setattr(twirls, "enumerate_cliffords", counting)
+    run_security_experiment(ExperimentConfig(n=1, t=2, dim_e=2, clifford_method="exact", seed=2))
+    assert calls == [1]
+
+
+def test_twirls_keep_non_hermitian_operators():
+    X = np.zeros((4, 4), dtype=complex)
+    X[1, 2] = 1j  # i|01><10| on two qubit registers
+    op = DenseOperator(X, (4, 1))
+    haar = haar_twirl_exact(op, 2, 2).entries
+    pf = pf_twirl(op, 2, 2).entries
+    assert np.abs(haar).max() == pytest.approx(1 / 3)
+    assert np.abs(pf).max() == pytest.approx(1 / 2)
+    # the single-qubit Clifford group is a 2-design
+    assert np.abs(clifford_twirl(op, 1, 2, method="exact").entries - haar).max() < 1e-12
+    for mc, exact in (
+        (haar_twirl_mc(op, 2, 2, 4000, 7), haar),
+        (pf_twirl_mc(op, 2, 2, 4000, 8), pf),
+        (clifford_twirl(op, 1, 2, method="monte_carlo", samples=2000, seed=9), haar),
+    ):
+        envelope = 3 * np.sqrt(mc.dim) * mc.meta["std_error_fro"]
+        assert trace_distance(mc.entries, exact) < envelope
