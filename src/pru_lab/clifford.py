@@ -253,17 +253,14 @@ def sample_clifford(n: int, seed) -> CliffordElement:
 # global-phase equivalence class).
 # ---------------------------------------------------------------------------
 
-def _canonical_key(M: np.ndarray) -> bytes:
-    flat = M.reshape(-1)
-    lead = flat[np.abs(flat) > 1e-9][0]
-    canon = M * (abs(lead) / lead)
-    return (np.round(canon, 9) + (0.0 + 0.0j)).tobytes()  # normalize -0.0
-
-
 def _canonicalize(M: np.ndarray) -> np.ndarray:
     flat = M.reshape(-1)
     lead = flat[np.abs(flat) > 1e-9][0]
     return M * (abs(lead) / lead)
+
+
+def _canonical_key(M: np.ndarray) -> bytes:
+    return (np.round(_canonicalize(M), 9) + (0.0 + 0.0j)).tobytes()  # normalize -0.0
 
 
 def _closure(generators: list[np.ndarray]) -> list[np.ndarray]:

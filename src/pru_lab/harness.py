@@ -91,7 +91,7 @@ class BoundCheck:
     tol: float
     passed: bool
     formula: str
-    wall_ms: float = 0.0
+    wall_ms: float = 0.0  # the whole check call that made this record; its sibling records share it
 
     @staticmethod
     def make(check_id, params, measured, bound, relation, tol, formula, wall_ms=0.0):

@@ -23,6 +23,8 @@ from .operators import (
     falling_factorial,
     haar_unitaries,
     subsystem_perm_index_map,
+    subsystem_perm_op,
+    tensor_power,
 )
 from .symgroup import (
     Partition,
@@ -175,10 +177,8 @@ def verify_decomposition(decomp: IsotypicDecomposition, seed: int = 7, tol: floa
         ),
     }
 
-    U = haar_unitaries(d, 1, np.random.default_rng(seed))[0]
-    Ut = U
-    for _ in range(t - 1):
-        Ut = np.kron(Ut, U)
+    U = DenseOperator(haar_unitaries(d, 1, np.random.default_rng(seed))[0])
+    Ut = tensor_power(U, t).entries
     rotated = B.conj().T @ Ut @ B
     slices = decomp.block_slices()
     mask = np.ones((n, n), dtype=bool)
@@ -194,11 +194,8 @@ def verify_decomposition(decomp: IsotypicDecomposition, seed: int = 7, tol: floa
     residuals["unitary_off_block"] = float(np.abs(rotated[mask]).max()) if mask.any() else 0.0
 
     perm_res = off_res = 0.0
-    cols = np.arange(n)
     for pi in all_permutations(t):
-        R = np.zeros((n, n))
-        R[subsystem_perm_index_map(pi, d), cols] = 1.0
-        rotated = B.conj().T @ R @ B
+        rotated = B.conj().T @ subsystem_perm_op(pi, d).entries @ B
         for sl, block in zip(slices, decomp.blocks):
             expected = np.kron(np.eye(block.weyl_dim), young_orthogonal_rep(block.partition)[pi])
             perm_res = max(perm_res, float(np.abs(rotated[sl, sl] - expected).max()))
@@ -259,20 +256,27 @@ def rotate_from_basis(matrix: np.ndarray, decomp: IsotypicDecomposition) -> np.n
     return arr.transpose(0, 1, 3, 2).reshape(n * dim_e, n * dim_e)
 
 
+def block_footprints(rotated: np.ndarray, decomp: IsotypicDecomposition):
+    """For an operator already in the Schur-Weyl basis (``rotate_to_basis``),
+    yield per block: the block, the slice of its rows (workspace included),
+    and its footprint, the partial trace of the diagonal block over the
+    unitary-group factor, shaped (specht, workspace, specht, workspace)."""
+    dim_e = _split_dims(decomp, rotated.shape[0])
+    for sl, block in zip(decomp.block_slices(), decomp.blocks):
+        w, v = block.weyl_dim, block.specht_dim
+        rows = slice(sl.start * dim_e, sl.stop * dim_e)
+        sub = rotated[rows, rows].reshape(w, v, dim_e, w, v, dim_e)
+        yield block, rows, np.einsum("ijeikf->jekf", sub)
+
+
 def partial_trace_over_W(lam: Partition, rho, decomp: IsotypicDecomposition) -> DenseOperator:
     """Tr over the unitary-group factor of 1_P rho 1_P for block ``lam``,
     returning an operator on (Specht factor) x (workspace)."""
     matrix = rho.entries if hasattr(rho, "entries") else np.asarray(rho)
-    dim_e = _split_dims(decomp, matrix.shape[0])
-    rotated = rotate_to_basis(matrix, decomp)
-    for sl, block in zip(decomp.block_slices(), decomp.blocks):
-        if block.partition != lam:
-            continue
-        w, v = block.weyl_dim, block.specht_dim
-        idx = np.arange(sl.start * dim_e, sl.stop * dim_e)
-        sub = rotated[np.ix_(idx, idx)].reshape(w, v, dim_e, w, v, dim_e)
-        out = np.einsum("ijeikf->jekf", sub).reshape(v * dim_e, v * dim_e)
-        return DenseOperator(out, (v, dim_e))
+    for block, _, footprint in block_footprints(rotate_to_basis(matrix, decomp), decomp):
+        if block.partition == lam:
+            size = footprint.shape[0] * footprint.shape[1]
+            return DenseOperator(footprint.reshape(size, size), footprint.shape[:2])
     raise DomainError(f"partition {lam} not present in decomposition (d={decomp.d})")
 
 

@@ -6,9 +6,13 @@ operator that may carry an entangled workspace register.
 
 Exact Haar twirling is the orthogonal projection onto the span of the
 tensor-slot permutation operators (their Gram matrix has the closed form
-d^{#cycles}); the permutation-phase twirl is evaluated combinatorially per
-basis pair, enumerating injective relabelings of the few values present
-rather than the full label permutation group.
+d^{#cycles}).  The exact permutation-phase twirl is a mean over pattern
+classes: system basis pairs (x, y) whose 2t digits have the same equality
+relation form one label-permutation orbit, so each output block is the
+mean of the input blocks over its class, zeroed unless every value occurs
+an even number of times.  The class table is built once per (d, t).  The
+blockwise Schur-Weyl formulas for both twirls share one footprint loop in
+``schur_weyl``.
 
 Every ensemble average -- the Monte-Carlo Haar and permutation-phase
 twirls, the Clifford twirl (enumerated or sampled), ``ensemble_twirl`` and
@@ -26,16 +30,16 @@ so results are reproducible however the chunks are scheduled.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
+from math import factorial
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .clifford import enumerate_cliffords, sample_clifford
-from .errors import CapacityError, ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError
 from .operators import (
     DenseOperator,
     DensityMatrix,
@@ -44,19 +48,18 @@ from .operators import (
     check_capacity,
     derive_seed,
     distinct_mask,
-    falling_factorial,
     haar_unitaries,
     subsystem_perm_index_map,
     trace_distance,
 )
 from .schur_weyl import (
     IsotypicDecomposition,
+    block_footprints,
     rotate_from_basis,
     rotate_to_basis,
 )
-from .symgroup import PermutationT, all_permutations
+from .symgroup import all_permutations
 
-PF_PAIR_CAP = 1 << 20  # exact PF twirl enumerates d^{2t} basis pairs
 MC_CHUNK = 512  # fixed chunk size; seeds derive as (seed, chunk index)
 _SUB_BATCH_ELEMENTS = 1 << 16  # complex entries per conjugated sub-batch; bounds driver memory
 
@@ -154,23 +157,21 @@ def haar_twirl_exact(state, d: int, t: int):
     return _wrap(out.reshape(matrix.shape), was_state, d, t, meta=meta)
 
 
+def _blockwise_twirl(state, decomp: IsotypicDecomposition, weyl_state):
+    """Rebuild every Schur-Weyl block as weyl_state(block) (x) the input's
+    footprint on it; off-block parts are dropped."""
+    matrix, was_state = _as_matrix(state)
+    out = np.zeros(matrix.shape, dtype=complex)
+    for block, rows, footprint in block_footprints(rotate_to_basis(matrix, decomp), decomp):
+        rebuilt = np.einsum("ab,jekf->ajebkf", weyl_state(block), footprint)
+        out[rows, rows] = rebuilt.reshape(rows.stop - rows.start, -1)
+    return _wrap(rotate_from_basis(out, decomp), was_state, decomp.d, decomp.t)
+
+
 def haar_twirl_schur_weyl(state, decomp: IsotypicDecomposition):
     """Assemble the twirl output blockwise: maximally mixed on each
     unitary-group factor, the input's own footprint on the rest."""
-    matrix, was_state = _as_matrix(state)
-    d, t = decomp.d, decomp.t
-    dim_e = _system_split(matrix.shape[0], d, t)
-    rotated = rotate_to_basis(matrix, decomp)
-    out = np.zeros_like(rotated)
-    for sl, block in zip(decomp.block_slices(), decomp.blocks):
-        w, v = block.weyl_dim, block.specht_dim
-        idx = np.arange(sl.start * dim_e, sl.stop * dim_e)
-        sub = rotated[np.ix_(idx, idx)].reshape(w, v, dim_e, w, v, dim_e)
-        footprint = np.einsum("ijeikf->jekf", sub)
-        rebuilt = np.einsum("ab,jekf->ajebkf", np.eye(w) / w, footprint)
-        out[np.ix_(idx, idx)] = rebuilt.reshape(w * v * dim_e, w * v * dim_e)
-    result = rotate_from_basis(out, decomp)
-    return _wrap(result, was_state, d, t)
+    return _blockwise_twirl(state, decomp, lambda block: np.eye(block.weyl_dim) / block.weyl_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -300,45 +301,73 @@ def pf_twirl_mc(state, d: int, t: int, samples: int, seed):
 # Permutation-phase twirl, exact.
 # ---------------------------------------------------------------------------
 
-def _phase_parity_ok(x: tuple[int, ...], y: tuple[int, ...]) -> bool:
-    """Averaging the random binary phase leaves |x><y| alive iff every
-    value occurs an even number of times across both tuples."""
-    return all(c % 2 == 0 for c in Counter(x + y).values())
+class _PfClasses(NamedTuple):
+    labels: np.ndarray  # (n * n,) class of each system basis pair (a, b), row-major
+    order: np.ndarray  # (n * n,) the pairs stably sorted by class
+    sizes: np.ndarray  # (classes,) pairs per class
+    even: np.ndarray  # (classes,) every value occurs an even number of times
 
 
-@cache
-def _orbit_for_pattern(d: int, t: int, pattern: tuple[int, ...]):
-    """Uniform label-permutation average of |x><y| for the given joint
-    pattern (values replaced by first-occurrence codes).  Returns row and
-    column basis indices of the surviving matrix units plus the weight."""
-    m = max(pattern) + 1
-    weight = 1.0 / falling_factorial(d, m)
-    powers = d ** np.arange(t - 1, -1, -1)
-    rows, cols = [], []
-    for values in itertools.permutations(range(d), m):
-        relabeled = [values[p] for p in pattern]
-        rows.append(int(np.dot(relabeled[:t], powers)))
-        cols.append(int(np.dot(relabeled[t:], powers)))
-    return np.array(rows), np.array(cols), weight
+@lru_cache(maxsize=8)
+def _pf_classes(d: int, t: int) -> _PfClasses:
+    """Group the system basis pairs (x_a, y_b) by joint pattern, the
+    equality relation among their 2t digits; a pattern class is exactly one
+    label-permutation orbit.
+
+    The relation is packed as first-occurrence pointers: digit j points at
+    the first digit equal to it, a value in [0, j], so the pointers form one
+    mixed-radix integer below (2t)!.  Codes are built on (n, n) broadcasts
+    of the digit columns and compacted whenever the next radix could
+    overflow int64.
+    """
+    n = d**t
+    digits = np.stack(np.unravel_index(np.arange(n), (d,) * t), axis=1)  # (n, t)
+    slots = [digits[:, i, None] for i in range(t)] + [digits[None, :, i] for i in range(t)]
+    code = np.zeros((1, 1), dtype=np.int64)
+    for j in range(1, 2 * t):
+        if factorial(j + 1) > np.iinfo(np.int64).max:
+            code = np.unique(code, return_inverse=True)[1].reshape(code.shape)
+        first = np.full((1, 1), j, dtype=np.int8)
+        for i in range(j - 1, -1, -1):
+            first = np.where(slots[i] == slots[j], np.int8(i), first)
+        code = code * (j + 1) + first
+    _, labels, sizes = np.unique(
+        np.broadcast_to(code, (n, n)).reshape(-1), return_inverse=True, return_counts=True
+    )
+    labels = labels.astype(np.min_scalar_type(len(sizes) - 1))
+    order = np.argsort(labels, kind="stable").astype(np.min_scalar_type(n * n - 1))
+    first_pair = order[np.cumsum(sizes) - sizes]  # one representative pair per class
+    values = [digits[first_pair // n, i] for i in range(t)]
+    values += [digits[first_pair % n, i] for i in range(t)]
+    even = np.ones(len(sizes), dtype=bool)
+    for v in values:
+        even &= sum(u == v for u in values) % 2 == 0
+    return _PfClasses(labels, order, sizes, even)
 
 
-def _joint_pattern(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-    codes: dict[int, int] = {}
-    out = []
-    for v in x + y:
-        if v not in codes:
-            codes[v] = len(codes)
-        out.append(codes[v])
-    return tuple(out)
+def pf_twirl(state, d: int, t: int):
+    """Exact permutation-phase twirl, workspace blocks carried along.
+
+    Averaging |x><y| over label permutations spreads it uniformly over its
+    joint-pattern class, and averaging the binary phases keeps it only when
+    every value occurs an even number of times.  So output block (a, b) is
+    the mean of the input blocks over the class of (a, b), or zero.
+    """
+    matrix, was_state = _as_matrix(state)
+    check_capacity(matrix.shape[0])
+    dim_e = _system_split(matrix.shape[0], d, t)
+    n = d**t
+    classes = _pf_classes(d, t)
+    pairs = matrix.reshape(n, dim_e, n, dim_e).transpose(0, 2, 1, 3).reshape(n * n, dim_e**2)
+    starts = np.cumsum(classes.sizes) - classes.sizes
+    means = np.add.reduceat(pairs[classes.order], starts, axis=0) / classes.sizes[:, None]
+    means[~classes.even] = 0
+    out = means[classes.labels].reshape(n, n, dim_e, dim_e).transpose(0, 2, 1, 3)
+    return _wrap(out.reshape(matrix.shape), was_state, d, t)
 
 
 def pf_twirl_basis_element(x, y, d: int) -> DenseOperator:
-    """Exact permutation-phase twirl of the matrix unit |x><y|.
-
-    Phase parity first; distinct tuples related by a slot permutation take
-    the closed form (distinct projector) R_sigma / Tr, anything else is an
-    explicit orbit average over injective relabelings.
-    """
+    """Exact permutation-phase twirl of the matrix unit |x><y|."""
     x, y = tuple(int(v) for v in x), tuple(int(v) for v in y)
     t = len(x)
     if len(y) != t:
@@ -347,46 +376,9 @@ def pf_twirl_basis_element(x, y, d: int) -> DenseOperator:
         raise DomainError(f"tuple values must lie in [0, {d})")
     n = d**t
     check_capacity(n)
-    out = np.zeros((n, n), dtype=complex)
-    if not _phase_parity_ok(x, y):
-        return DenseOperator(out, (d,) * t)
-
-    if len(set(x)) == t and sorted(x) == sorted(y):
-        # distinct tuples, y = x_sigma with sigma(i) = position of y_i in x
-        sigma = PermutationT(tuple(x.index(v) for v in y))
-        mask = distinct_mask(d, t).astype(float)
-        out[subsystem_perm_index_map(sigma, d), np.arange(n)] = 1.0
-        out *= mask[:, None]  # left-multiply by the distinct projector
-        return DenseOperator(out / falling_factorial(d, t), (d,) * t)
-
-    rows, cols, weight = _orbit_for_pattern(d, t, _joint_pattern(x, y))
-    out[rows, cols] = weight
-    return DenseOperator(out, (d,) * t)
-
-
-def pf_twirl(state, d: int, t: int):
-    """Exact permutation-phase twirl, extended linearly over the system
-    basis with workspace blocks carried along."""
-    matrix, was_state = _as_matrix(state)
-    dim_e = _system_split(matrix.shape[0], d, t)
-    n = d**t
-    if n * n > PF_PAIR_CAP:
-        raise CapacityError(f"exact PF twirl needs d^2t = {n * n} <= {PF_PAIR_CAP} basis pairs")
-    arr = matrix.reshape(n, dim_e, n, dim_e)
-    digit_table = list(itertools.product(range(d), repeat=t))
-    nonzero = np.einsum("aebf->ab", np.abs(arr) ** 2) > 0
-    out = np.zeros_like(arr)
-    for a in range(n):
-        xa = digit_table[a]
-        for b in range(n):
-            if not nonzero[a, b]:
-                continue
-            yb = digit_table[b]
-            if not _phase_parity_ok(xa, yb):
-                continue
-            rows, cols, weight = _orbit_for_pattern(d, t, _joint_pattern(xa, yb))
-            out[rows, :, cols, :] += weight * arr[a, :, b, :]
-    return _wrap(out.reshape(matrix.shape), was_state, d, t)
+    unit = np.zeros((n, n), dtype=complex)
+    unit[np.ravel_multi_index(x, (d,) * t), np.ravel_multi_index(y, (d,) * t)] = 1.0
+    return DenseOperator(pf_twirl(unit, d, t).entries, (d,) * t)
 
 
 def pf_twirl_distinct_formula(state, decomp: IsotypicDecomposition):
@@ -400,19 +392,9 @@ def pf_twirl_distinct_formula(state, decomp: IsotypicDecomposition):
     projected = full_mask[:, None] * matrix * full_mask[None, :]
     if trace_distance(projected, matrix) > 1e-9:
         raise DomainError("input is not supported on the distinct subspace")
-
-    rotated = rotate_to_basis(matrix, decomp)
-    out = np.zeros_like(rotated)
-    for sl, block in zip(decomp.block_slices(), decomp.blocks):
-        w, v = block.weyl_dim, block.specht_dim
-        idx = np.arange(sl.start * dim_e, sl.stop * dim_e)
-        sub = rotated[np.ix_(idx, idx)].reshape(w, v, dim_e, w, v, dim_e)
-        footprint = np.einsum("ijeikf->jekf", sub)
-        sigma = block.distinct_block / np.trace(block.distinct_block).real
-        rebuilt = np.einsum("ab,jekf->ajebkf", sigma, footprint)
-        out[np.ix_(idx, idx)] = rebuilt.reshape(w * v * dim_e, w * v * dim_e)
-    result = rotate_from_basis(out, decomp)
-    return _wrap(result, was_state, d, t)
+    return _blockwise_twirl(
+        state, decomp, lambda block: block.distinct_block / np.trace(block.distinct_block).real
+    )
 
 
 # ---------------------------------------------------------------------------

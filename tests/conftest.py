@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pru_lab import StateVector
 from pru_lab.operators import distinct_mask
+
+# Property tests draw the same examples on every run and machine, and are
+# never failed for taking long.
+settings.register_profile("pru-lab", derandomize=True, deadline=None)
+settings.load_profile("pru-lab")
 
 
 def random_state(dim, regs, seed):

@@ -1,11 +1,13 @@
 """State families, the gentle-measurement step, and the security pipeline."""
 
 import json
+import time
 
 import numpy as np
 import pytest
 
 from pru_lab import (
+    BoundCheck,
     DegenerateInputError,
     DensityMatrix,
     DomainError,
@@ -16,6 +18,7 @@ from pru_lab import (
     run_security_experiment,
     strip_timing_fields,
 )
+from pru_lab import checks
 from pru_lab.harness import STATE_FAMILIES
 from pru_lab.operators import distinct_mask
 
@@ -171,3 +174,15 @@ def test_lemma_suite_subset_and_unknown():
     assert {c.check_id for c in rep.checks} == {"deficit_closed_form", "deficit_envelope"}
     with pytest.raises(DomainError):
         run_lemma_suite(ds=(2,), ts=(2,), check_names=["nope"])
+
+
+def test_check_records_carry_the_whole_call_time(monkeypatch):
+    def three_records(ctx, d, t):
+        time.sleep(0.05)
+        return [BoundCheck.make(f"fake_{i}", {"d": d, "t": t}, 0, 0, "eq", 0, "fake") for i in range(3)]
+
+    monkeypatch.setitem(checks.PER_CELL_CHECKS, "fake_timing", three_records)
+    rep = run_lemma_suite(ds=(2,), ts=(2,), check_names=["fake_timing"])
+    assert [c.check_id for c in rep.checks] == ["fake_0", "fake_1", "fake_2"]
+    assert all(c.wall_ms >= 50 for c in rep.checks)
+    assert "wall_ms" not in rep.canonical_json()

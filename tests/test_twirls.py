@@ -1,12 +1,15 @@
 """Twirl channels: exact paths, block formulas, Monte-Carlo, Clifford averages."""
 
 import itertools
+from functools import reduce
 from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from pru_lab import (
+    CapacityError,
     DenseOperator,
     DensityMatrix,
     DomainError,
@@ -163,6 +166,7 @@ def test_pf_formula_matches_generic_on_distinct_states(dec42):
         st = random_distinct_state(4, 2, 4, seed)
         a = pf_twirl(st, 4, 2)
         b = pf_twirl_distinct_formula(st, dec42)
+        assert isinstance(b, DensityMatrix)
         assert trace_distance(a, b) < 1e-8
         assert abs(float(np.trace(b.entries).real) - 1) < 1e-9
 
@@ -198,6 +202,71 @@ def test_pf_output_is_density():
     out = pf_twirl(st, 4, 2)
     assert isinstance(out, DensityMatrix)
     out.validate()
+
+
+def test_pf_twirl_respects_the_dimension_cap(monkeypatch):
+    monkeypatch.setenv("PRU_LAB_DIM_CAP", "8")
+    with pytest.raises(CapacityError):
+        pf_twirl(np.eye(16), 4, 2)
+
+
+# --- permutation-phase twirl against the explicit group mean ----------------------
+
+PF_CASES = pytest.mark.parametrize(
+    "d, t, dim_e",
+    [(d, t, e) for d, t in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)] for e in (1, 2)],
+)
+
+
+def _signed_permutations(d):
+    """Every element of S_d x Z_2^d as a real d x d matrix."""
+    out = []
+    for images in itertools.permutations(range(d)):
+        P = np.zeros((d, d))
+        P[list(images), range(d)] = 1
+        out.extend(P * np.array(signs) for signs in itertools.product((1, -1), repeat=d))
+    return out
+
+
+def _local(g, t, dim_e):
+    return np.kron(reduce(np.kron, [g] * t), np.eye(dim_e))
+
+
+def _random_operator(d, t, dim_e, seed):
+    dim = d**t * dim_e
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+@PF_CASES
+@given(seed=hst.integers(0, 2**32 - 1))
+@settings(max_examples=5)
+def test_pf_twirl_matches_explicit_group_mean(d, t, dim_e, seed):
+    X = _random_operator(d, t, dim_e, seed)
+    group = _signed_permutations(d)
+    oracle = sum(_local(g, t, dim_e) @ X @ _local(g, t, dim_e).T for g in group) / len(group)
+    assert np.abs(pf_twirl(X, d, t).entries - oracle).max() < 1e-12
+
+
+@PF_CASES
+@given(seed=hst.integers(0, 2**32 - 1))
+@settings(max_examples=5)
+def test_pf_twirl_channel_properties(d, t, dim_e, seed):
+    X = _random_operator(d, t, dim_e, seed)
+    once = pf_twirl(X, d, t).entries
+    assert abs(np.trace(once) - np.trace(X)) < 1e-12
+    assert np.abs(pf_twirl(once, d, t).entries - once).max() < 1e-12
+
+    rng = np.random.default_rng(seed)
+    P = np.zeros((d, d))
+    P[rng.permutation(d), range(d)] = 1
+    U = _local(P * rng.choice([1, -1], size=d), t, dim_e)
+    assert np.abs(U @ once - once @ U).max() < 1e-12
+
+    rho = X @ X.conj().T
+    out = pf_twirl(DensityMatrix(rho / np.trace(rho).real, (d**t, dim_e)), d, t)
+    assert isinstance(out, DensityMatrix)
+    assert np.abs(out.entries - out.entries.conj().T).max() < 1e-12
 
 
 # --- collapse identity over the slot-permutation group ----------------------------
