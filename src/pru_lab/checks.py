@@ -18,6 +18,7 @@ from math import factorial, log2, sqrt
 
 import numpy as np
 
+from .clifford import EXACT_QUBIT_CAP
 from .errors import DomainError
 from .harness import BoundCheck, ExperimentReport, build_state, gentle_normalize
 from .operators import (
@@ -539,7 +540,7 @@ def _check_density_outputs(ctx: SuiteContext, d: int, t: int):
                         ctx.check_seed("twirl_outputs_are_density", d, t))[0]
     outputs = [haar_twirl_exact(st, d, t), pf_twirl(st, d, t)]
     n = _n_of(d)
-    if n is not None and n <= 2:
+    if n is not None and n <= EXACT_QUBIT_CAP:
         outputs.append(clifford_twirl(st, n, t, method="exact"))
     min_eig = min(float(out.eigenvalues()[0]) for out in outputs)
     trace_dev = max(abs(float(np.trace(out.entries).real) - 1) for out in outputs)
@@ -593,7 +594,7 @@ def _check_overlap(ctx: SuiteContext, d: int, t: int):
         return []
     params = {"d": d, "t": t, "n": n}
     psi = build_state("adversarial_colliding", n, t, 1, ctx.check_seed("clifford_distinct_overlap", d, t))
-    method = "exact" if n <= 2 else "monte_carlo"
+    method = "exact" if n <= EXACT_QUBIT_CAP else "monte_carlo"
     info = distinct_overlap_after_clifford(
         psi, n, t, method=method, samples=ctx.samples_clifford,
         seed=ctx.check_seed("clifford_distinct_overlap", d, t, 1),

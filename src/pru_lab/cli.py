@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from .checks import run_lemma_suite
+from .clifford import EXACT_QUBIT_CAP
 from .errors import PruLabError
 from .harness import (
     STATE_FAMILIES,
@@ -107,7 +108,7 @@ def _cmd_verify(args) -> int:
 def _cmd_security(args) -> int:
     method = args.clifford
     if method == "auto":
-        method = "exact" if args.n <= 2 else "monte_carlo"
+        method = "exact" if args.n <= EXACT_QUBIT_CAP else "monte_carlo"
     config = ExperimentConfig(
         n=args.n,
         t=args.t,
@@ -195,7 +196,7 @@ def _cmd_sweep(args) -> int:
     )
     for n in args.n:
         for t in args.t:
-            method = "exact" if n <= 2 else "monte_carlo"
+            method = "exact" if n <= EXACT_QUBIT_CAP else "monte_carlo"
             config = ExperimentConfig(
                 n=n,
                 t=t,

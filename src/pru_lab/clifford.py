@@ -3,11 +3,26 @@
 A tableau stores, for each Pauli generator X_1..X_n, Z_1..Z_n, the binary
 vector of its image under conjugation (columns of a 2n x 2n symplectic
 matrix over F_2, blocked as x-part then z-part) together with one sign bit
-per generator.  Uniform sampling follows the canonical-index construction
-of the symplectic group (Koenig-Smolin), which fixes the images of the
-first symplectic pair and recurses; dense conversion builds the first
-column as a stabilizer state and obtains the rest by applying image
-Paulis, so every matrix entry is exact up to floating arithmetic.
+per generator.  The tableau is the only description of a Clifford here:
+sampling draws one, and dense conversion and enumeration read it.
+
+Every Pauli is a signed permutation of the computational basis: the
+column with bits (x, z) and sign bit r is the Hermitian Pauli
+P|b> = (-1)^r i^{|x & z|} (-1)^{z.b} |b ^ x>, with qubit 0 the most
+significant bit of b, applied to a vector as one index gather times a
+phase vector.  Dense conversion projects |0..0> onto the joint +1
+eigenspace of the Z images (applying an X image instead where the vector
+lies in a -1 eigenspace), makes the first nonzero amplitude of U|0..0>
+real positive, and fills the columns with high bit j from those below
+through one X image, so every entry is exact up to floating arithmetic.
+
+Uniform sampling follows the canonical-index construction of the
+symplectic group (Koenig-Smolin), which fixes the images of the first
+symplectic pair and recurses.  Exhaustive enumeration walks the same
+indices: each symplectic matrix is converted once with zero sign bits and
+right-multiplied by each of the 4^n Paulis X^a Z^b as a column gather,
+since sign bits r on the X and Z generators amount to the right factor
+X^{r_z} Z^{r_x}, up to global phase.
 """
 
 from __future__ import annotations
@@ -18,24 +33,31 @@ from functools import cache
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .operators import DenseOperator, as_generator
+from .operators import DenseOperator, as_generator, check_capacity
 
-DENSE_QUBIT_CAP = 5  # 2^5 = 32-dimensional dense conversions at most
+EXACT_QUBIT_CAP = 2  # enumeration, hence exact Clifford averaging, needs n <= 2
 
-_PAULI_1Q = {
-    (0, 0): np.eye(2, dtype=complex),
-    (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),
-    (0, 1): np.array([[1, 0], [0, -1]], dtype=complex),
-    (1, 1): np.array([[0, -1j], [1j, 0]], dtype=complex),
-}
+_I_POWERS = np.array([1, 1j, -1, -1j])
 
 
-def hermitian_pauli(x_bits, z_bits) -> np.ndarray:
-    """The Hermitian Pauli with the given X/Z bit vectors (Y = iXZ per qubit)."""
-    out = np.array([[1.0 + 0j]])
-    for xb, zb in zip(x_bits, z_bits):
-        out = np.kron(out, _PAULI_1Q[(int(xb), int(zb))])
-    return out
+@cache
+def _basis_bits(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The basis labels 0..2^n-1 and the parity of each label's bits."""
+    labels = np.arange(1 << n)
+    parity = np.zeros(1 << n, dtype=np.int64)
+    for q in range(n):
+        parity ^= (labels >> q) & 1
+    labels.setflags(write=False)
+    parity.setflags(write=False)
+    return labels, parity
+
+
+def _pauli_action(x: int, z: int, r: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(source, phase) with P v = phase * v[source] for the Hermitian Pauli
+    with bit masks x, z (qubit 0 most significant) and sign bit r."""
+    labels, parity = _basis_bits(n)
+    source = labels ^ x
+    return source, _I_POWERS[(2 * (r + parity[z & source]) + (x & z).bit_count()) % 4]
 
 
 def symplectic_form(n: int) -> np.ndarray:
@@ -75,37 +97,34 @@ class CliffordElement:
     def identity(n: int) -> "CliffordElement":
         return CliffordElement(n, np.eye(2 * n, dtype=np.uint8), np.zeros(2 * n, dtype=np.uint8))
 
-    def generator_image(self, j: int) -> np.ndarray:
-        """Dense image of the j-th generator (signed Hermitian Pauli)."""
-        col = self.symplectic[:, j]
-        sign = -1.0 if self.phase[j] else 1.0
-        return sign * hermitian_pauli(col[: self.n], col[self.n :])
-
     def to_dense(self) -> DenseOperator:
         """Exact dense unitary realizing the tableau (global phase fixed
         by making the first nonzero amplitude of U|0..0> real positive)."""
         n = self.n
-        if n > DENSE_QUBIT_CAP:
-            raise CapacityError(f"dense Clifford conversion capped at n <= {DENSE_QUBIT_CAP}")
-        N = 2**n
-        z_imgs = [self.generator_image(n + j) for j in range(n)]
-        x_imgs = [self.generator_image(j) for j in range(n)]
+        N = 1 << n
+        check_capacity(N)
+        weights = 1 << np.arange(n - 1, -1, -1)  # qubit 0 is the most significant bit
+        xs, zs = (weights @ self.symplectic[:n]).tolist(), (weights @ self.symplectic[n:]).tolist()
+        images = [_pauli_action(x, z, r, n) for x, z, r in zip(xs, zs, self.phase.tolist())]
 
-        proj = np.eye(N, dtype=complex)
-        for zi in z_imgs:
-            proj = proj @ (np.eye(N) + zi) / 2.0
-        col_norms = np.linalg.norm(proj, axis=0)
-        u0 = proj[:, int(np.argmax(col_norms))]
+        u0 = np.zeros(N, dtype=complex)
+        u0[0] = 1.0
+        for j in range(n):  # project onto the +1 eigenspace of each Z image
+            source, phase = images[n + j]
+            half = (u0 + phase * u0[source]) / 2.0
+            if not half.any():  # -1 eigenvector: the X image anticommutes
+                source, phase = images[j]
+                half = phase * u0[source]
+            u0 = half
         u0 = u0 / np.linalg.norm(u0)
         lead = u0[np.abs(u0) > 1e-8][0]
         u0 = u0 * (abs(lead) / lead)
 
-        U = np.zeros((N, N), dtype=complex)
+        U = np.empty((N, N), dtype=complex)
         U[:, 0] = u0
-        for x in range(1, N):
-            j = (x & -x).bit_length() - 1  # lowest set bit of the basis label
-            qubit = n - 1 - j  # labels are big-endian in qubit order
-            U[:, x] = x_imgs[qubit] @ U[:, x ^ (1 << j)]
+        for j in range(n):  # labels are big-endian: bit j belongs to qubit n-1-j
+            source, phase = images[n - 1 - j]
+            U[:, 1 << j : 2 << j] = phase[:, None] * U[source, : 1 << j]
         return DenseOperator(U, (2,) * n)
 
 
@@ -250,56 +269,29 @@ def sample_clifford(n: int, seed) -> CliffordElement:
 
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration for small n (one dense representative per
-# global-phase equivalence class).
+# global-phase equivalence class), over the sampler's canonical indices.
 # ---------------------------------------------------------------------------
 
-def _canonicalize(M: np.ndarray) -> np.ndarray:
-    flat = M.reshape(-1)
-    lead = flat[np.abs(flat) > 1e-9][0]
-    return M * (abs(lead) / lead)
-
-
-def _canonical_key(M: np.ndarray) -> bytes:
-    return (np.round(_canonicalize(M), 9) + (0.0 + 0.0j)).tobytes()  # normalize -0.0
-
-
-def _closure(generators: list[np.ndarray]) -> list[np.ndarray]:
-    dim = generators[0].shape[0]
-    found: dict[bytes, np.ndarray] = {}
-    eye = np.eye(dim, dtype=complex)
-    found[_canonical_key(eye)] = eye
-    frontier = [eye]
-    while frontier:
-        nxt = []
-        for M in frontier:
-            for G in generators:
-                P = _canonicalize(G @ M)
-                key = _canonical_key(P)
-                if key not in found:
-                    found[key] = P
-                    nxt.append(P)
-        frontier = nxt
-    return [found[k] for k in sorted(found)]
-
-
-def enumerate_cliffords(n: int = 1, allow_two_qubit: bool = False) -> list[DenseOperator]:
+def enumerate_cliffords(n: int = 1) -> list[DenseOperator]:
     """All n-qubit Cliffords mod global phase, as dense operators.
 
-    n=1 gives the 24 classes; n=2 (11520 classes) must be requested
-    explicitly since the closure takes a few seconds.
+    Each canonical symplectic index is converted once with zero sign bits
+    and right-multiplied by every Pauli X^a Z^b, (U X^a Z^b)|c> =
+    (-1)^{b.c} U|c ^ a>: 24 elements at n=1, 11520 at n=2.  Larger n
+    raises ``CapacityError`` (n=3 has 92,897,280 elements).
     """
-    if n == 1:
-        H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-        S = np.diag([1, 1j]).astype(complex)
-        gens = [H, S]
-    elif n == 2:
-        if not allow_two_qubit:
-            raise CapacityError("n=2 enumeration (11520 elements) must be enabled explicitly")
-        H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-        S = np.diag([1, 1j]).astype(complex)
-        I2 = np.eye(2, dtype=complex)
-        CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-        gens = [np.kron(H, I2), np.kron(I2, H), np.kron(S, I2), np.kron(I2, S), CNOT]
-    else:
-        raise CapacityError(f"exhaustive Clifford enumeration supported for n <= 2, got {n}")
-    return [DenseOperator(M, (2,) * n) for M in _closure(gens)]
+    if not 1 <= n <= EXACT_QUBIT_CAP:
+        raise CapacityError(f"Clifford enumeration needs 1 <= n <= {EXACT_QUBIT_CAP}, got {n}")
+    N = 1 << n
+    labels, parity = _basis_bits(n)
+    columns = labels[:, None] ^ labels[None, :]  # (a, c) -> c ^ a
+    signs = 1 - 2 * parity[labels[:, None] & labels[None, :]]  # (b, c) -> (-1)^{b.c}
+    no_signs = np.zeros(2 * n, dtype=np.uint8)
+    out = []
+    for i in range(symplectic_group_order(n)):
+        S = _interleaved_to_blocked(_symplectic_matrix(i, n))
+        U = CliffordElement(n, S, no_signs).to_dense().entries
+        products = U[:, columns][:, :, None, :] * signs[None, None]  # (row, a, b, c)
+        products = products.transpose(1, 2, 0, 3).reshape(-1, N, N)
+        out.extend(DenseOperator(M, (2,) * n) for M in products)
+    return out

@@ -23,6 +23,7 @@ from math import sqrt
 
 import numpy as np
 
+from .clifford import EXACT_QUBIT_CAP
 from .errors import DegenerateInputError, DomainError
 from .operators import (
     DensityMatrix,
@@ -52,8 +53,8 @@ class ExperimentConfig:
     t: int
     dim_e: int = 1
     state_family: str = "random_pure"
-    # "exact" (n <= 2), "monte_carlo", or "none" (skip the Clifford layer,
-    # e.g. for inputs already on the distinct subspace)
+    # "exact" (n <= EXACT_QUBIT_CAP), "monte_carlo", or "none" (skip the
+    # Clifford layer, e.g. for inputs already on the distinct subspace)
     clifford_method: str = "exact"
     clifford_samples: int = 10000
     num_keys: int = 0  # > 0 additionally compares the keyed ensemble average
@@ -71,8 +72,8 @@ class ExperimentConfig:
         check_capacity(2 ** (self.n * self.t) * self.dim_e)
         if self.clifford_method not in ("exact", "monte_carlo", "none"):
             raise DomainError(f"unknown clifford method {self.clifford_method!r}")
-        if self.clifford_method == "exact" and self.n > 2:
-            raise DomainError("exact Clifford averaging needs n <= 2")
+        if self.clifford_method == "exact" and self.n > EXACT_QUBIT_CAP:
+            raise DomainError(f"exact Clifford averaging needs n <= {EXACT_QUBIT_CAP}")
 
     @property
     def d(self) -> int:

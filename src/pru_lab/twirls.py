@@ -50,7 +50,6 @@ from .operators import (
     distinct_mask,
     haar_unitaries,
     subsystem_perm_index_map,
-    trace_distance,
 )
 from .schur_weyl import (
     IsotypicDecomposition,
@@ -390,7 +389,8 @@ def pf_twirl_distinct_formula(state, decomp: IsotypicDecomposition):
     mask = distinct_mask(d, t).astype(float)
     full_mask = np.repeat(mask, dim_e)
     projected = full_mask[:, None] * matrix * full_mask[None, :]
-    if trace_distance(projected, matrix) > 1e-9:
+    # sqrt(dim) times the Frobenius norm bounds the trace norm of the leak
+    if np.sqrt(matrix.shape[0]) * np.linalg.norm(matrix - projected) > 1e-9:
         raise DomainError("input is not supported on the distinct subspace")
     return _blockwise_twirl(
         state, decomp, lambda block: block.distinct_block / np.trace(block.distinct_block).real
@@ -417,7 +417,7 @@ def _clifford_average(state, n: int, t: int, method: str, samples: int, seed, we
     ``weights`` (None for the exact enumeration)."""
     d = 2**n
     if method == "exact":
-        return ensemble_twirl(state, enumerate_cliffords(n, allow_two_qubit=True), d, t), None
+        return ensemble_twirl(state, enumerate_cliffords(n), d, t), None
     if method != "monte_carlo":
         raise DomainError(f"unknown method {method!r}")
     mats = (
@@ -436,10 +436,11 @@ def _clifford_average(state, n: int, t: int, method: str, samples: int, seed, we
 def clifford_twirl(state, n: int, t: int, method: str = "exact", samples: int = 0, seed: int = 0):
     """Average conjugation by C^{x t} over the Clifford group.
 
-    Exact averaging enumerates the group for n <= 2; otherwise a seeded
-    Monte-Carlo estimate is returned, with the Frobenius standard error of
-    the mean attached to the metadata.  Sample i is drawn from the seed
-    (seed, i // MC_CHUNK, i % MC_CHUNK).
+    Exact averaging runs over ``enumerate_cliffords(n)``, every canonical
+    symplectic index times every Pauli, for n <= ``clifford.EXACT_QUBIT_CAP``.
+    Monte-Carlo averaging converts ``samples`` sampled tableaus, sample i
+    drawn from the seed (seed, i // MC_CHUNK, i % MC_CHUNK), and attaches
+    the Frobenius standard error of the mean to the metadata.
     """
     return _clifford_average(state, n, t, method, samples, seed)[0]
 

@@ -5,12 +5,34 @@ import pytest
 from scipy import stats
 
 from pru_lab import CapacityError, CliffordElement, DomainError, enumerate_cliffords, sample_clifford
-from pru_lab.clifford import _canonical_key, symplectic_form, symplectic_group_order
+from pru_lab.clifford import symplectic_form, symplectic_group_order
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS_1Q = [X, Y, Z]
+PAULI_BY_BITS = {(0, 0): np.eye(2), (1, 0): X, (0, 1): Z, (1, 1): Y}  # (x bit, z bit)
+
+
+def pauli(x_bits, z_bits):
+    """The Hermitian Pauli with the given X/Z bits, qubit 0 leftmost."""
+    out = np.array([[1.0 + 0j]])
+    for xb, zb in zip(x_bits, z_bits):
+        out = np.kron(out, PAULI_BY_BITS[(int(xb), int(zb))])
+    return out
+
+
+def all_paulis(n):
+    bits = np.array(list(np.ndindex((2,) * 2 * n)))
+    return np.stack([pauli(b[:n], b[n:]) for b in bits])
+
+
+def canonical_key(M):
+    """Bytes of M with the global phase fixed by its first clearly nonzero
+    entry, rounded well above floating noise."""
+    flat = M.reshape(-1)
+    lead = flat[np.abs(flat) > 1e-6][0]
+    return (np.round(flat * (abs(lead) / lead), 6) + 0.0).tobytes()  # + 0.0 drops -0.0
 
 
 def pauli_on(n, qubit, P):
@@ -55,11 +77,16 @@ def test_sampled_clifford_dense_is_unitary_and_conjugates_paulis(n):
         assert np.array_equal((S.T @ omega @ S) % 2, omega)
         U = c.to_dense()
         assert U.is_unitary(1e-10)
-        # conjugation of every generator matches the tableau column exactly
+        # conjugation of every generator matches the signed tableau column
         for j in range(2 * n):
             gen = pauli_on(n, j % n, X if j < n else Z)
             img = U.entries @ gen @ U.entries.conj().T
-            assert np.abs(img - c.generator_image(j)).max() < 1e-9
+            expected = (-1) ** int(c.phase[j]) * pauli(S[:n, j], S[n:, j])
+            assert np.abs(img - expected).max() < 1e-9
+        # the global phase: the first nonzero amplitude of U|0..0> is real positive
+        u0 = U.entries[:, 0]
+        lead = u0[np.abs(u0) > 1e-9][0]
+        assert lead.imag == 0 and lead.real > 0
 
 
 def test_symplectic_invariant_many_samples():
@@ -92,27 +119,43 @@ def test_enumerate_single_qubit():
 
 def test_enumeration_uniformity_chi2():
     ops = enumerate_cliffords(1)
-    keys = {_canonical_key(op.entries): i for i, op in enumerate(ops)}
+    keys = {canonical_key(op.entries): i for i, op in enumerate(ops)}
     counts = np.zeros(24)
     N = 10000
     for seed in range(N):
         U = sample_clifford(1, seed).to_dense()
-        counts[keys[_canonical_key(U.entries)]] += 1
+        counts[keys[canonical_key(U.entries)]] += 1
     expected = N / 24
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 < stats.chi2.ppf(0.99, df=23)
 
 
-def test_enumerate_two_qubit_requires_flag():
-    with pytest.raises(CapacityError):
-        enumerate_cliffords(2)
-    with pytest.raises(CapacityError):
-        enumerate_cliffords(3, allow_two_qubit=True)
+@pytest.mark.parametrize("n, order", [(1, 24), (2, 11520)])
+def test_enumeration_is_the_clifford_group(n, order):
+    """Unitaries that conjugate every X_j and Z_j to a signed Pauli, pairwise
+    distinct up to global phase, and as many as the textbook group order
+    (Clifford group mod phase: 24 for one qubit, 11520 for two) are exactly
+    the Clifford group mod phase."""
+    ops = np.stack([op.entries for op in enumerate_cliffords(n)])
+    assert len(ops) == order
+    dag = ops.conj().transpose(0, 2, 1)
+    assert np.abs(dag @ ops - np.eye(2**n)).max() < 1e-10
+    paulis = all_paulis(n)
+    rows = np.arange(len(ops))
+    for q in range(n):
+        for P in (X, Z):
+            imgs = ops @ pauli_on(n, q, P) @ dag
+            coeffs = np.einsum("pab,kba->kp", paulis, imgs) / 2**n  # Tr(P img) / 2^n
+            best = np.abs(coeffs).argmax(axis=1)
+            signs = np.round(coeffs[rows, best].real)
+            assert np.all(np.abs(signs) == 1)
+            assert np.abs(imgs - signs[:, None, None] * paulis[best]).max() < 1e-9
+    assert len({canonical_key(M) for M in ops}) == order
 
 
-@pytest.mark.slow
-def test_enumerate_two_qubit_count():
-    assert len(enumerate_cliffords(2, allow_two_qubit=True)) == 11520
+def test_enumerate_three_qubits_is_over_capacity():
+    with pytest.raises(CapacityError):
+        enumerate_cliffords(3)
 
 
 def test_average_xx_matches_haar_two_twirl():
@@ -135,7 +178,8 @@ def test_average_xx_matches_haar_two_twirl():
     assert np.abs(avg - twirled.entries).max() < 1e-9
 
 
-def test_dense_cap():
-    c = sample_clifford(6, 0)
+def test_dense_cap(monkeypatch):
+    monkeypatch.setenv("PRU_LAB_DIM_CAP", "4")
+    assert sample_clifford(2, 0).to_dense().dim == 4
     with pytest.raises(CapacityError):
-        c.to_dense()
+        sample_clifford(3, 0).to_dense()

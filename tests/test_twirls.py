@@ -178,6 +178,15 @@ def test_pf_formula_rejects_colliding_support(dec42):
         pf_twirl_distinct_formula(StateVector(e00, (16, 1)), dec42)
 
 
+def test_pf_formula_rejects_a_tiny_colliding_leak(dec42):
+    rho = random_distinct_state(4, 2, 4, 3).to_density().entries
+    pf_twirl_distinct_formula(DenseOperator(rho, (16, 4)), dec42)  # distinct support passes
+    leak = rho.copy()
+    leak[0, 4] = 1e-8  # row 0 is |00> (x) |0>, a colliding tuple
+    with pytest.raises(DomainError):
+        pf_twirl_distinct_formula(DenseOperator(leak, (16, 4)), dec42)
+
+
 def test_pf_equals_haar_on_deficit_free_block(dec42):
     B = dec42.basis_matrix
     anti = B[:, 10:16]  # the 6-dimensional antisymmetric block
