@@ -53,7 +53,6 @@ from .schur_weyl import (
     verify_decomposition,
 )
 from .twirls import (
-    TwirlSpec,
     clifford_twirl,
     distinct_overlap_after_clifford,
     ensemble_twirl,

@@ -18,11 +18,16 @@ through one X image, so every entry is exact up to floating arithmetic.
 
 Uniform sampling follows the canonical-index construction of the
 symplectic group (Koenig-Smolin), which fixes the images of the first
-symplectic pair and recurses.  Exhaustive enumeration walks the same
+symplectic pair and recurses.  The walk keeps each symplectic vector as one
+2n-bit int in the index's interleaved order (bit 2i = x_i, bit 2i+1 =
+z_i): the inner product is one popcount and a transvection one
+conditional XOR.  The only array is the finished tableau, reindexed into
+the blocked order as it is built.  Exhaustive enumeration walks the same
 indices: each symplectic matrix is converted once with zero sign bits and
 right-multiplied by each of the 4^n Paulis X^a Z^b as a column gather,
 since sign bits r on the X and Z generators amount to the right factor
-X^{r_z} Z^{r_x}, up to global phase.
+X^{r_z} Z^{r_x}, up to global phase.  The group comes back as one
+read-only (count, 2^n, 2^n) array.
 """
 
 from __future__ import annotations
@@ -130,67 +135,39 @@ class CliffordElement:
 
 # ---------------------------------------------------------------------------
 # Uniform sampling via the canonical symplectic-group construction.
-# The internal routines use the interleaved bit convention (x1 z1 x2 z2 ...);
-# the result is reindexed into the blocked tableau convention at the end.
+# The walk keeps every symplectic vector as one 2n-bit int in the
+# interleaved convention of the index (bit 2i = x_i, bit 2i+1 = z_i); the
+# finished rows are reindexed into the blocked tableau once, as it is built.
 # ---------------------------------------------------------------------------
 
-def _sym_inner(v: np.ndarray, w: np.ndarray) -> int:
-    t = 0
-    for i in range(len(v) >> 1):
-        t += int(v[2 * i]) * int(w[2 * i + 1]) + int(w[2 * i]) * int(v[2 * i + 1])
-    return t % 2
+def _sym_inner(v: int, w: int, even: int) -> int:
+    """Symplectic inner product; ``even`` has the x bit of every pair set."""
+    return (((v & (w >> 1)) ^ ((v >> 1) & w)) & even).bit_count() & 1
 
 
-def _transvect(k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return (v + _sym_inner(k, v) * k) % 2
+def _transvect(k: int, v: int, even: int) -> int:
+    return v ^ k if _sym_inner(k, v, even) else v
 
 
-def _int_to_bits(i: int, n: int) -> np.ndarray:
-    return np.array([(i >> j) & 1 for j in range(n)], dtype=np.uint8)
-
-
-def _find_transvection(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Vectors h0, h1 with y = Z_h0 Z_h1 x (zero rows act as identity)."""
-    out = np.zeros((2, len(x)), dtype=np.uint8)
-    if np.array_equal(x, y):
-        return out
-    if _sym_inner(x, y) == 1:
-        out[0] = (x + y) % 2
-        return out
-    z = np.zeros(len(x), dtype=np.uint8)
-    for i in range(len(x) >> 1):
-        ii = 2 * i
-        if (x[ii] or x[ii + 1]) and (y[ii] or y[ii + 1]):
-            z[ii] = (x[ii] + y[ii]) % 2
-            z[ii + 1] = (x[ii + 1] + y[ii + 1]) % 2
-            if z[ii] + z[ii + 1] == 0:
-                z[ii + 1] = 1
-                if x[ii] != x[ii + 1]:
-                    z[ii] = 1
-            out[0] = (x + z) % 2
-            out[1] = (y + z) % 2
-            return out
-    for i in range(len(x) >> 1):
-        ii = 2 * i
-        if (x[ii] or x[ii + 1]) and not (y[ii] or y[ii + 1]):
-            if x[ii] == x[ii + 1]:
-                z[ii + 1] = 1
-            else:
-                z[ii + 1] = x[ii]
-                z[ii] = x[ii + 1]
-            break
-    for i in range(len(x) >> 1):
-        ii = 2 * i
-        if not (x[ii] or x[ii + 1]) and (y[ii] or y[ii + 1]):
-            if y[ii] == y[ii + 1]:
-                z[ii + 1] = 1
-            else:
-                z[ii + 1] = y[ii]
-                z[ii] = y[ii + 1]
-            break
-    out[0] = (x + z) % 2
-    out[1] = (y + z) % 2
-    return out
+def _find_transvection(x: int, y: int, even: int) -> tuple[int, int]:
+    """Vectors h0, h1 with y = Z_h0 Z_h1 x (zero acts as identity)."""
+    if x == y:
+        return 0, 0
+    if _sym_inner(x, y, even):
+        return x ^ y, 0
+    nx, ny = (x | (x >> 1)) & even, (y | (y >> 1)) & even  # the x bit of each nonzero pair
+    if both := nx & ny:  # the first qubit where both are nonzero
+        s = (both & -both).bit_length() - 1
+        xp, yp = (x >> s) & 3, (y >> s) & 3
+        zp = xp ^ yp or (2 if xp == 3 else 3)
+        return x ^ (zp << s), y ^ (zp << s)
+    z = 0
+    for u, only in ((x, nx & ~ny), (y, ny & ~nx)):  # the first qubit where only u is nonzero
+        if only:
+            s = (only & -only).bit_length() - 1
+            up = (u >> s) & 3
+            z |= (2 if up == 3 else up ^ 3) << s
+    return x ^ z, y ^ z
 
 
 def _num_cosets(n: int) -> int:
@@ -205,45 +182,31 @@ def symplectic_group_order(n: int) -> int:
     return out
 
 
-def _symplectic_matrix(i: int, n: int) -> np.ndarray:
-    """The i-th 2n x 2n symplectic matrix (interleaved convention)."""
+def _symplectic_rows(i: int, n: int) -> list[int]:
+    """Rows of the i-th 2n x 2n symplectic matrix, each a 2n-bit int."""
     nn = 2 * n
     s = (1 << nn) - 1
-    k = (i % s) + 1
+    even = s // 3  # 0b0101...01: the x bit of every pair
+    f1 = i % s + 1
     i //= s
-
-    f1 = _int_to_bits(k, nn)
-    e1 = np.zeros(nn, dtype=np.uint8)
-    e1[0] = 1
-    T = _find_transvection(e1, f1)
-
-    bits = _int_to_bits(i % (1 << (nn - 1)), nn - 1)
-    eprime = e1.copy()
-    for j in range(2, nn):
-        eprime[j] = bits[j - 1]
-    h0 = _transvect(T[0], eprime)
-    h0 = _transvect(T[1], h0)
-    if bits[0] == 1:
-        f1 = f1 * 0
-
-    if n == 1:
-        g = np.eye(2, dtype=np.uint8)
-    else:
-        g = np.zeros((nn, nn), dtype=np.uint8)
-        g[:2, :2] = np.eye(2, dtype=np.uint8)
-        g[2:, 2:] = _symplectic_matrix(i >> (nn - 1), n - 1)
-    for j in range(nn):
-        g[j] = _transvect(T[0], g[j])
-        g[j] = _transvect(T[1], g[j])
-        g[j] = _transvect(h0, g[j])
-        g[j] = _transvect(f1, g[j])
-    return g
+    h1, h2 = _find_transvection(1, f1, even)
+    bits = i % (1 << (nn - 1))
+    h0 = _transvect(h2, _transvect(h1, 1 | ((bits >> 1) << 2), even), even)
+    if bits & 1:
+        f1 = 0
+    rows = [1, 2]
+    if n > 1:
+        rows += [r << 2 for r in _symplectic_rows(i >> (nn - 1), n - 1)]
+    for k in (h1, h2, h0, f1):
+        rows = [_transvect(k, r, even) for r in rows]
+    return rows
 
 
-def _interleaved_to_blocked(S: np.ndarray) -> np.ndarray:
-    n = S.shape[0] // 2
-    order = np.concatenate([np.arange(n) * 2, np.arange(n) * 2 + 1])
-    return S[np.ix_(order, order)]
+def _symplectic_matrix(i: int, n: int) -> np.ndarray:
+    """The i-th symplectic matrix as a blocked tableau (x-part, then z-part)."""
+    rows = _symplectic_rows(i, n)
+    order = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
+    return np.array([[(rows[a] >> b) & 1 for b in order] for a in order], dtype=np.uint8)
 
 
 def sample_clifford(n: int, seed) -> CliffordElement:
@@ -262,7 +225,7 @@ def sample_clifford(n: int, seed) -> CliffordElement:
         if idx < limit:
             idx %= order
             break
-    S = _interleaved_to_blocked(_symplectic_matrix(idx, n))
+    S = _symplectic_matrix(idx, n)
     phase = rng.integers(0, 2, size=2 * n, dtype=np.uint8)
     return CliffordElement(n, S, phase)
 
@@ -272,8 +235,9 @@ def sample_clifford(n: int, seed) -> CliffordElement:
 # global-phase equivalence class), over the sampler's canonical indices.
 # ---------------------------------------------------------------------------
 
-def enumerate_cliffords(n: int = 1) -> list[DenseOperator]:
-    """All n-qubit Cliffords mod global phase, as dense operators.
+def enumerate_cliffords(n: int = 1) -> np.ndarray:
+    """All n-qubit Cliffords mod global phase, as one read-only
+    (count, 2^n, 2^n) array.
 
     Each canonical symplectic index is converted once with zero sign bits
     and right-multiplied by every Pauli X^a Z^b, (U X^a Z^b)|c> =
@@ -287,11 +251,11 @@ def enumerate_cliffords(n: int = 1) -> list[DenseOperator]:
     columns = labels[:, None] ^ labels[None, :]  # (a, c) -> c ^ a
     signs = 1 - 2 * parity[labels[:, None] & labels[None, :]]  # (b, c) -> (-1)^{b.c}
     no_signs = np.zeros(2 * n, dtype=np.uint8)
-    out = []
+    blocks = []
     for i in range(symplectic_group_order(n)):
-        S = _interleaved_to_blocked(_symplectic_matrix(i, n))
-        U = CliffordElement(n, S, no_signs).to_dense().entries
+        U = CliffordElement(n, _symplectic_matrix(i, n), no_signs).to_dense().entries
         products = U[:, columns][:, :, None, :] * signs[None, None]  # (row, a, b, c)
-        products = products.transpose(1, 2, 0, 3).reshape(-1, N, N)
-        out.extend(DenseOperator(M, (2,) * n) for M in products)
+        blocks.append(products.transpose(1, 2, 0, 3).reshape(-1, N, N))
+    out = np.concatenate(blocks)
+    out.setflags(write=False)
     return out

@@ -31,6 +31,7 @@ from .operators import (
     check_capacity,
     distinct_mask,
     trace_distance,
+    workspace_dim,
 )
 from .pru import pru_average_state
 from .schur_weyl import ratio_report
@@ -254,10 +255,7 @@ def gentle_normalize(xi: DensityMatrix, d: int, t: int) -> GentleResult:
     The returned 1-norm displacement always satisfies the gentle-measurement
     bound 2*sqrt(1 - overlap).
     """
-    nA = d**t
-    if xi.dim % nA:
-        raise DomainError(f"state dim {xi.dim} not divisible by d^t = {nA}")
-    dim_e = xi.dim // nA
+    dim_e = workspace_dim(xi.dim, d, t)
     mask = np.repeat(distinct_mask(d, t), dim_e)
     overlap = float(np.real(np.diagonal(xi.entries))[mask].sum())
     if overlap < 1e-12:

@@ -11,7 +11,6 @@ fail early instead of exhausting memory.
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass, field
 from math import prod
@@ -36,6 +35,14 @@ def check_capacity(dim: int):
     cap = dim_cap()
     if dim > cap:
         raise CapacityError(f"total dimension {dim} exceeds cap {cap} (PRU_LAB_DIM_CAP)")
+
+
+def workspace_dim(dim: int, d: int, t: int) -> int:
+    """dim_e for a total dimension dim = d^t * dim_e (system first)."""
+    n = d**t
+    if dim % n:
+        raise DomainError(f"dimension {dim} not divisible by d^t = {n}")
+    return dim // n
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -130,9 +137,6 @@ class DensityMatrix:
         if lo < -psd_tol:
             raise DomainError(f"density matrix has eigenvalue {lo} < -{psd_tol}")
         return self
-
-    def as_operator(self) -> DenseOperator:
-        return DenseOperator(self.entries, self.registers)
 
 
 @dataclass(frozen=True)
@@ -253,10 +257,6 @@ def subsystem_perm_op(pi: PermutationT, d: int) -> DenseOperator:
     return DenseOperator(M, (d,) * pi.t)
 
 
-def distinct_tuples(d: int, t: int) -> list[tuple[int, ...]]:
-    return list(itertools.permutations(range(d), t))
-
-
 def distinct_mask(d: int, t: int) -> np.ndarray:
     """Boolean mask over the product basis: True where all t labels differ."""
     n = d**t
@@ -285,7 +285,7 @@ def falling_factorial(d: int, t: int) -> int:
     out = 1
     for k in range(t):
         out *= d - k
-    return max(out, 0) if t > d else out
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 
 from .clifford import sample_clifford
-from .errors import CapacityError, DomainError
+from .errors import DomainError
 from .operators import (
     BooleanFunction,
     DenseOperator,
@@ -30,7 +30,6 @@ from .operators import (
 from .twirls import _average_conjugation, _stacked
 
 KEY_BYTES = 16
-PRU_DENSE_QUBIT_CAP = 4
 
 
 @dataclass(frozen=True, order=True)
@@ -142,8 +141,6 @@ def clifford_seed(k3: bytes) -> int:
 
 def pru_unitary(key: PruKey, n: int) -> DenseOperator:
     """Dense keyed unitary: permutation operator * phase operator * Clifford."""
-    if n > PRU_DENSE_QUBIT_CAP:
-        raise CapacityError(f"dense keyed unitaries capped at n <= {PRU_DENSE_QUBIT_CAP}")
     P = perm_op(PrpScheme(n).table(key.k1))
     F = phase_op(PrfScheme(n).table(key.k2))
     C = sample_clifford(n, clifford_seed(key.k3)).to_dense()

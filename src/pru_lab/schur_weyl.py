@@ -25,6 +25,7 @@ from .operators import (
     subsystem_perm_index_map,
     subsystem_perm_op,
     tensor_power,
+    workspace_dim,
 )
 from .symgroup import (
     Partition,
@@ -227,17 +228,10 @@ def distinct_block(lam: Partition, decomp: IsotypicDecomposition) -> DenseOperat
 # Workspace-register-aware rotation helpers shared with the twirl channels.
 # ---------------------------------------------------------------------------
 
-def _split_dims(decomp: IsotypicDecomposition, total_dim: int) -> int:
-    n = decomp.d**decomp.t
-    if total_dim % n:
-        raise DomainError(f"operator dimension {total_dim} not divisible by d^t = {n}")
-    return total_dim // n
-
-
 def rotate_to_basis(matrix: np.ndarray, decomp: IsotypicDecomposition) -> np.ndarray:
     """Conjugate the system factor into the Schur-Weyl basis, carrying any
     trailing workspace factor along untouched."""
-    dim_e = _split_dims(decomp, matrix.shape[0])
+    dim_e = workspace_dim(matrix.shape[0], decomp.d, decomp.t)
     n = decomp.d**decomp.t
     B = decomp.basis_matrix
     arr = matrix.reshape(n, dim_e, n, dim_e)
@@ -247,7 +241,7 @@ def rotate_to_basis(matrix: np.ndarray, decomp: IsotypicDecomposition) -> np.nda
 
 
 def rotate_from_basis(matrix: np.ndarray, decomp: IsotypicDecomposition) -> np.ndarray:
-    dim_e = _split_dims(decomp, matrix.shape[0])
+    dim_e = workspace_dim(matrix.shape[0], decomp.d, decomp.t)
     n = decomp.d**decomp.t
     B = decomp.basis_matrix
     arr = matrix.reshape(n, dim_e, n, dim_e)
@@ -261,7 +255,7 @@ def block_footprints(rotated: np.ndarray, decomp: IsotypicDecomposition):
     yield per block: the block, the slice of its rows (workspace included),
     and its footprint, the partial trace of the diagonal block over the
     unitary-group factor, shaped (specht, workspace, specht, workspace)."""
-    dim_e = _split_dims(decomp, rotated.shape[0])
+    dim_e = workspace_dim(rotated.shape[0], decomp.d, decomp.t)
     for sl, block in zip(decomp.block_slices(), decomp.blocks):
         w, v = block.weyl_dim, block.specht_dim
         rows = slice(sl.start * dim_e, sl.stop * dim_e)
@@ -292,10 +286,6 @@ class RatioRecord:
     tr_weyl: int
     deficit: Fraction  # 1 - tr_distinct_block / tr_weyl
     numeric_tr_distinct_block: float | None = None
-
-    @property
-    def deficit_float(self) -> float:
-        return float(self.deficit)
 
 
 def ratio_report(d: int, t: int, decomp: IsotypicDecomposition | None = None) -> list[RatioRecord]:

@@ -30,7 +30,6 @@ so results are reproducible however the chunks are scheduled.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from typing import NamedTuple
@@ -50,6 +49,7 @@ from .operators import (
     distinct_mask,
     haar_unitaries,
     subsystem_perm_index_map,
+    workspace_dim,
 )
 from .schur_weyl import (
     IsotypicDecomposition,
@@ -61,28 +61,6 @@ from .symgroup import all_permutations
 
 MC_CHUNK = 512  # fixed chunk size; seeds derive as (seed, chunk index)
 _SUB_BATCH_ELEMENTS = 1 << 16  # complex entries per conjugated sub-batch; bounds driver memory
-
-
-@dataclass(frozen=True)
-class TwirlSpec:
-    """Which channel to apply and how."""
-
-    kind: str  # "haar" | "pf" | "clifford" | "custom-ensemble"
-    d: int
-    t: int
-    method: str = "exact"  # "exact" | "monte_carlo"
-    samples: int = 0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("haar", "pf", "clifford", "custom-ensemble"):
-            raise DomainError(f"unknown twirl kind {self.kind!r}")
-        if self.method not in ("exact", "monte_carlo"):
-            raise DomainError(f"unknown method {self.method!r}")
-        if self.method == "monte_carlo" and self.samples < 1:
-            raise DomainError("monte_carlo requires samples >= 1")
-        if self.kind == "haar" and self.method == "exact" and self.d < self.t:
-            raise DomainError("exact Haar twirl needs d >= t (independent permutation operators)")
 
 
 def _as_matrix(state) -> tuple[np.ndarray, bool]:
@@ -102,13 +80,6 @@ def _wrap(matrix: np.ndarray, was_state: bool, d: int, t: int, meta: dict | None
     if was_state:
         return DensityMatrix(matrix, regs, meta=meta)
     return DenseOperator(matrix, regs, meta=meta)
-
-
-def _system_split(matrix_dim: int, d: int, t: int) -> int:
-    n = d**t
-    if matrix_dim % n:
-        raise DomainError(f"operator dim {matrix_dim} not divisible by d^t = {n}")
-    return matrix_dim // n
 
 
 def _chunk_seeds(samples: int):
@@ -135,7 +106,7 @@ def haar_twirl_exact(state, d: int, t: int):
     if d < t:
         raise DomainError("exact Haar twirl needs d >= t")
     matrix, was_state = _as_matrix(state)
-    dim_e = _system_split(matrix.shape[0], d, t)
+    dim_e = workspace_dim(matrix.shape[0], d, t)
     n = d**t
     perms = all_permutations(t)
     maps = [subsystem_perm_index_map(pi, d) for pi in perms]
@@ -213,7 +184,7 @@ def _average_conjugation(state, d: int, t: int, batches, weights=None) -> _Avera
     """
     left0, w, right0, was_state = _factors(state)
     total, rank = left0.shape
-    dim_e = _system_split(total, d, t)
+    dim_e = workspace_dim(total, d, t)
     shaped = (1, rank) + (d,) * t + (dim_e,)
     if weights is not None:
         weights = np.repeat(np.asarray(weights, dtype=float), dim_e)
@@ -354,7 +325,7 @@ def pf_twirl(state, d: int, t: int):
     """
     matrix, was_state = _as_matrix(state)
     check_capacity(matrix.shape[0])
-    dim_e = _system_split(matrix.shape[0], d, t)
+    dim_e = workspace_dim(matrix.shape[0], d, t)
     n = d**t
     classes = _pf_classes(d, t)
     pairs = matrix.reshape(n, dim_e, n, dim_e).transpose(0, 2, 1, 3).reshape(n * n, dim_e**2)
@@ -385,7 +356,7 @@ def pf_twirl_distinct_formula(state, decomp: IsotypicDecomposition):
     distinct-block mixed state replaces the maximally mixed one."""
     matrix, was_state = _as_matrix(state)
     d, t = decomp.d, decomp.t
-    dim_e = _system_split(matrix.shape[0], d, t)
+    dim_e = workspace_dim(matrix.shape[0], d, t)
     mask = distinct_mask(d, t).astype(float)
     full_mask = np.repeat(mask, dim_e)
     projected = full_mask[:, None] * matrix * full_mask[None, :]
@@ -402,9 +373,12 @@ def pf_twirl_distinct_formula(state, decomp: IsotypicDecomposition):
 # ---------------------------------------------------------------------------
 
 def ensemble_twirl(state, ops, d: int, t: int):
-    """Exact t-fold twirl over an explicit list of unitaries on C^d."""
-    mats = (op.entries if isinstance(op, DenseOperator) else np.asarray(op) for op in ops)
-    avg = _average_conjugation(state, d, t, _stacked(mats))
+    """Exact t-fold twirl over an explicit ensemble of unitaries on C^d:
+    a list of ``DenseOperator``s or d x d arrays, or one (count, d, d) stack."""
+    if not isinstance(ops, np.ndarray):
+        ops = [op.entries if isinstance(op, DenseOperator) else op for op in ops]
+    batches = (np.asarray(ops[i : i + MC_CHUNK]) for i in range(0, len(ops), MC_CHUNK))
+    avg = _average_conjugation(state, d, t, batches)
     return _wrap(avg.mean, avg.was_state, d, t, meta={"method": "exact", "samples": len(ops)})
 
 

@@ -113,13 +113,13 @@ def test_enumerate_single_qubit():
     assert len(ops) == 24
     for op in ops:
         for P in PAULIS_1Q:
-            img = op.entries @ P @ op.entries.conj().T
+            img = op @ P @ op.conj().T
             assert is_signed_pauli(img, 1)
 
 
 def test_enumeration_uniformity_chi2():
     ops = enumerate_cliffords(1)
-    keys = {canonical_key(op.entries): i for i, op in enumerate(ops)}
+    keys = {canonical_key(op): i for i, op in enumerate(ops)}
     counts = np.zeros(24)
     N = 10000
     for seed in range(N):
@@ -136,7 +136,9 @@ def test_enumeration_is_the_clifford_group(n, order):
     distinct up to global phase, and as many as the textbook group order
     (Clifford group mod phase: 24 for one qubit, 11520 for two) are exactly
     the Clifford group mod phase."""
-    ops = np.stack([op.entries for op in enumerate_cliffords(n)])
+    ops = enumerate_cliffords(n)
+    assert isinstance(ops, np.ndarray) and not ops.flags.writeable
+    assert ops.shape == {1: (24, 2, 2), 2: (11520, 4, 4)}[n]
     assert len(ops) == order
     dag = ops.conj().transpose(0, 2, 1)
     assert np.abs(dag @ ops - np.eye(2**n)).max() < 1e-10
@@ -164,7 +166,7 @@ def test_average_xx_matches_haar_two_twirl():
     XX = np.kron(X, X)
     avg = np.zeros((4, 4), dtype=complex)
     for op in ops:
-        U2 = np.kron(op.entries, op.entries)
+        U2 = np.kron(op, op)
         avg += U2 @ XX @ U2.conj().T
     avg /= len(ops)
     swap = np.zeros((4, 4))

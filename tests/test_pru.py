@@ -7,6 +7,7 @@ import pytest
 
 from pru_lab import (
     BooleanFunction,
+    CapacityError,
     CliffordElement,
     DomainError,
     PermutationD,
@@ -88,6 +89,15 @@ def test_pru_unitary_is_unitary_100_keys():
     for s in range(100):
         U = pru_unitary(sample_key(2, s), 2)
         assert np.abs(U.entries.conj().T @ U.entries - np.eye(4)).max() < 1e-12
+
+
+def test_pru_unitary_size_follows_the_dimension_cap(monkeypatch):
+    U = pru_unitary(sample_key(5, 0), 5)
+    assert U.dim == 32 and U.is_unitary(1e-10)
+    monkeypatch.setenv("PRU_LAB_DIM_CAP", "4")
+    assert pru_unitary(sample_key(2, 0), 2).dim == 4
+    with pytest.raises(CapacityError):
+        pru_unitary(sample_key(3, 0), 3)
 
 
 def test_pru_unitary_columnwise_oracle():

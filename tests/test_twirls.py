@@ -15,7 +15,6 @@ from pru_lab import (
     DomainError,
     PermutationT,
     StateVector,
-    TwirlSpec,
     all_permutations,
     clifford_twirl,
     distinct_overlap_after_clifford,
@@ -28,6 +27,7 @@ from pru_lab import (
     pf_twirl_basis_element,
     pf_twirl_distinct_formula,
     pf_twirl_mc,
+    sample_clifford,
     schur_weyl_basis,
     subsystem_perm_op,
     trace_distance,
@@ -94,17 +94,6 @@ def test_haar_requires_enough_levels():
     st = random_state(8, (8,), 0)
     with pytest.raises(DomainError):
         haar_twirl_exact(st, 2, 3)
-
-
-def test_twirlspec_validation():
-    TwirlSpec("haar", 4, 2)
-    TwirlSpec("custom-ensemble", 4, 2)
-    with pytest.raises(DomainError):
-        TwirlSpec("haar", 2, 3)
-    with pytest.raises(DomainError):
-        TwirlSpec("pf", 4, 2, method="monte_carlo", samples=0)
-    with pytest.raises(DomainError):
-        TwirlSpec("bogus", 4, 2)
 
 
 # --- permutation-phase twirl ------------------------------------------------------
@@ -257,25 +246,55 @@ def test_pf_twirl_matches_explicit_group_mean(d, t, dim_e, seed):
     assert np.abs(pf_twirl(X, d, t).entries - oracle).max() < 1e-12
 
 
+def _check_channel_properties(twirl, d, t, dim_e, seed, g):
+    """Trace preserved, idempotent, commuting with g^{x t} x I, and a
+    Hermitian PSD density output for a density input."""
+    X = _random_operator(d, t, dim_e, seed)
+    once = twirl(X).entries
+    assert abs(np.trace(once) - np.trace(X)) < 1e-12
+    assert np.abs(twirl(once).entries - once).max() < 1e-12
+
+    U = _local(g, t, dim_e)
+    assert np.abs(U @ once - once @ U).max() < 1e-12
+
+    rho = X @ X.conj().T
+    out = twirl(DensityMatrix(rho / np.trace(rho).real, (d**t, dim_e)))
+    assert isinstance(out, DensityMatrix)
+    assert np.abs(out.entries - out.entries.conj().T).max() < 1e-12
+    assert np.linalg.eigvalsh(out.entries)[0] > -1e-12
+
+
 @PF_CASES
 @given(seed=hst.integers(0, 2**32 - 1))
 @settings(max_examples=5)
 def test_pf_twirl_channel_properties(d, t, dim_e, seed):
-    X = _random_operator(d, t, dim_e, seed)
-    once = pf_twirl(X, d, t).entries
-    assert abs(np.trace(once) - np.trace(X)) < 1e-12
-    assert np.abs(pf_twirl(once, d, t).entries - once).max() < 1e-12
-
     rng = np.random.default_rng(seed)
     P = np.zeros((d, d))
     P[rng.permutation(d), range(d)] = 1
-    U = _local(P * rng.choice([1, -1], size=d), t, dim_e)
-    assert np.abs(U @ once - once @ U).max() < 1e-12
+    g = P * rng.choice([1, -1], size=d)
+    _check_channel_properties(lambda x: pf_twirl(x, d, t), d, t, dim_e, seed, g)
 
-    rho = X @ X.conj().T
-    out = pf_twirl(DensityMatrix(rho / np.trace(rho).real, (d**t, dim_e)), d, t)
-    assert isinstance(out, DensityMatrix)
-    assert np.abs(out.entries - out.entries.conj().T).max() < 1e-12
+
+QUBIT_CASES = [(1, t, e) for t in (1, 2, 3) for e in (1, 2)] + [(2, 2, 1)]
+
+
+@pytest.mark.parametrize("n, t, dim_e", [c for c in QUBIT_CASES if 2 ** c[0] >= c[1]])
+@given(seed=hst.integers(0, 2**32 - 1))
+@settings(max_examples=5)
+def test_haar_twirl_channel_properties(n, t, dim_e, seed):
+    d = 2**n
+    g = haar_unitaries(d, 1, np.random.default_rng(seed))[0]
+    _check_channel_properties(lambda x: haar_twirl_exact(x, d, t), d, t, dim_e, seed, g)
+
+
+@pytest.mark.parametrize("n, t, dim_e", QUBIT_CASES)
+@given(seed=hst.integers(0, 2**32 - 1))
+@settings(max_examples=5)
+def test_clifford_twirl_channel_properties(n, t, dim_e, seed):
+    """The commutation against a sampled Clifford ties the sampler to the
+    enumerated group."""
+    g = sample_clifford(n, seed).to_dense().entries
+    _check_channel_properties(lambda x: clifford_twirl(x, n, t, "exact"), 2**n, t, dim_e, seed, g)
 
 
 # --- collapse identity over the slot-permutation group ----------------------------
