@@ -24,6 +24,7 @@ from .operators import (
     PermutationD,
     StateVector,
     as_generator,
+    check_capacity,
     phase_op,
     perm_op,
 )
@@ -141,6 +142,7 @@ def clifford_seed(k3: bytes) -> int:
 
 def pru_unitary(key: PruKey, n: int) -> DenseOperator:
     """Dense keyed unitary: permutation operator * phase operator * Clifford."""
+    check_capacity(2**n)
     P = perm_op(PrpScheme(n).table(key.k1))
     F = phase_op(PrfScheme(n).table(key.k2))
     C = sample_clifford(n, clifford_seed(key.k3)).to_dense()

@@ -375,10 +375,8 @@ def pf_twirl_distinct_formula(state, decomp: IsotypicDecomposition):
 def ensemble_twirl(state, ops, d: int, t: int):
     """Exact t-fold twirl over an explicit ensemble of unitaries on C^d:
     a list of ``DenseOperator``s or d x d arrays, or one (count, d, d) stack."""
-    if not isinstance(ops, np.ndarray):
-        ops = [op.entries if isinstance(op, DenseOperator) else op for op in ops]
-    batches = (np.asarray(ops[i : i + MC_CHUNK]) for i in range(0, len(ops), MC_CHUNK))
-    avg = _average_conjugation(state, d, t, batches)
+    mats = (op.entries if isinstance(op, DenseOperator) else np.asarray(op) for op in ops)
+    avg = _average_conjugation(state, d, t, _stacked(mats))
     return _wrap(avg.mean, avg.was_state, d, t, meta={"method": "exact", "samples": len(ops)})
 
 

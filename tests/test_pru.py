@@ -98,6 +98,9 @@ def test_pru_unitary_size_follows_the_dimension_cap(monkeypatch):
     assert pru_unitary(sample_key(2, 0), 2).dim == 4
     with pytest.raises(CapacityError):
         pru_unitary(sample_key(3, 0), 3)
+    monkeypatch.delenv("PRU_LAB_DIM_CAP")
+    with pytest.raises(CapacityError):
+        pru_unitary(sample_key(40, 0), 40)
 
 
 def test_pru_unitary_columnwise_oracle():
