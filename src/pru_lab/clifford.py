@@ -235,9 +235,10 @@ def sample_clifford(n: int, seed) -> CliffordElement:
 # global-phase equivalence class), over the sampler's canonical indices.
 # ---------------------------------------------------------------------------
 
+@cache  # only 1 <= n <= EXACT_QUBIT_CAP succeeds, and a raise caches nothing
 def enumerate_cliffords(n: int = 1) -> np.ndarray:
     """All n-qubit Cliffords mod global phase, as one read-only
-    (count, 2^n, 2^n) array.
+    (count, 2^n, 2^n) array, built once per n and shared by every caller.
 
     Each canonical symplectic index is converted once with zero sign bits
     and right-multiplied by every Pauli X^a Z^b, (U X^a Z^b)|c> =

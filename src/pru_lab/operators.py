@@ -107,7 +107,12 @@ class DenseOperator:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A density matrix: Hermitian, unit trace; positivity checked on demand."""
+    """A density matrix: Hermitian, unit trace; positivity checked on demand.
+
+    Input within 1e-10 of Hermitian is accepted and its exact Hermitian
+    part (A + A^dag)/2 is stored, so ``entries`` equals its own conjugate
+    transpose bit for bit.
+    """
 
     entries: np.ndarray
     registers: tuple[int, ...] | None = None
@@ -118,11 +123,17 @@ class DensityMatrix:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DomainError(f"density entries must be square, got shape {arr.shape}")
         check_capacity(arr.shape[0])
-        if np.abs(arr - arr.conj().T).max() > 1e-10:
+        herm = np.empty(arr.shape, dtype=complex)  # one buffer: the residual, then the result
+        np.conjugate(arr.T, out=herm)
+        herm -= arr
+        if np.abs(herm).max() > 1e-10:
             raise DomainError("density matrix is not Hermitian within 1e-10")
         if abs(np.trace(arr) - 1.0) > 1e-9:
             raise DomainError(f"density matrix trace {np.trace(arr)} != 1 within 1e-9")
-        object.__setattr__(self, "entries", _freeze(arr))
+        np.conjugate(arr.T, out=herm)
+        herm += arr
+        herm *= 0.5  # entry (j, i) is the exact conjugate of entry (i, j)
+        object.__setattr__(self, "entries", _freeze(herm))
         object.__setattr__(self, "registers", _check_registers(arr.shape[0], self.registers))
 
     @property
@@ -392,8 +403,16 @@ def partial_trace(op: DenseOperator | DensityMatrix, keep: list[int]) -> DenseOp
 
 
 def trace_norm(A: np.ndarray) -> float:
-    """Unnormalized Schatten-1 norm (sum of singular values)."""
-    return float(np.linalg.svd(np.asarray(A), compute_uv=False).sum())
+    """Unnormalized Schatten-1 norm (sum of singular values).
+
+    An exactly Hermitian input, such as a difference of two
+    ``DensityMatrix`` entries, takes the sum of its absolute eigenvalues;
+    anything else takes the singular values.
+    """
+    A = np.asarray(A)
+    if np.array_equal(A, A.conj().T):
+        return float(np.abs(np.linalg.eigvalsh(A)).sum())
+    return float(np.linalg.svd(A, compute_uv=False).sum())
 
 
 def trace_distance(A, B) -> float:

@@ -5,6 +5,11 @@ explicit orthonormal basis in which both U^{x t} and the tensor-slot
 permutations are block diagonal, and the restriction of the distinct-tuple
 projector to each unitary-group block.  Dimension and trace identities are
 kept in exact integer/rational arithmetic; matrices are the only floats.
+
+The basis is real: it is built from eigenvectors of real combinations of
+permutation matrices and Young's orthogonal (real) irrep matrices, and is
+stored as float64, so rotating an operator into it takes real matrix
+products on the interleaved real view of the complex operator.
 """
 
 from __future__ import annotations
@@ -42,9 +47,9 @@ RANK_TOL = 1e-7  # projector eigenvalues are 0/1; anything inside the gap is a b
 
 
 def _char_weighted_perm_sum(coeffs: dict[PermutationT, float], d: int, t: int) -> np.ndarray:
-    """Sum of coeff * R_pi over S_t, assembled via index maps."""
+    """Sum of real coeff * R_pi over S_t, assembled via index maps."""
     n = d**t
-    out = np.zeros((n, n), dtype=complex)
+    out = np.zeros((n, n))
     cols = np.arange(n)
     for pi, c in coeffs.items():
         if c == 0:
@@ -72,8 +77,8 @@ class IsotypicBlock:
     projector: DenseOperator
     weyl_dim: int
     specht_dim: int
-    basis: np.ndarray  # (d^t, weyl_dim * specht_dim), columns |w_i>|v_j>, j fastest
-    distinct_block: np.ndarray  # (weyl_dim, weyl_dim) restriction of the distinct projector
+    basis: np.ndarray  # real (d^t, weyl_dim * specht_dim), columns |w_i>|v_j>, j fastest
+    distinct_block: np.ndarray  # real (weyl_dim, weyl_dim) restriction of the distinct projector
 
     @property
     def block_dim(self) -> int:
@@ -127,7 +132,7 @@ def schur_weyl_basis(d: int, t: int, verify: bool = True) -> IsotypicDecompositi
             raise ConsistencyError(f"rank {sel.sum()} != weyl dim {wdim} for {lam}")
         w_vecs = evecs[:, sel]
 
-        basis = np.zeros((n, wdim * vdim), dtype=complex)
+        basis = np.zeros((n, wdim * vdim))
         for j in range(vdim):
             if j == 0:
                 cols = w_vecs
@@ -138,7 +143,7 @@ def schur_weyl_basis(d: int, t: int, verify: bool = True) -> IsotypicDecompositi
 
         proj = isotypic_projector(lam, d, t)
         lam_mask = distinct_mask(d, t).astype(float)
-        conj = basis.conj().T @ (lam_mask[:, None] * basis)
+        conj = basis.T @ (lam_mask[:, None] * basis)
         conj = conj.reshape(wdim, vdim, wdim, vdim)
         dist_block = np.einsum("ajbj->ab", conj) / vdim
 
@@ -172,7 +177,7 @@ def verify_decomposition(decomp: IsotypicDecomposition, seed: int = 7, tol: floa
     if B.shape != (n, n):
         raise ConsistencyError(f"basis is not square: {B.shape}")
     residuals = {
-        "orthonormality": float(np.abs(B.conj().T @ B - np.eye(n)).max()),
+        "orthonormality": float(np.abs(B.T @ B - np.eye(n)).max()),
         "completeness": float(
             np.abs(sum(b.projector.entries for b in decomp.blocks) - np.eye(n)).max()
         ),
@@ -180,7 +185,7 @@ def verify_decomposition(decomp: IsotypicDecomposition, seed: int = 7, tol: floa
 
     U = DenseOperator(haar_unitaries(d, 1, np.random.default_rng(seed))[0])
     Ut = tensor_power(U, t).entries
-    rotated = B.conj().T @ Ut @ B
+    rotated = B.T @ Ut @ B
     slices = decomp.block_slices()
     mask = np.ones((n, n), dtype=bool)
     for sl in slices:
@@ -196,7 +201,7 @@ def verify_decomposition(decomp: IsotypicDecomposition, seed: int = 7, tol: floa
 
     perm_res = off_res = 0.0
     for pi in all_permutations(t):
-        rotated = B.conj().T @ subsystem_perm_op(pi, d).entries @ B
+        rotated = B.T @ subsystem_perm_op(pi, d).entries @ B
         for sl, block in zip(slices, decomp.blocks):
             expected = np.kron(np.eye(block.weyl_dim), young_orthogonal_rep(block.partition)[pi])
             perm_res = max(perm_res, float(np.abs(rotated[sl, sl] - expected).max()))
@@ -228,26 +233,32 @@ def distinct_block(lam: Partition, decomp: IsotypicDecomposition) -> DenseOperat
 # Workspace-register-aware rotation helpers shared with the twirl channels.
 # ---------------------------------------------------------------------------
 
+def _conjugate_real(matrix: np.ndarray, M: np.ndarray, d: int, t: int) -> np.ndarray:
+    """(M^T x I) X (M x I) for a real M on the system factor of a complex X.
+
+    Each of the two passes is one real matrix product on the interleaved
+    float64 view of a contiguous complex array: it multiplies M^T into the
+    leading system axis, then turns the axes (a, e, b, f) into (b, f, a', e)
+    so the other system axis leads.
+    """
+    dim_e = workspace_dim(matrix.shape[0], d, t)
+    n = d**t
+    arr = np.asarray(matrix, dtype=complex)
+    for _ in range(2):
+        flat = np.ascontiguousarray(arr).reshape(n, -1).view(np.float64)
+        arr = (M.T @ flat).view(complex).reshape(n, dim_e, n, dim_e).transpose(2, 3, 0, 1)
+    return arr.reshape(n * dim_e, n * dim_e)
+
+
 def rotate_to_basis(matrix: np.ndarray, decomp: IsotypicDecomposition) -> np.ndarray:
     """Conjugate the system factor into the Schur-Weyl basis, carrying any
-    trailing workspace factor along untouched."""
-    dim_e = workspace_dim(matrix.shape[0], decomp.d, decomp.t)
-    n = decomp.d**decomp.t
-    B = decomp.basis_matrix
-    arr = matrix.reshape(n, dim_e, n, dim_e)
-    arr = np.tensordot(B.conj().T, arr, axes=([1], [0]))  # (i, e, b, f)
-    arr = np.tensordot(arr, B, axes=([2], [0]))  # (i, e, f, j)
-    return arr.transpose(0, 1, 3, 2).reshape(n * dim_e, n * dim_e)
+    trailing workspace factor along untouched: (B^T x I) X (B x I)."""
+    return _conjugate_real(matrix, decomp.basis_matrix, decomp.d, decomp.t)
 
 
 def rotate_from_basis(matrix: np.ndarray, decomp: IsotypicDecomposition) -> np.ndarray:
-    dim_e = workspace_dim(matrix.shape[0], decomp.d, decomp.t)
-    n = decomp.d**decomp.t
-    B = decomp.basis_matrix
-    arr = matrix.reshape(n, dim_e, n, dim_e)
-    arr = np.tensordot(B, arr, axes=([1], [0]))  # (a, e, j, f)
-    arr = np.tensordot(arr, B.conj(), axes=([2], [1]))  # (a, e, f, b)
-    return arr.transpose(0, 1, 3, 2).reshape(n * dim_e, n * dim_e)
+    """The inverse of ``rotate_to_basis``: (B x I) X (B^T x I)."""
+    return _conjugate_real(matrix, decomp.basis_matrix.T, decomp.d, decomp.t)
 
 
 def block_footprints(rotated: np.ndarray, decomp: IsotypicDecomposition):

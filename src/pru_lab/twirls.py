@@ -179,8 +179,10 @@ def _average_conjugation(state, d: int, t: int, batches, weights=None) -> _Avera
     standard error of the mean comes for free, because conjugation keeps
     the Frobenius norm sample by sample.  Given a diagonal observable
     ``weights`` on the system factor (length d^t), the per-sample values
-    Tr[(diag(weights) x I) U X U^dag] are returned too.  Only state inputs
-    are Hermitised.
+    Tr[(diag(weights) x I) U X U^dag] are returned too.  The mean is not
+    Hermitised here: a state result becomes a ``DensityMatrix``, which
+    stores its exact Hermitian part, and any other input keeps whatever
+    non-Hermitian part it has.
     """
     left0, w, right0, was_state = _factors(state)
     total, rank = left0.shape
@@ -215,9 +217,6 @@ def _average_conjugation(state, d: int, t: int, batches, weights=None) -> _Avera
     if samples < 1:
         raise DomainError("an ensemble average needs at least one unitary")
     acc /= samples
-    if was_state:
-        acc += acc.conj().T
-        acc /= 2
     var = max(float(np.sum(w**2)) - float(np.sum(np.abs(acc) ** 2)), 0.0)
     var *= samples / max(samples - 1, 1)
     per_sample = None if weights is None else np.concatenate(values)

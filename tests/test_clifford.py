@@ -181,6 +181,14 @@ def test_enumerate_three_qubits_is_over_capacity():
         enumerate_cliffords(3)
 
 
+def test_enumeration_is_built_once_per_n():
+    a, b = enumerate_cliffords(2), enumerate_cliffords(2)
+    assert a is b
+    assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[0, 0, 0] = 0
+
+
 def test_average_xx_matches_haar_two_twirl():
     # exact Haar 2-twirl of X(x)X: project onto span{I, SWAP}
     ops = enumerate_cliffords(1)

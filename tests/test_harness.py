@@ -2,6 +2,7 @@
 
 import json
 import time
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -18,9 +19,9 @@ from pru_lab import (
     run_security_experiment,
     strip_timing_fields,
 )
-from pru_lab import checks
+from pru_lab import DenseOperator, all_permutations, checks, subsystem_perm_op
 from pru_lab.harness import STATE_FAMILIES
-from pru_lab.operators import distinct_mask
+from pru_lab.operators import distinct_mask, haar_unitaries
 
 
 @pytest.mark.parametrize("family", STATE_FAMILIES)
@@ -186,3 +187,87 @@ def test_check_records_carry_the_whole_call_time(monkeypatch):
     assert [c.check_id for c in rep.checks] == ["fake_0", "fake_1", "fake_2"]
     assert all(c.wall_ms >= 50 for c in rep.checks)
     assert "wall_ms" not in rep.canonical_json()
+
+
+def _kron_commutator(V, X, t, dim_e):
+    big = np.kron(reduce(np.kron, [V] * t), np.eye(dim_e))
+    return float(np.abs(big @ X - X @ big).max())
+
+
+def _measured(report, check_id):
+    return {(c.params["d"], c.params["t"]): c for c in report.checks if c.check_id == check_id}
+
+
+def test_commutation_checks_measure_the_dense_commutator(monkeypatch):
+    """With the twirl replaced by the identity and the slot permutations by
+    random unitaries, both checks must fail, each reading the commutator
+    that dense Kronecker products give."""
+    states, unitaries, label_perms, slot_ops = [], [], [], []
+    rng = np.random.default_rng(3)
+
+    def identity_twirl(st, d, t):
+        states.append(st.to_density())
+        return states[-1]
+
+    def recording(fn, log):
+        def wrapped(*args):
+            log.append(fn(*args))
+            return log[-1]
+        return wrapped
+
+    def random_slot_op(pi, d):
+        slot_ops.append(haar_unitaries(d**pi.t, 1, rng)[0])
+        return DenseOperator(slot_ops[-1])
+
+    monkeypatch.setattr(checks, "haar_twirl_exact", identity_twirl)
+    monkeypatch.setattr(checks, "haar_unitaries", recording(checks.haar_unitaries, unitaries))
+    monkeypatch.setattr(checks, "perm_op", recording(checks.perm_op, label_perms))
+    monkeypatch.setattr(checks, "subsystem_perm_op", random_slot_op)
+    report = run_lemma_suite(
+        ds=(2, 4), ts=(2, 3), seed=8, check_names=["haar_invariance", "perm_phase_commutation"]
+    )
+
+    haar = _measured(report, "haar_invariance")
+    assert sorted(haar) == [(2, 2), (4, 2), (4, 3)]
+    assert len(unitaries) == 10 * len(states)  # ten draws per cell
+    for i, ((d, t), rho) in enumerate(zip(sorted(haar), states)):
+        batch = unitaries[10 * i : 10 * (i + 1)]
+        oracle = max(_kron_commutator(us[0], rho.entries, t, 2) for us in batch)
+        assert not haar[d, t].passed
+        assert abs(haar[d, t].measured - oracle) < 1e-12
+
+    perm = _measured(report, "perm_phase_commutation")
+    assert sorted(perm) == [(2, 2), (2, 3), (4, 2), (4, 3)]
+    for d, t in sorted(perm):
+        oracle = 0.0
+        for _ in range(3):
+            P = label_perms.pop(0).entries
+            for _ in all_permutations(t):
+                oracle = max(oracle, _kron_commutator(P, slot_ops.pop(0), t, 1))
+        assert not perm[d, t].passed
+        assert abs(perm[d, t].measured - oracle) < 1e-12
+    assert not label_perms and not slot_ops
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_distinct_commutation_check_matches_dense_products(monkeypatch, broken):
+    """The check reads L R - R L off the mask and the index maps; the dense
+    products decide the value, 0 for the distinct mask and 1 for a mask
+    that is not permutation invariant."""
+    def mask(d, t):
+        out = distinct_mask(d, t)
+        if broken:
+            out[1] = not out[1]
+        return out
+
+    monkeypatch.setattr(checks, "distinct_mask", mask)
+    report = run_lemma_suite(ds=(2, 3, 4), ts=(2, 3), check_names=["distinct_commutes_with_perms"])
+    for c in report.checks:
+        d, t = c.params["d"], c.params["t"]
+        L = np.diag(mask(d, t).astype(float))
+        oracle = max(
+            float(np.abs(L @ R - R @ L).max())
+            for R in (subsystem_perm_op(pi, d).entries for pi in all_permutations(t))
+        )
+        assert c.measured == oracle == (1.0 if broken else 0.0)
+        assert c.passed is not broken

@@ -23,7 +23,7 @@ from pru_lab import (
     tensor_power,
     trace_distance,
 )
-from pru_lab.operators import dim_cap, distinct_mask, falling_factorial, haar_unitaries
+from pru_lab.operators import dim_cap, distinct_mask, falling_factorial, haar_unitaries, trace_norm
 
 from conftest import random_state
 
@@ -134,6 +134,31 @@ def test_trace_distance_conventions():
     assert trace_distance(e0, e0) < 1e-12
     with pytest.raises(DomainError):
         trace_distance(e0, np.eye(3))
+
+
+def test_trace_norm_matches_singular_values():
+    """Eigenvalues serve only exactly Hermitian input: the nilpotent
+    [[0, 1], [0, 0]] has trace norm 1 but both eigenvalues 0."""
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+    H = (A + A.conj().T) / 2
+    assert np.array_equal(H, H.conj().T)
+    svd = np.linalg.svd(H, compute_uv=False).sum()
+    assert abs(trace_norm(H) - svd) < 1e-12 * svd
+    N = np.array([[0.0, 1.0], [0.0, 0.0]])
+    assert abs(trace_norm(N) - np.linalg.svd(N, compute_uv=False).sum()) < 1e-15
+    assert abs(trace_norm(N) - 1.0) < 1e-15
+
+
+def test_density_matrix_stores_its_exact_hermitian_part():
+    rho = random_state(16, (16,), 4).to_density().entries
+    A = np.random.default_rng(5).standard_normal((16, 16)) * (1 + 1j)
+    given = rho + 1e-12 * (A - A.conj().T)  # anti-Hermitian perturbation
+    before = given.copy()
+    entries = DensityMatrix(given).entries
+    assert np.array_equal(entries, entries.conj().T)
+    assert np.abs(entries - rho).max() < 1e-15
+    assert np.array_equal(given, before) and given.flags.writeable
 
 
 def test_partial_trace_entangled():

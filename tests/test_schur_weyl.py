@@ -26,6 +26,7 @@ from pru_lab import (
     young_orthogonal_rep,
 )
 from pru_lab.operators import haar_unitaries
+from pru_lab.schur_weyl import rotate_from_basis, rotate_to_basis
 
 from conftest import random_state
 
@@ -202,3 +203,17 @@ def test_isotypic_projector_domain_errors():
         isotypic_projector(Partition((1, 1, 1)), 2, 3)
     with pytest.raises(DomainError):
         isotypic_projector(Partition((2,)), 4, 3)
+
+
+@pytest.mark.parametrize("d, t, dim_e", [(2, 2, 3), (4, 3, 2)])
+def test_rotations_match_kron_conjugation(d, t, dim_e):
+    dec = schur_weyl_basis(d, t, verify=False)
+    B = dec.basis_matrix
+    assert B.dtype == np.float64
+    assert all(b.basis.dtype == np.float64 for b in dec.blocks)
+    dim = d**t * dim_e
+    rng = np.random.default_rng(d * 10 + t)
+    X = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    K = np.kron(B, np.eye(dim_e))
+    assert np.abs(rotate_to_basis(X, dec) - K.conj().T @ X @ K).max() < 1e-12
+    assert np.abs(rotate_from_basis(X, dec) - K @ X @ K.conj().T).max() < 1e-12

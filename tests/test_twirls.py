@@ -246,21 +246,23 @@ def test_pf_twirl_matches_explicit_group_mean(d, t, dim_e, seed):
     assert np.abs(pf_twirl(X, d, t).entries - oracle).max() < 1e-12
 
 
-def _check_channel_properties(twirl, d, t, dim_e, seed, g):
-    """Trace preserved, idempotent, commuting with g^{x t} x I, and a
-    Hermitian PSD density output for a density input."""
+def _check_channel_properties(twirl, d, t, dim_e, seed, g=None):
+    """Trace preserved and an exactly Hermitian PSD density output for a
+    density input; given g, also idempotent and commuting with
+    g^{x t} x I.  Monte-Carlo twirls pass no g: a second Monte-Carlo
+    average moves the state."""
     X = _random_operator(d, t, dim_e, seed)
     once = twirl(X).entries
     assert abs(np.trace(once) - np.trace(X)) < 1e-12
-    assert np.abs(twirl(once).entries - once).max() < 1e-12
-
-    U = _local(g, t, dim_e)
-    assert np.abs(U @ once - once @ U).max() < 1e-12
+    if g is not None:
+        assert np.abs(twirl(once).entries - once).max() < 1e-12
+        U = _local(g, t, dim_e)
+        assert np.abs(U @ once - once @ U).max() < 1e-12
 
     rho = X @ X.conj().T
     out = twirl(DensityMatrix(rho / np.trace(rho).real, (d**t, dim_e)))
     assert isinstance(out, DensityMatrix)
-    assert np.abs(out.entries - out.entries.conj().T).max() < 1e-12
+    assert np.array_equal(out.entries, out.entries.conj().T)
     assert np.linalg.eigvalsh(out.entries)[0] > -1e-12
 
 
@@ -295,6 +297,33 @@ def test_clifford_twirl_channel_properties(n, t, dim_e, seed):
     enumerated group."""
     g = sample_clifford(n, seed).to_dense().entries
     _check_channel_properties(lambda x: clifford_twirl(x, n, t, "exact"), 2**n, t, dim_e, seed, g)
+
+
+MC_CASES = pytest.mark.parametrize("d, t, dim_e", [(2, 1, 2), (2, 2, 1), (2, 3, 1), (3, 2, 2), (4, 2, 1)])
+
+
+@MC_CASES
+@given(seed=hst.integers(0, 2**32 - 1))
+@settings(max_examples=3)
+def test_haar_twirl_mc_channel_properties(d, t, dim_e, seed):
+    _check_channel_properties(lambda x: haar_twirl_mc(x, d, t, 40, seed), d, t, dim_e, seed)
+
+
+@MC_CASES
+@given(seed=hst.integers(0, 2**32 - 1))
+@settings(max_examples=3)
+def test_pf_twirl_mc_channel_properties(d, t, dim_e, seed):
+    _check_channel_properties(lambda x: pf_twirl_mc(x, d, t, 40, seed), d, t, dim_e, seed)
+
+
+@pytest.mark.parametrize("n, t, dim_e", [(1, 1, 2), (1, 2, 1), (1, 3, 2), (2, 2, 1)])
+@given(seed=hst.integers(0, 2**32 - 1))
+@settings(max_examples=3)
+def test_clifford_twirl_mc_channel_properties(n, t, dim_e, seed):
+    def twirl(x):
+        return clifford_twirl(x, n, t, method="monte_carlo", samples=40, seed=seed)
+
+    _check_channel_properties(twirl, 2**n, t, dim_e, seed)
 
 
 # --- collapse identity over the slot-permutation group ----------------------------
