@@ -18,7 +18,7 @@ from math import factorial, log2, sqrt
 
 import numpy as np
 
-from .clifford import EXACT_QUBIT_CAP
+from .clifford import EXACT_QUBIT_CAP, enumerate_cliffords
 from .errors import DomainError
 from .harness import BoundCheck, ExperimentReport, build_state, gentle_normalize
 from .operators import (
@@ -55,6 +55,7 @@ from .symgroup import (
 from .twirls import (
     clifford_twirl,
     distinct_overlap_after_clifford,
+    ensemble_twirl,
     haar_twirl_exact,
     haar_twirl_mc,
     haar_twirl_schur_weyl,
@@ -556,7 +557,7 @@ def _check_density_outputs(ctx: SuiteContext, d: int, t: int):
                         ctx.check_seed("twirl_outputs_are_density", d, t))[0]
     outputs = [haar_twirl_exact(st, d, t), pf_twirl(st, d, t)]
     n = _n_of(d)
-    if n is not None and n <= EXACT_QUBIT_CAP:
+    if n is not None:
         outputs.append(clifford_twirl(st, n, t, method="exact"))
     min_eig = min(float(out.eigenvalues()[0]) for out in outputs)
     trace_dev = max(abs(float(np.trace(out.entries).real) - 1) for out in outputs)
@@ -577,8 +578,9 @@ def _check_two_design(ctx: SuiteContext, d: int, t: int):
     params = {"d": d, "t": t, "n": n}
     if n == 1:
         states = _random_states(d**t * 2, (d**t, 2), 10, ctx.check_seed("clifford_two_design", d, t))
+        group = enumerate_cliffords(n)  # the group itself, not the commutant projection
         worst = max(
-            trace_distance(clifford_twirl(st, n, t, method="exact"), haar_twirl_exact(st, d, t))
+            trace_distance(ensemble_twirl(st, group, d, t), haar_twirl_exact(st, d, t))
             for st in states
         )
         return [

@@ -143,11 +143,11 @@ def _cmd_twirl(args) -> int:
         out = clifford_twirl(psi, args.n, args.t, method=args.method, samples=args.samples, seed=args.seed)
 
     decomp = schur_weyl_basis(d, args.t, verify=False)
-    haar_ref = haar_twirl_exact(psi, d, args.t) if d >= args.t else None
+    haar_ref = haar_twirl_exact(psi, d, args.t)
     quantities = {
         "trace": float(np.trace(out.entries).real),
         "purity": float(np.trace(out.entries @ out.entries).real),
-        "distance_to_haar_twirl": trace_distance(out, haar_ref) if haar_ref is not None else None,
+        "distance_to_haar_twirl": trace_distance(out, haar_ref),
         "block_deficits": [
             {"partition": list(r.partition.parts), "deficit": float(r.deficit)}
             for r in ratio_report(d, args.t, decomp)

@@ -27,7 +27,9 @@ indices: each symplectic matrix is converted once with zero sign bits and
 right-multiplied by each of the 4^n Paulis X^a Z^b as a column gather,
 since sign bits r on the X and Z generators amount to the right factor
 X^{r_z} Z^{r_x}, up to global phase.  The group comes back as one
-read-only (count, 2^n, 2^n) array.
+read-only (count, 2^n, 2^n) array.  Enumeration is an oracle only: the
+exact Clifford twirl is a commutant projection in ``twirls``, and the
+group average checks it in ``checks`` and the tests.
 """
 
 from __future__ import annotations
@@ -40,7 +42,9 @@ import numpy as np
 from .errors import CapacityError, DomainError
 from .operators import DenseOperator, as_generator, check_capacity
 
-EXACT_QUBIT_CAP = 2  # enumeration, hence exact Clifford averaging, needs n <= 2
+# Bounds enumeration, and is the policy for exact Clifford twirls under `--clifford
+# auto` and in the overlap check; the exact twirl itself runs at any n.
+EXACT_QUBIT_CAP = 2
 
 _I_POWERS = np.array([1, 1j, -1, -1j])
 

@@ -23,7 +23,6 @@ from math import sqrt
 
 import numpy as np
 
-from .clifford import EXACT_QUBIT_CAP
 from .errors import DegenerateInputError, DomainError
 from .operators import (
     DensityMatrix,
@@ -54,8 +53,8 @@ class ExperimentConfig:
     t: int
     dim_e: int = 1
     state_family: str = "random_pure"
-    # "exact" (n <= EXACT_QUBIT_CAP), "monte_carlo", or "none" (skip the
-    # Clifford layer, e.g. for inputs already on the distinct subspace)
+    # "exact" (the commutant projection), "monte_carlo", or "none" (skip
+    # the Clifford layer, e.g. for inputs already on the distinct subspace)
     clifford_method: str = "exact"
     clifford_samples: int = 10000
     num_keys: int = 0  # > 0 additionally compares the keyed ensemble average
@@ -69,12 +68,10 @@ class ExperimentConfig:
         if self.state_family not in STATE_FAMILIES:
             raise DomainError(f"unknown state family {self.state_family!r}")
         if self.t > 2**self.n:
-            raise DomainError("exact Haar path needs t <= 2^n")
+            raise DomainError("the distinct subspace is empty when t > 2^n")
         check_capacity(2 ** (self.n * self.t) * self.dim_e)
         if self.clifford_method not in ("exact", "monte_carlo", "none"):
             raise DomainError(f"unknown clifford method {self.clifford_method!r}")
-        if self.clifford_method == "exact" and self.n > EXACT_QUBIT_CAP:
-            raise DomainError(f"exact Clifford averaging needs n <= {EXACT_QUBIT_CAP}")
 
     @property
     def d(self) -> int:

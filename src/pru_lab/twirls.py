@@ -4,23 +4,28 @@ Each channel (Haar, permutation-phase, Clifford) comes in an exact flavor
 and a seeded Monte-Carlo flavor, and acts on the system factor of an
 operator that may carry an entangled workspace register.
 
-Exact Haar twirling is the orthogonal projection onto the span of the
-tensor-slot permutation operators (their Gram matrix has the closed form
-d^{#cycles}).  The exact permutation-phase twirl is a mean over pattern
-classes: system basis pairs (x, y) whose 2t digits have the same equality
-relation form one label-permutation orbit, so each output block is the
-mean of the input blocks over its class, zeroed unless every value occurs
-an even number of times.  The class table is built once per (d, t).  The
-blockwise Schur-Weyl formulas for both twirls share one footprint loop in
+Exact Haar and Clifford twirling are one routine: the orthogonal
+projection onto the commutant, paired with the input by index gathers and
+solved with the pseudo-inverse of the spanning operators' Gram matrix.
+The Haar commutant is spanned by the tensor-slot permutations (Gram
+matrix d^{#cycles}, singular when d < t).  The Clifford group is a unitary
+3-design, so for t <= 3 its commutant is the same; at t = 4 it adds the
+permutations times the Pauli projector Q = d^-2 sum_P P^{x4}.  The exact
+permutation-phase twirl is a mean over pattern classes: system basis
+pairs (x, y) whose 2t digits have the same equality relation form one
+label-permutation orbit, so each output block is the mean of the input
+blocks over its class, zeroed unless every value occurs an even number of
+times.  The class table is built once per (d, t).  The blockwise
+Schur-Weyl formulas for both twirls share one footprint loop in
 ``schur_weyl``.
 
-Every ensemble average -- the Monte-Carlo Haar and permutation-phase
-twirls, the Clifford twirl (enumerated or sampled), ``ensemble_twirl`` and
-the keyed average in ``pru`` -- goes through one driver,
-``_average_conjugation``, which conjugates thin factors of the input by
-batches of single-register unitaries.  ``distinct_overlap_after_clifford``
-takes its per-sample overlaps from the same pass and also returns the
-twirled state, so one Clifford pass serves both.
+Every ensemble average -- the Monte-Carlo Haar, permutation-phase and
+Clifford twirls, ``ensemble_twirl`` and the keyed average in ``pru`` --
+goes through one driver, ``_average_conjugation``, which conjugates thin
+factors of the input by batches of single-register unitaries.
+``distinct_overlap_after_clifford`` takes its per-sample overlaps from the
+same pass and also returns the twirled state, so one Clifford pass serves
+both.
 
 Monte-Carlo runs draw their randomness per fixed-size chunk from seeds
 derived as (seed, chunk index), and chunks are reduced in ascending order,
@@ -35,9 +40,8 @@ from math import factorial
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .clifford import enumerate_cliffords, sample_clifford
+from .clifford import sample_clifford
 from .errors import ConsistencyError, DomainError
 from .operators import (
     DenseOperator,
@@ -93,38 +97,94 @@ def _chunk_seeds(samples: int):
 
 
 # ---------------------------------------------------------------------------
-# Haar twirl: exact commutant projection and block formula.
+# Exact twirls as commutant projections, and the Haar block formula.
 # ---------------------------------------------------------------------------
 
-def haar_twirl_exact(state, d: int, t: int):
-    """Project the system factor onto the span of slot permutations.
+class _Commutant(NamedTuple):
+    """Operators spanning a commutant, each a (rows, cols, scale) term for
+    scale * sum_i |rows[i]><cols[i]|, and the pseudo-inverse of their Gram
+    matrix Tr[B_j^dag B_k]."""
 
-    Solves the Gram system G c = b with G[s, p] = d^{#cycles(s^-1 p)} and
-    b the pairing of the input with each permutation operator; the
-    workspace factor rides along as matrix-valued coefficients.
+    terms: tuple
+    gram_pinv: np.ndarray
+    meta: dict
+
+
+@lru_cache(maxsize=8)
+def _commutant(d: int, t: int, pauli: bool) -> _Commutant:
+    """The slot permutations R_pi, plus R_pi Q when ``pauli`` (t = 4, d = 2^n).
+
+    Q = d^-2 sum_P P^{x4} = d^-1 (sum_a X_a^{x4}) diag(1[x1^x2^x3^x4 = 0]), so
+    R_pi Q is d masked index maps, and since Q is a projector commuting with
+    every R_pi, each Gram entry is Tr[R_tau] = d^{#cycles(tau)} or Tr[R_tau Q]
+    for tau = sigma^-1 pi.  The operators are dependent when d < t, and
+    always with Q, so the Gram matrix is pseudo-inverted.
     """
-    if d < t:
-        raise DomainError("exact Haar twirl needs d >= t")
-    matrix, was_state = _as_matrix(state)
-    dim_e = workspace_dim(matrix.shape[0], d, t)
     n = d**t
     perms = all_permutations(t)
     maps = [subsystem_perm_index_map(pi, d) for pi in perms]
+    labels = np.arange(n)
+    terms = [(m, labels, 1.0) for m in maps]
+    if pauli:
+        even = labels[np.bitwise_xor.reduce(np.unravel_index(labels, (d,) * t)) == 0]
+        shifted = (even[None, :] ^ (np.arange(d) * sum(d**k for k in range(t)))[:, None]).ravel()
+        cols = np.tile(even, d)
+        terms += [(m[shifted], cols, 1.0 / d) for m in maps]
+    traces = np.array([np.count_nonzero(r == c) * s for r, c, s in terms])
+    index = {pi: i for i, pi in enumerate(perms)}
+    tau = np.array([[index[sigma.inverse().compose(pi)] for pi in perms] for sigma in perms])
+    gram = traces[tau]
+    if pauli:
+        with_q = traces[tau + len(perms)]
+        gram = np.block([[gram, with_q], [with_q, with_q]])
+    # Null eigenvalues are round-off of about eps * max (0.9 eps * max at d = 8
+    # with Q, a fifth of pinv's default cutoff), so cut at matrix_rank's len * eps.
+    values, vectors = np.linalg.eigh(gram)
+    kept = np.abs(values) > len(gram) * np.finfo(float).eps * np.abs(values).max()
+    gram_pinv = (vectors[:, kept] / values[kept]) @ vectors[:, kept].T
+    meta = {
+        "gram_rank": int(kept.sum()),
+        "gram_condition": float(values[kept].max() / values[kept].min()),
+    }
+    for r, c, _ in terms:  # cached, so shared by every caller
+        r.setflags(write=False)
+        c.setflags(write=False)
+    gram_pinv.setflags(write=False)
+    return _Commutant(tuple(terms), gram_pinv, meta)
+
+
+def _project_onto_commutant(state, d: int, t: int, pauli: bool = False):
+    """Orthogonal projection of the system factor onto a commutant.
+
+    Pairs the input with each spanning operator by index gathers, solves
+    with the Gram pseudo-inverse, and scatters the coefficients back; the
+    workspace factor rides along as matrix-valued coefficients.
+    """
+    matrix, was_state = _as_matrix(state)
+    check_capacity(matrix.shape[0])
+    dim_e = workspace_dim(matrix.shape[0], d, t)
+    n = d**t
+    basis = _commutant(d, t, pauli)
     arr = matrix.reshape(n, dim_e, n, dim_e)
-
-    b = np.stack([arr[m, :, np.arange(n), :].sum(axis=0) for m in maps])  # (t!, E, E)
-    G = np.array(
-        [[float(d) ** a.inverse().compose(bp).num_cycles() for bp in perms] for a in perms]
-    )
-    cho = cho_factor(G)  # Gram matrices of independent operators are SPD
-    coeffs = cho_solve(cho, b.reshape(len(perms), -1)).reshape(b.shape)
-
+    pairings = np.stack([s * arr[r, :, c, :].sum(axis=0) for r, c, s in basis.terms])  # (ops, E, E)
+    coeffs = (basis.gram_pinv @ pairings.reshape(len(pairings), -1)).reshape(pairings.shape)
     out = np.zeros_like(arr)
-    cols = np.arange(n)
-    for m, c in zip(maps, coeffs):
-        out[m, :, cols, :] += c[None, :, :]
-    meta = {"gram_condition": float(np.linalg.cond(G))}
+    for (r, c, s), coeff in zip(basis.terms, coeffs):
+        out[r, :, c, :] += s * coeff[None, :, :]
+    meta = {"method": "exact"} | basis.meta
     return _wrap(out.reshape(matrix.shape), was_state, d, t, meta=meta)
+
+
+def haar_twirl_exact(state, d: int, t: int):
+    """Project the system factor onto the span of slot permutations, the
+    commutant of U^{x t}, through the Gram matrix G[s, p] = d^{#cycles(s^-1 p)}.
+
+    Any d works: for d < t the permutations are dependent and the Gram
+    pseudo-inverse (the Weingarten function) drops the missing blocks.  The
+    metadata carries the Gram rank and its condition number over the kept
+    spectrum.
+    """
+    return _project_onto_commutant(state, d, t)
 
 
 def _blockwise_twirl(state, decomp: IsotypicDecomposition, weyl_state):
@@ -385,10 +445,14 @@ def _clifford_sample_seed(seed, index: int) -> list:
 
 def _clifford_average(state, n: int, t: int, method: str, samples: int, seed, weights=None):
     """The Clifford twirl plus, under Monte-Carlo, the per-sample values of
-    ``weights`` (None for the exact enumeration)."""
+    ``weights`` (None for the exact projection)."""
     d = 2**n
     if method == "exact":
-        return ensemble_twirl(state, enumerate_cliffords(n), d, t), None
+        if t > 4:
+            raise DomainError(
+                f"the exact Clifford twirl covers t <= 4, got t = {t}; use method='monte_carlo'"
+            )
+        return _project_onto_commutant(state, d, t, pauli=t == 4), None
     if method != "monte_carlo":
         raise DomainError(f"unknown method {method!r}")
     mats = (
@@ -407,8 +471,10 @@ def _clifford_average(state, n: int, t: int, method: str, samples: int, seed, we
 def clifford_twirl(state, n: int, t: int, method: str = "exact", samples: int = 0, seed: int = 0):
     """Average conjugation by C^{x t} over the Clifford group.
 
-    Exact averaging runs over ``enumerate_cliffords(n)``, every canonical
-    symplectic index times every Pauli, for n <= ``clifford.EXACT_QUBIT_CAP``.
+    The exact twirl is the projection onto the commutant of C^{x t}: the
+    slot permutations for t <= 3, where the Clifford group is a unitary
+    3-design, and the slot permutations times the Pauli projector Q for
+    t = 4.  It runs at every n under the dimension cap; t >= 5 raises.
     Monte-Carlo averaging converts ``samples`` sampled tableaus, sample i
     drawn from the seed (seed, i // MC_CHUNK, i % MC_CHUNK), and attaches
     the Frobenius standard error of the mean to the metadata.

@@ -1,6 +1,9 @@
 """CLI surface: subcommands, exit codes, emission formats."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -117,3 +120,23 @@ def test_error_reported_as_exit_one(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "error" in captured.err
+
+
+def test_haar_twirl_with_fewer_levels_than_copies_emits_finite_json(capsys):
+    def refuse(name):
+        raise ValueError(f"non-finite number {name} in the report")
+
+    code, out = run_cli(capsys, "twirl", "--channel", "haar", "--n", "1", "--t", "3")
+    assert code == 0
+    rep = json.loads(out, parse_constant=refuse)
+    assert rep["quantities"]["meta"]["gram_rank"] == 5
+    assert rep["quantities"]["distance_to_haar_twirl"] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_cli_import_does_not_load_scipy():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run(
+        [sys.executable, "-c", "import pru_lab.cli, sys; assert 'scipy' not in sys.modules"],
+        env=env, check=True,
+    )

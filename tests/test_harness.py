@@ -86,9 +86,17 @@ def test_config_validation():
     with pytest.raises(DomainError):
         ExperimentConfig(n=1, t=3)  # t > 2^n
     with pytest.raises(DomainError):
-        ExperimentConfig(n=3, t=2, clifford_method="exact")
-    with pytest.raises(DomainError):
         ExperimentConfig(n=2, t=2, state_family="bogus")
+
+
+def test_exact_security_runs_past_the_enumeration_cap():
+    """At t <= 3 the Clifford group is a 3-design, so the exact fully random
+    state is the Haar twirl itself, at any n."""
+    rep = run_security_experiment(
+        ExperimentConfig(n=3, t=2, dim_e=2, clifford_method="exact", seed=5)
+    )
+    assert rep.passed
+    assert rep.quantities["trace_distance_fr_hr"] < 1e-12
 
 
 def test_security_t1_distance_vanishes():

@@ -9,7 +9,11 @@ from pru_lab import (
     DensityMatrix,
     ExperimentConfig,
     StateVector,
+    build_state,
     clifford_twirl,
+    ensemble_twirl,
+    enumerate_cliffords,
+    gentle_normalize,
     haar_twirl_exact,
     haar_twirl_mc,
     pf_twirl,
@@ -18,7 +22,7 @@ from pru_lab import (
     sample_clifford,
     trace_distance,
 )
-from pru_lab import twirls
+from pru_lab import clifford, twirls
 from pru_lab.operators import distinct_mask, haar_unitaries
 
 from conftest import random_state
@@ -142,17 +146,37 @@ def test_security_run_samples_each_clifford_once(monkeypatch):
     assert len(set(seeds)) == samples
 
 
-def test_exact_security_run_enumerates_once(monkeypatch):
-    calls = []
-    real = twirls.enumerate_cliffords
+@pytest.mark.parametrize("dim_e, distance", [(1, 0.061328), (2, 0.066929)])
+def test_exact_security_run_at_four_copies_needs_no_enumeration(monkeypatch, dim_e, distance):
+    """At t = 4 the Clifford layer is not a design, so the Pauli terms of the
+    projection matter; every quantity must match the enumerated group."""
+    n, t, d, seed = 2, 4, 4, 7
+    group = enumerate_cliffords(n)
 
-    def counting(n, **kwargs):
-        calls.append(n)
-        return real(n, **kwargs)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exact Clifford twirl enumerated the group")
 
-    monkeypatch.setattr(twirls, "enumerate_cliffords", counting)
-    run_security_experiment(ExperimentConfig(n=1, t=2, dim_e=2, clifford_method="exact", seed=2))
-    assert calls == [1]
+    assert not hasattr(twirls, "enumerate_cliffords")
+    monkeypatch.setattr(clifford, "enumerate_cliffords", refuse)
+    rep = run_security_experiment(
+        ExperimentConfig(n=n, t=t, dim_e=dim_e, clifford_method="exact", seed=seed)
+    )
+    monkeypatch.undo()
+    psi = build_state("random_pure", n, t, dim_e, seed)
+    xi = ensemble_twirl(psi, group, d, t)
+    gentle = gentle_normalize(xi, d, t)
+    want = {
+        "trace_distance_fr_hr": trace_distance(pf_twirl(xi, d, t), haar_twirl_exact(psi, d, t)),
+        "pf_vs_haar_on_normalized": trace_distance(
+            pf_twirl(gentle.phi, d, t), haar_twirl_exact(gentle.phi, d, t)
+        ),
+        "gentle_delta": gentle.delta,
+        "distinct_overlap": gentle.overlap,
+    }
+    for key, value in want.items():
+        assert rep.quantities[key] == pytest.approx(value, abs=1e-12), key
+    assert rep.quantities["trace_distance_fr_hr"] == pytest.approx(distance, abs=1e-6)
+    assert rep.passed
 
 
 def test_twirls_keep_non_hermitian_operators():
@@ -164,7 +188,8 @@ def test_twirls_keep_non_hermitian_operators():
     assert np.abs(haar).max() == pytest.approx(1 / 3)
     assert np.abs(pf).max() == pytest.approx(1 / 2)
     # the single-qubit Clifford group is a 2-design
-    assert np.abs(clifford_twirl(op, 1, 2, method="exact").entries - haar).max() < 1e-12
+    group_mean = ensemble_twirl(op, enumerate_cliffords(1), 2, 2).entries
+    assert np.abs(group_mean - haar).max() < 1e-12
     for mc, exact in (
         (haar_twirl_mc(op, 2, 2, 4000, 7), haar),
         (pf_twirl_mc(op, 2, 2, 4000, 8), pf),

@@ -1,6 +1,7 @@
 """Twirl channels: exact paths, block formulas, Monte-Carlo, Clifford averages."""
 
 import itertools
+from fractions import Fraction
 from functools import reduce
 from math import factorial
 
@@ -16,22 +17,29 @@ from pru_lab import (
     PermutationT,
     StateVector,
     all_permutations,
+    character,
     clifford_twirl,
     distinct_overlap_after_clifford,
     distinct_projector,
+    ensemble_twirl,
+    enumerate_cliffords,
     haar_twirl_exact,
     haar_twirl_mc,
     haar_twirl_schur_weyl,
     partial_trace,
+    partitions,
     pf_twirl,
     pf_twirl_basis_element,
     pf_twirl_distinct_formula,
     pf_twirl_mc,
     sample_clifford,
     schur_weyl_basis,
+    specht_dim,
     subsystem_perm_op,
     trace_distance,
+    weyl_dim,
 )
+from pru_lab import twirls
 from pru_lab.operators import haar_unitaries
 
 from conftest import random_distinct_state, random_state
@@ -90,10 +98,35 @@ def test_haar_mc_matches_exact():
     assert err < 5 / np.sqrt(N)
 
 
-def test_haar_requires_enough_levels():
-    st = random_state(8, (8,), 0)
-    with pytest.raises(DomainError):
-        haar_twirl_exact(st, 2, 3)
+@pytest.mark.parametrize("d, t", [(2, 3), (2, 4), (3, 4)])
+def test_haar_exact_with_fewer_levels_than_copies_matches_block_formula(d, t):
+    """With d < t the slot permutations are dependent; the projection still
+    equals the Schur-Weyl block formula and its metadata stays finite."""
+    st = random_state(d**t * 2, (d**t, 2), d + t)
+    out = haar_twirl_exact(st, d, t)
+    blockwise = haar_twirl_schur_weyl(st, schur_weyl_basis(d, t))
+    assert np.abs(out.entries - blockwise.entries).max() < 1e-12
+    assert out.meta["gram_rank"] < factorial(t)
+    assert np.isfinite(out.meta["gram_condition"])
+
+
+@pytest.mark.parametrize("d, t", [(2, 2), (2, 3), (4, 3), (2, 4), (3, 4), (8, 3)])
+def test_gram_pseudo_inverse_is_the_weingarten_function(d, t):
+    """Wg(sigma) = (1/t!^2) sum over partitions of t with at most d rows of
+    (f^lam)^2 chi^lam(sigma) / weyl_dim(lam, d), from the characters alone."""
+    perms = all_permutations(t)
+    shapes = [lam for lam in partitions(t) if lam.rows <= d]
+
+    def wg(sigma):
+        return sum(
+            Fraction(specht_dim(lam) ** 2 * character(lam, sigma), weyl_dim(lam, d))
+            for lam in shapes
+        ) / factorial(t) ** 2
+
+    want = np.array([[float(wg(s.inverse().compose(p))) for p in perms] for s in perms])
+    basis = twirls._commutant(d, t, False)
+    assert np.abs(basis.gram_pinv - want).max() < 1e-13
+    assert basis.meta["gram_rank"] == sum(specht_dim(lam) ** 2 for lam in shapes)
 
 
 # --- permutation-phase twirl ------------------------------------------------------
@@ -280,7 +313,7 @@ def test_pf_twirl_channel_properties(d, t, dim_e, seed):
 QUBIT_CASES = [(1, t, e) for t in (1, 2, 3) for e in (1, 2)] + [(2, 2, 1)]
 
 
-@pytest.mark.parametrize("n, t, dim_e", [c for c in QUBIT_CASES if 2 ** c[0] >= c[1]])
+@pytest.mark.parametrize("n, t, dim_e", QUBIT_CASES)
 @given(seed=hst.integers(0, 2**32 - 1))
 @settings(max_examples=5)
 def test_haar_twirl_channel_properties(n, t, dim_e, seed):
@@ -294,7 +327,7 @@ def test_haar_twirl_channel_properties(n, t, dim_e, seed):
 @settings(max_examples=5)
 def test_clifford_twirl_channel_properties(n, t, dim_e, seed):
     """The commutation against a sampled Clifford ties the sampler to the
-    enumerated group."""
+    commutant projection."""
     g = sample_clifford(n, seed).to_dense().entries
     _check_channel_properties(lambda x: clifford_twirl(x, n, t, "exact"), 2**n, t, dim_e, seed, g)
 
@@ -376,17 +409,40 @@ def test_clifford_exact_single_qubit_is_haar_two_design():
     for seed in range(10):
         st = random_state(8, (4, 2), seed + 40)
         assert trace_distance(
-            clifford_twirl(st, 1, 2, method="exact"), haar_twirl_exact(st, 2, 2)
+            ensemble_twirl(st, enumerate_cliffords(1), 2, 2), haar_twirl_exact(st, 2, 2)
         ) < 1e-9
 
 
-def test_ensemble_twirl_matches_clifford_exact():
-    from pru_lab import enumerate_cliffords, ensemble_twirl
+@pytest.mark.parametrize("dim_e", [1, 2])
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2])
+def test_ensemble_twirl_matches_clifford_exact(n, t, dim_e):
+    """The commutant projection against the average over the enumerated
+    group, on a random state and on the non-Hermitian i|01..><10..|."""
+    d = 2**n
+    regs = (d**t, dim_e)
+    X = np.zeros((d**t * dim_e,) * 2, dtype=complex)
+    a = np.ravel_multi_index(([0, 1] + [0] * t)[:t], (d,) * t)
+    b = np.ravel_multi_index(([1, 0] + [0] * t)[:t], (d,) * t)
+    X[a * dim_e, b * dim_e] = 1j
+    group = enumerate_cliffords(n)
+    for st in (random_state(d**t * dim_e, regs, 19 + t), DenseOperator(X, regs)):
+        want = ensemble_twirl(st, group, d, t).entries
+        got = clifford_twirl(st, n, t, method="exact").entries
+        assert np.abs(got - want).max() < 1e-12
 
-    st = random_state(8, (4, 2), 19)
-    a = ensemble_twirl(st, enumerate_cliffords(1), 2, 2)
-    b = clifford_twirl(st, 1, 2, method="exact")
-    assert trace_distance(a, b) < 1e-12
+
+def test_clifford_exact_matches_monte_carlo_at_three_qubits():
+    st = random_state(64, (64, 1), 23)
+    mc = clifford_twirl(st, 3, 2, method="monte_carlo", samples=1000, seed=11)
+    exact = clifford_twirl(st, 3, 2, method="exact")
+    assert trace_distance(mc, exact) < 3 * np.sqrt(mc.dim) * mc.meta["std_error_fro"]
+
+
+def test_clifford_exact_stops_at_four_copies():
+    st = random_state(32, (32, 1), 0)
+    with pytest.raises(DomainError, match="monte_carlo"):
+        clifford_twirl(st, 1, 5, method="exact")
 
 
 def test_clifford_fixed_point():
@@ -407,12 +463,6 @@ def test_clifford_mc_matches_pure_and_mixed_paths():
     a = clifford_twirl(st, 2, 2, method="monte_carlo", samples=64, seed=1)
     b = clifford_twirl(st.to_density(), 2, 2, method="monte_carlo", samples=64, seed=1)
     assert trace_distance(a, b) < 1e-10
-
-
-def test_clifford_exact_capacity():
-    st = random_state(64, (64, 1), 0)
-    with pytest.raises(Exception):
-        clifford_twirl(st, 3, 2, method="exact")
 
 
 # --- distinct-subspace overlap --------------------------------------------------------
