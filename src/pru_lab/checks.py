@@ -13,12 +13,12 @@ import itertools
 import time
 import zlib
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial, log2, sqrt
 
 import numpy as np
 
-from .clifford import EXACT_QUBIT_CAP, enumerate_cliffords
+from .clifford import default_clifford_method, enumerate_cliffords
 from .errors import DomainError
 from .harness import BoundCheck, ExperimentReport, build_state, gentle_normalize
 from .operators import (
@@ -67,6 +67,7 @@ from .twirls import (
 
 DEFAULT_DS = (2, 4, 8)
 DEFAULT_TS = (2, 3)
+CONVERGENCE_REPS = 3  # Monte-Carlo repetitions averaged per sample count in the slope check
 
 
 @dataclass
@@ -74,15 +75,7 @@ class SuiteContext:
     seed: int = 0
     samples_clifford: int = 10000
     samples_unitary: int = 100000
-    convergence_reps: int = 3
     num_keys: int = 1024
-    _decomps: dict = field(default_factory=dict)
-
-    def decomposition(self, d: int, t: int):
-        key = (d, t)
-        if key not in self._decomps:
-            self._decomps[key] = schur_weyl_basis(d, t, verify=False)
-        return self._decomps[key]
 
     def check_seed(self, name: str, *cell) -> list[int]:
         return [self.seed, zlib.crc32(name.encode()), *map(int, cell)]
@@ -243,7 +236,7 @@ def _check_weyl_dims(ctx: SuiteContext, d: int, t: int):
 
 @per_cell_check("isotypic_completeness")
 def _check_completeness(ctx: SuiteContext, d: int, t: int):
-    decomp = ctx.decomposition(d, t)
+    decomp = schur_weyl_basis(d, t)
     n = d**t
     params = {"d": d, "t": t, "n": _n_of(d)}
     total = sum(b.projector.entries for b in decomp.blocks)
@@ -274,8 +267,8 @@ def _check_completeness(ctx: SuiteContext, d: int, t: int):
 
 @per_cell_check("basis_block_action")
 def _check_basis(ctx: SuiteContext, d: int, t: int):
-    decomp = ctx.decomposition(d, t)
-    residuals = verify_decomposition(decomp, seed=ctx.check_seed("basis_block_action", d, t), tol=1e-7)
+    decomp = schur_weyl_basis(d, t)
+    residuals = verify_decomposition(decomp, seed=ctx.check_seed("basis_block_action", d, t))
     params = {"d": d, "t": t, "n": _n_of(d)}
     out = []
     for key, tol in (
@@ -298,7 +291,7 @@ def _check_basis(ctx: SuiteContext, d: int, t: int):
 
 @per_cell_check("distinct_block_trace")
 def _check_distinct_trace(ctx: SuiteContext, d: int, t: int):
-    decomp = ctx.decomposition(d, t)
+    decomp = schur_weyl_basis(d, t)
     records = ratio_report(d, t, decomp)
     worst = max(
         abs(r.numeric_tr_distinct_block - float(r.tr_distinct_block)) for r in records
@@ -313,7 +306,7 @@ def _check_distinct_trace(ctx: SuiteContext, d: int, t: int):
 
 @per_cell_check("distinct_reconstruction")
 def _check_distinct_reconstruction(ctx: SuiteContext, d: int, t: int):
-    decomp = ctx.decomposition(d, t)
+    decomp = schur_weyl_basis(d, t)
     n = d**t
     B = decomp.basis_matrix
     recon = np.zeros((n, n), dtype=complex)
@@ -401,7 +394,7 @@ def _check_pp_commutation(ctx: SuiteContext, d: int, t: int):
 def _check_haar_paths(ctx: SuiteContext, d: int, t: int):
     if d < t:
         return []
-    decomp = ctx.decomposition(d, t)
+    decomp = schur_weyl_basis(d, t)
     dim_e = 4 if (d, t) == (4, 2) else 2
     count = 20 if (d, t) == (4, 2) else 3
     states = _random_states(d**t * dim_e, (d**t, dim_e), count,
@@ -482,7 +475,7 @@ def _check_pf_mc(ctx: SuiteContext, d: int, t: int):
 def _check_pf_formula(ctx: SuiteContext, d: int, t: int):
     if d < t:
         return []
-    decomp = ctx.decomposition(d, t)
+    decomp = schur_weyl_basis(d, t)
     dim_e = 4 if (d, t) == (4, 2) else 2
     count = 20 if (d, t) == (4, 2) else 5
     states = _distinct_states(d, t, dim_e, count, ctx.check_seed("pf_formula_vs_generic", d, t))
@@ -612,7 +605,7 @@ def _check_overlap(ctx: SuiteContext, d: int, t: int):
         return []
     params = {"d": d, "t": t, "n": n}
     psi = build_state("adversarial_colliding", n, t, 1, ctx.check_seed("clifford_distinct_overlap", d, t))
-    method = "exact" if n <= EXACT_QUBIT_CAP else "monte_carlo"
+    method = default_clifford_method(n)
     info = distinct_overlap_after_clifford(
         psi, n, t, method=method, samples=ctx.samples_clifford,
         seed=ctx.check_seed("clifford_distinct_overlap", d, t, 1),
@@ -632,7 +625,7 @@ def _check_overlap(ctx: SuiteContext, d: int, t: int):
 def _check_collapse(ctx: SuiteContext, d: int, t: int):
     if d != 4 or t > 3:
         return []
-    decomp = ctx.decomposition(d, t)
+    decomp = schur_weyl_basis(d, t)
     n = d**t
     perms = all_permutations(t)
     B = decomp.basis_matrix
@@ -701,7 +694,7 @@ def _check_convergence(ctx: SuiteContext, d: int, t: int):
                     mc_fn(st, d, t, N, ctx.check_seed("mc_convergence_slope", d, t, Ns.index(N), r, zlib.crc32(label.encode()))),
                     exact_ref,
                 )
-                for r in range(ctx.convergence_reps)
+                for r in range(CONVERGENCE_REPS)
             ]
             errs.append(np.mean(rep_errs))
         slope = float(np.polyfit(np.log(Ns), np.log(errs), 1)[0])

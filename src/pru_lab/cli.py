@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .checks import run_lemma_suite
-from .clifford import EXACT_QUBIT_CAP
+from .clifford import default_clifford_method
 from .errors import PruLabError
 from .harness import (
     STATE_FAMILIES,
@@ -28,7 +28,7 @@ from .harness import (
     run_security_experiment,
 )
 from .operators import trace_distance
-from .schur_weyl import ratio_report, schur_weyl_basis
+from .schur_weyl import ratio_report
 from .twirls import clifford_twirl, haar_twirl_exact, haar_twirl_mc, pf_twirl, pf_twirl_mc
 
 
@@ -106,9 +106,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_security(args) -> int:
-    method = args.clifford
-    if method == "auto":
-        method = "exact" if args.n <= EXACT_QUBIT_CAP else "monte_carlo"
+    method = default_clifford_method(args.n) if args.clifford == "auto" else args.clifford
     config = ExperimentConfig(
         n=args.n,
         t=args.t,
@@ -142,7 +140,6 @@ def _cmd_twirl(args) -> int:
     else:
         out = clifford_twirl(psi, args.n, args.t, method=args.method, samples=args.samples, seed=args.seed)
 
-    decomp = schur_weyl_basis(d, args.t, verify=False)
     haar_ref = haar_twirl_exact(psi, d, args.t)
     quantities = {
         "trace": float(np.trace(out.entries).real),
@@ -150,7 +147,7 @@ def _cmd_twirl(args) -> int:
         "distance_to_haar_twirl": trace_distance(out, haar_ref),
         "block_deficits": [
             {"partition": list(r.partition.parts), "deficit": float(r.deficit)}
-            for r in ratio_report(d, args.t, decomp)
+            for r in ratio_report(d, args.t)
         ],
         "meta": out.meta or {},
     }
@@ -196,13 +193,12 @@ def _cmd_sweep(args) -> int:
     )
     for n in args.n:
         for t in args.t:
-            method = "exact" if n <= EXACT_QUBIT_CAP else "monte_carlo"
             config = ExperimentConfig(
                 n=n,
                 t=t,
                 dim_e=args.dim_e,
                 state_family=args.state,
-                clifford_method=method,
+                clifford_method=default_clifford_method(n),
                 clifford_samples=args.samples,
                 num_keys=args.keys,
                 seed=args.seed,

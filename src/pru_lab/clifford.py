@@ -46,6 +46,12 @@ from .operators import DenseOperator, as_generator, check_capacity
 # auto` and in the overlap check; the exact twirl itself runs at any n.
 EXACT_QUBIT_CAP = 2
 
+
+def default_clifford_method(n: int) -> str:
+    """The ``--clifford auto`` choice: exact up to EXACT_QUBIT_CAP qubits, Monte-Carlo above."""
+    return "exact" if n <= EXACT_QUBIT_CAP else "monte_carlo"
+
+
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
 

@@ -120,8 +120,8 @@ class ExperimentReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def as_dict(self, include_timings: bool = True) -> dict:
-        out = {
+    def as_dict(self) -> dict:
+        return {
             "schema": SCHEMA,
             "kind": self.kind,
             "config": self.config,
@@ -129,21 +129,16 @@ class ExperimentReport:
             "quantities": self.quantities,
             "checks": [asdict(c) for c in self.checks],
             "passed": self.passed,
+            "timings": self.timings,
         }
-        if include_timings:
-            out["timings"] = self.timings
-        else:
-            for c in out["checks"]:
-                c.pop("wall_ms", None)
-        return out
 
-    def to_json(self, include_timings: bool = True) -> str:
-        return json.dumps(self.as_dict(include_timings), sort_keys=True, indent=2, default=_json_default)
+    def to_json(self) -> str:
+        return _dumps(self.as_dict())
 
     def canonical_json(self) -> str:
         """Serialization with every timing field removed, for byte-level
         determinism comparisons."""
-        return self.to_json(include_timings=False)
+        return _dumps(strip_timing_fields(self.as_dict()))
 
     def to_csv(self) -> str:
         header = "check_id,n,t,dim_e,measured,bound,pass,seed,wall_ms"
@@ -166,6 +161,10 @@ class ExperimentReport:
                 )
             )
         return "\n".join(rows) + "\n"
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2, default=_json_default)
 
 
 def _json_default(obj):
@@ -193,6 +192,8 @@ def strip_timing_fields(obj):
 
 def build_state(family: str, n: int, t: int, dim_e: int, seed) -> StateVector:
     """A normalized input state on the t query registers plus workspace."""
+    if t < 1 or dim_e < 1:
+        raise DomainError(f"t and dim_e must be at least 1, got t = {t}, dim_e = {dim_e}")
     d = 2**n
     nA = d**t
     total = nA * dim_e
@@ -340,7 +341,7 @@ def run_security_experiment(config: ExperimentConfig) -> ExperimentReport:
             3,
             BoundCheck.make(
                 "clifford_distinct_overlap", params, gentle.overlap,
-                overlap_info["bound"], "ge", config.tol_abs + mc_slack,
+                overlap_info["bound"], "ge", 1e-9 + mc_slack,
                 "overlap >= 1 - t(t-1)/(d+1): t(t-1)/2 colliding pairs, each bounded by the "
                 "operator norm 2/(d(d+1)) of the doubled-copy average times the pair-projector trace d",
             ),

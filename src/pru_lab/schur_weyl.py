@@ -10,12 +10,18 @@ The basis is real: it is built from eigenvectors of real combinations of
 permutation matrices and Young's orthogonal (real) irrep matrices, and is
 stored as float64, so rotating an operator into it takes real matrix
 products on the interleaved real view of the complex operator.
+
+``schur_weyl_basis`` is cached per (d, t) and its arrays are read-only.
+It does not check itself: ``verify_decomposition`` and ``ratio_report``
+return residuals and numeric traces, and only the records of the
+``verify`` suite judge them against a tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -103,8 +109,9 @@ class IsotypicDecomposition:
         return out
 
 
-def schur_weyl_basis(d: int, t: int, verify: bool = True) -> IsotypicDecomposition:
-    """Construct the full decomposition for (d, t).
+@lru_cache(maxsize=8)
+def schur_weyl_basis(d: int, t: int) -> IsotypicDecomposition:
+    """Construct the full decomposition for (d, t), cached and read-only.
 
     Per partition, matrix units assembled from the orthogonal irrep map the
     first Specht column onto the others, so one orthonormalization of the
@@ -114,6 +121,7 @@ def schur_weyl_basis(d: int, t: int, verify: bool = True) -> IsotypicDecompositi
     check_capacity(n)
     perms = all_permutations(t)
     tfact = factorial(t)
+    mask = distinct_mask(d, t).astype(float)
     blocks = []
     for lam in partitions(t):
         if lam.rows > d:
@@ -142,10 +150,11 @@ def schur_weyl_basis(d: int, t: int, verify: bool = True) -> IsotypicDecompositi
             basis[:, j::vdim] = cols
 
         proj = isotypic_projector(lam, d, t)
-        lam_mask = distinct_mask(d, t).astype(float)
-        conj = basis.T @ (lam_mask[:, None] * basis)
+        conj = basis.T @ (mask[:, None] * basis)
         conj = conj.reshape(wdim, vdim, wdim, vdim)
         dist_block = np.einsum("ajbj->ab", conj) / vdim
+        basis.setflags(write=False)  # cached, so shared by every caller
+        dist_block.setflags(write=False)
 
         blocks.append(
             IsotypicBlock(
@@ -157,19 +166,16 @@ def schur_weyl_basis(d: int, t: int, verify: bool = True) -> IsotypicDecompositi
                 distinct_block=dist_block,
             )
         )
-    decomp = IsotypicDecomposition(d=d, t=t, blocks=tuple(blocks))
-    if verify:
-        verify_decomposition(decomp)
-    return decomp
+    return IsotypicDecomposition(d=d, t=t, blocks=tuple(blocks))
 
 
-def verify_decomposition(decomp: IsotypicDecomposition, seed: int = 7, tol: float = 1e-8) -> dict:
-    """Check the constructed basis against everything it promises:
+def verify_decomposition(decomp: IsotypicDecomposition, seed: int = 7) -> dict:
+    """Measure the constructed basis against everything it promises:
     orthonormality, completeness of the projectors, block-diagonal action
     of U^{x t} with the Specht factor untouched, and tensor-slot
     permutations acting by the same orthogonal matrices used to build it.
 
-    Returns the measured residuals; raises if any exceeds ``tol``.
+    Returns the residuals by name; the ``basis_*`` check records judge them.
     """
     d, t = decomp.d, decomp.t
     n = d**t
@@ -213,10 +219,6 @@ def verify_decomposition(decomp: IsotypicDecomposition, seed: int = 7, tol: floa
         float(np.abs(b.distinct_block @ b.distinct_block - b.distinct_block).max())
         for b in decomp.blocks
     )
-
-    failed = {k: v for k, v in residuals.items() if v > tol}
-    if failed:
-        raise ConsistencyError(f"decomposition verification failed: {failed}")
     return residuals
 
 
@@ -304,8 +306,8 @@ def ratio_report(d: int, t: int, decomp: IsotypicDecomposition | None = None) ->
 
     The block trace is dim(V)/t! times the distinct-projector trace, and the
     deficit collapses to 1 - (d!/(d-t)!)/prod(d + j - i) over the boxes.
-    When a decomposition is supplied the numeric block traces are attached
-    and must match the rationals to 1e-9.
+    When a decomposition is supplied the numeric block traces are attached;
+    the ``distinct_block_trace`` check record compares them with the rationals.
     """
     tr_lambda = falling_factorial(d, t)
     records = []
@@ -322,10 +324,6 @@ def ratio_report(d: int, t: int, decomp: IsotypicDecomposition | None = None) ->
         if decomp is not None:
             block = next(b for b in decomp.blocks if b.partition == lam)
             numeric = float(np.trace(block.distinct_block).real)
-            if abs(numeric - float(tr_block)) > 1e-9:
-                raise ConsistencyError(
-                    f"numeric distinct-block trace {numeric} != {tr_block} for {lam}"
-                )
         records.append(
             RatioRecord(
                 partition=lam,

@@ -25,7 +25,9 @@ goes through one driver, ``_average_conjugation``, which conjugates thin
 factors of the input by batches of single-register unitaries.
 ``distinct_overlap_after_clifford`` takes its per-sample overlaps from the
 same pass and also returns the twirled state, so one Clifford pass serves
-both.
+both.  It returns the overlap next to its bound and does not judge them:
+the ``clifford_distinct_overlap`` records of the security experiment and
+of the ``verify`` suite do.
 
 Monte-Carlo runs draw their randomness per fixed-size chunk from seeds
 derived as (seed, chunk index), and chunks are reduced in ascending order,
@@ -42,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .clifford import sample_clifford
-from .errors import ConsistencyError, DomainError
+from .errors import DomainError
 from .operators import (
     DenseOperator,
     DensityMatrix,
@@ -493,7 +495,8 @@ def distinct_overlap_after_clifford(
     collision projector trace d.  Under Monte-Carlo the overlap is a
     per-sample scalar from the same pass that builds the twirled state, so
     the reported standard error is the plain sample one.  The twirled
-    state itself is returned under "state".
+    state itself is returned under "state".  An overlap below the bound is
+    returned as is; the caller's check record judges it.
     """
     d = 2**n
     bound = 1.0 - t * (t - 1) / (d + 1)
@@ -505,7 +508,7 @@ def distinct_overlap_after_clifford(
     else:
         overlap = float(values.real.mean())
         se = float(values.real.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
-    result = {
+    return {
         "overlap": overlap,
         "bound": bound,
         "std_error": se,
@@ -513,14 +516,3 @@ def distinct_overlap_after_clifford(
         "samples": samples,
         "state": twirled,
     }
-    return _assert_overlap_bound(result)
-
-
-def _assert_overlap_bound(result: dict) -> dict:
-    slack = 3 * result["std_error"] + 1e-9
-    if result["overlap"] < result["bound"] - slack:
-        raise ConsistencyError(
-            f"distinct-subspace overlap {result['overlap']} fell below the bound "
-            f"{result['bound']} by more than the Monte-Carlo tolerance {slack}"
-        )
-    return result

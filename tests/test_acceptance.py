@@ -55,7 +55,7 @@ def test_criterion_01_schur_weyl_completeness():
     worst_complete = worst_orth = worst_trace = 0.0
     for d in (2, 4, 8):
         for t in (2, 3):
-            dec = schur_weyl_basis(d, t, verify=False)
+            dec = schur_weyl_basis(d, t)
             n = d**t
             total = sum(b.projector.entries for b in dec.blocks)
             worst_complete = max(worst_complete, float(np.abs(total - np.eye(n)).max()))
@@ -82,7 +82,7 @@ def test_criterion_02_distinct_block_trace_identity():
     worst = 0.0
     for d in (4, 8):
         for t in (2, 3):
-            dec = schur_weyl_basis(d, t, verify=False)
+            dec = schur_weyl_basis(d, t)
             for rec in ratio_report(d, t, dec):
                 symbolic = Fraction(
                     specht_dim(rec.partition) * falling_factorial(d, t), factorial(t)
@@ -102,7 +102,7 @@ def test_criterion_03_deficit_closed_form_and_envelope():
     numeric_cells = {(4, 2), (8, 2), (16, 2), (4, 3), (8, 3)}
     for d in (4, 8, 16):
         for t in (2, 3):
-            dec = schur_weyl_basis(d, t, verify=False) if (d, t) in numeric_cells else None
+            dec = schur_weyl_basis(d, t) if (d, t) in numeric_cells else None
             for rec in ratio_report(d, t, dec):
                 prod = 1
                 for (i, j) in rec.partition.cells():
@@ -123,7 +123,7 @@ def test_criterion_03_deficit_closed_form_and_envelope():
 def test_criterion_04_haar_oracle_triangle():
     t0 = time.perf_counter()
     d, t, dim_e = 4, 2, 4
-    dec = schur_weyl_basis(d, t, verify=False)
+    dec = schur_weyl_basis(d, t)
     worst_pair = 0.0
     for seed in range(20):
         st = random_state(d**t * dim_e, (d**t, dim_e), seed)
@@ -151,7 +151,7 @@ def test_criterion_04_haar_oracle_triangle():
 
 def test_criterion_05_pf_formula_and_basis_rule():
     d, t, dim_e = 4, 2, 4
-    dec = schur_weyl_basis(d, t, verify=False)
+    dec = schur_weyl_basis(d, t)
     worst_states = 0.0
     for seed in range(20):
         st = random_distinct_state(d, t, dim_e, seed)
@@ -190,7 +190,7 @@ def test_criterion_06_collapse_and_schur_orthogonality():
     worst_collapse = 0.0
     d = 4
     for t in (2, 3):
-        dec = schur_weyl_basis(d, t, verify=False)
+        dec = schur_weyl_basis(d, t)
         n = d**t
         B = dec.basis_matrix
         perms = all_permutations(t)

@@ -1,13 +1,15 @@
 """CLI surface: subcommands, exit codes, emission formats."""
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from pru_lab import cli_main, strip_timing_fields
+from pru_lab import StateVector, checks, cli_main, harness, schur_weyl, strip_timing_fields, twirls
 
 
 def run_cli(capsys, *argv):
@@ -120,6 +122,94 @@ def test_error_reported_as_exit_one(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "error" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["security", "--n", "1", "--t", "2", "--dim-e", "-1"],
+    ["security", "--n", "1", "--t", "2", "--dim-e", "0"],
+    ["twirl", "--channel", "pf", "--n", "1", "--t", "2", "--dim-e", "-2"],
+    ["twirl", "--channel", "haar", "--n", "1", "--t", "0"],
+    ["sweep", "--n", "1", "--t", "2", "--dim-e", "0"],
+], ids=["security-negative-dim-e", "security-zero-dim-e", "twirl-negative-dim-e", "twirl-zero-t", "sweep-zero-dim-e"])
+def test_bad_sizes_are_domain_errors(capsys, argv):
+    code = cli_main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: t and dim_e must be at least 1")
+    assert captured.out == ""
+
+
+# --- a bound that fails is a failed record in a complete report ---------------
+
+def _serve_altered_first_block(monkeypatch, alter):
+    """The checks get a copy of each decomposition with its first block altered."""
+    def altered(d, t):
+        decomp = schur_weyl.schur_weyl_basis(d, t)
+        return dataclasses.replace(decomp, blocks=(alter(decomp.blocks[0]),) + decomp.blocks[1:])
+
+    monkeypatch.setattr(checks, "schur_weyl_basis", altered)
+
+
+def _leave_clifford_layer_out(monkeypatch):
+    """Every Clifford twirl returns its input unchanged."""
+    def unchanged(state, n, t, *args, **kwargs):
+        return twirls._wrap(*twirls._as_matrix(state), 2**n, t), None
+
+    monkeypatch.setattr(twirls, "_clifford_average", unchanged)
+
+
+def _records(out) -> dict:
+    rep = json.loads(out)
+    assert rep["passed"] is False
+    return {c["check_id"]: c for c in rep["checks"]}
+
+
+def test_a_basis_entry_moved_by_1e6_fails_its_record(capsys, monkeypatch):
+    def moved(block):
+        basis = block.basis.copy()
+        basis[np.argmax(np.abs(basis[:, 0])), 0] += 1e-6
+        return dataclasses.replace(block, basis=basis)
+
+    _serve_altered_first_block(monkeypatch, moved)
+    code, out = run_cli(capsys, "verify", "--n", "2", "--t", "2", "--check", "basis_block_action")
+    assert code == 1
+    records = _records(out)
+    assert len(records) == 7
+    assert records["basis_orthonormality"]["passed"] is False
+    assert records["basis_orthonormality"]["measured"] > 1e-6
+
+
+def test_a_scaled_distinct_block_fails_the_trace_record(capsys, monkeypatch):
+    _serve_altered_first_block(
+        monkeypatch, lambda b: dataclasses.replace(b, distinct_block=1.001 * b.distinct_block)
+    )
+    code, out = run_cli(capsys, "verify", "--n", "2", "--t", "2", "--check", "distinct_block_trace")
+    assert code == 1
+    record = _records(out)["distinct_block_trace"]
+    assert record["passed"] is False
+    assert record["measured"] == pytest.approx(0.006, rel=1e-9)  # 0.001 x trace 6 of the (2) block
+
+
+def test_verify_reports_an_overlap_below_its_bound(capsys, monkeypatch):
+    _leave_clifford_layer_out(monkeypatch)
+    code, out = run_cli(capsys, "verify", "--n", "2", "--t", "2", "--check", "clifford_distinct_overlap")
+    assert code == 1
+    record = _records(out)["clifford_distinct_overlap"]
+    assert (record["passed"], record["measured"], record["bound"]) == (False, 0.0, pytest.approx(0.6))
+
+
+def test_security_reports_an_overlap_below_its_bound(capsys, monkeypatch):
+    # sqrt(0.9) |0,0> + sqrt(0.1) |0,1>: distinct overlap 0.1, against the bound 0.6 at d = 4
+    v = np.zeros(16, dtype=complex)
+    v[0], v[1] = np.sqrt(0.9), np.sqrt(0.1)
+    monkeypatch.setattr(harness, "build_state", lambda *args: StateVector(v, (4, 4, 1)))
+    _leave_clifford_layer_out(monkeypatch)
+    code, out = run_cli(capsys, "security", "--n", "2", "--t", "2")
+    assert code == 1
+    record = _records(out)["clifford_distinct_overlap"]
+    assert record["passed"] is False
+    assert record["measured"] == pytest.approx(0.1, abs=1e-12)
+    assert record["bound"] == pytest.approx(0.6)
 
 
 def test_haar_twirl_with_fewer_levels_than_copies_emits_finite_json(capsys):

@@ -78,10 +78,24 @@ def test_basis_dims_d4t2():
     assert [(b.weyl_dim, b.specht_dim) for b in dec.blocks] == [(10, 1), (6, 1)]
 
 
-def test_basis_verification_residuals():
-    dec = schur_weyl_basis(4, 3, verify=False)
-    res = verify_decomposition(dec, seed=11)
+# Every (d, t) whose basis some test builds: the builder does not check itself.
+BUILT_CELLS = [(d, t) for d in (2, 4, 8) for t in (2, 3)] + [(16, 2), (4, 1), (2, 4), (3, 4)]
+
+
+@pytest.mark.parametrize("d, t", BUILT_CELLS)
+def test_basis_verification_residuals(d, t):
+    res = verify_decomposition(schur_weyl_basis(d, t), seed=11)
+    assert res.pop("distinct_block_idempotence") < 1e-9
     assert max(res.values()) < 1e-8
+
+
+def test_basis_is_cached_and_read_only():
+    dec = schur_weyl_basis(4, 2)
+    assert schur_weyl_basis(4, 2) is dec
+    for block in dec.blocks:
+        for arr in (block.basis, block.distinct_block, block.projector.entries):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
 
 
 def test_unitary_matrix_elements_vanish_off_block():
@@ -127,7 +141,7 @@ def test_distinct_block_identity_at_t1():
 
 @pytest.mark.parametrize("d,t", [(4, 2), (8, 2), (4, 3), (8, 3)])
 def test_distinct_trace_identity_exact(d, t):
-    dec = schur_weyl_basis(d, t, verify=False)
+    dec = schur_weyl_basis(d, t)
     for rec in ratio_report(d, t, dec):
         expected = Fraction(specht_dim(rec.partition) * rec.tr_distinct, factorial(t))
         assert rec.tr_distinct_block == expected
@@ -207,7 +221,7 @@ def test_isotypic_projector_domain_errors():
 
 @pytest.mark.parametrize("d, t, dim_e", [(2, 2, 3), (4, 3, 2)])
 def test_rotations_match_kron_conjugation(d, t, dim_e):
-    dec = schur_weyl_basis(d, t, verify=False)
+    dec = schur_weyl_basis(d, t)
     B = dec.basis_matrix
     assert B.dtype == np.float64
     assert all(b.basis.dtype == np.float64 for b in dec.blocks)

@@ -47,7 +47,7 @@ from conftest import random_distinct_state, random_state
 
 @pytest.fixture(scope="module")
 def dec42():
-    return schur_weyl_basis(4, 2, verify=False)
+    return schur_weyl_basis(4, 2)
 
 
 # --- Haar twirl ----------------------------------------------------------------
@@ -74,7 +74,7 @@ def test_haar_exact_equals_block_formula(dec42):
 
 
 def test_haar_block_formula_symmetric_product():
-    dec = schur_weyl_basis(2, 2, verify=False)
+    dec = schur_weyl_basis(2, 2)
     e00 = np.zeros(4, dtype=complex)
     e00[0] = 1
     out = haar_twirl_schur_weyl(StateVector(e00, (4, 1)), dec)
@@ -364,7 +364,7 @@ def test_clifford_twirl_mc_channel_properties(n, t, dim_e, seed):
 @pytest.mark.parametrize("t", [2, 3])
 def test_group_sum_collapse(t):
     d = 4
-    dec = schur_weyl_basis(d, t, verify=False)
+    dec = schur_weyl_basis(d, t)
     n = d**t
     B = dec.basis_matrix
     perms = all_permutations(t)
