@@ -27,7 +27,7 @@ from .harness import (
     build_state,
     run_security_experiment,
 )
-from .operators import trace_distance
+from .operators import register_dim, trace_distance
 from .schur_weyl import ratio_report
 from .twirls import clifford_twirl, haar_twirl_exact, haar_twirl_mc, pf_twirl, pf_twirl_mc
 
@@ -93,7 +93,7 @@ def _cmd_verify(args) -> int:
     ns = args.n or [1, 2, 3]
     ts = args.t or [2, 3]
     report = run_lemma_suite(
-        ds=[2**n for n in ns],
+        ds=[register_dim(n) for n in ns],
         ts=ts,
         seed=args.seed,
         samples_clifford=args.samples,
@@ -123,7 +123,7 @@ def _cmd_security(args) -> int:
 
 
 def _cmd_twirl(args) -> int:
-    d = 2**args.n
+    d = register_dim(args.n)
     psi = build_state(args.state, args.n, args.t, args.dim_e, args.seed)
     if args.channel == "haar":
         out = (

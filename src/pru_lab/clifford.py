@@ -1,10 +1,26 @@
-"""Clifford unitaries as binary symplectic tableaus.
+"""Clifford unitaries as binary symplectic tableaus, sampled and converted
+in batches.
 
 A tableau stores, for each Pauli generator X_1..X_n, Z_1..Z_n, the binary
 vector of its image under conjugation (columns of a 2n x 2n symplectic
 matrix over F_2, blocked as x-part then z-part) together with one sign bit
-per generator.  The tableau is the only description of a Clifford here:
-sampling draws one, and dense conversion and enumeration read it.
+per generator.  The tableau is the only description of a Clifford here.
+Every operation runs on a stack of tableaus; a single ``CliffordElement``
+is a batch of one.
+
+Uniform sampling follows the canonical-index construction of the
+symplectic group (Koenig-Smolin), which fixes the images of the first
+symplectic pair and recurses.  Each seed gets its own generator, which
+draws a uniform canonical index (rejection sampling on ``rng.bytes``) and
+then 2n sign bits; these per-seed draws are the stream.  Everything after
+them runs on the whole batch.  The indices are split into per-level
+digits, and the walk keeps each symplectic vector as one ``uint64`` mask
+in the index's interleaved order (bit 2i = x_i, bit 2i+1 = z_i), so
+2n <= 64.  The inner product is the parity of a masked AND, taken by
+xor-folding, a transvection is a masked XOR, and the arms of the
+transvection search are ``np.where`` selections.  The finished rows are
+reindexed into the blocked order.  One check that S^T Omega S = Omega
+runs on the whole stack.
 
 Every Pauli is a signed permutation of the computational basis: the
 column with bits (x, z) and sign bit r is the Hermitian Pauli
@@ -14,22 +30,17 @@ phase vector.  Dense conversion projects |0..0> onto the joint +1
 eigenspace of the Z images (applying an X image instead where the vector
 lies in a -1 eigenspace), makes the first nonzero amplitude of U|0..0>
 real positive, and fills the columns with high bit j from those below
-through one X image, so every entry is exact up to floating arithmetic.
+through one X image.  Each step is one gather over the stack, and every
+entry is exact up to floating arithmetic.
 
-Uniform sampling follows the canonical-index construction of the
-symplectic group (Koenig-Smolin), which fixes the images of the first
-symplectic pair and recurses.  The walk keeps each symplectic vector as one
-2n-bit int in the index's interleaved order (bit 2i = x_i, bit 2i+1 =
-z_i): the inner product is one popcount and a transvection one
-conditional XOR.  The only array is the finished tableau, reindexed into
-the blocked order as it is built.  Exhaustive enumeration walks the same
-indices: each symplectic matrix is converted once with zero sign bits and
-right-multiplied by each of the 4^n Paulis X^a Z^b as a column gather,
-since sign bits r on the X and Z generators amount to the right factor
-X^{r_z} Z^{r_x}, up to global phase.  The group comes back as one
-read-only (count, 2^n, 2^n) array.  Enumeration is an oracle only: the
-exact Clifford twirl is a commutant projection in ``twirls``, and the
-group average checks it in ``checks`` and the tests.
+Exhaustive enumeration walks all canonical indices as one batch,
+converts them with zero sign bits and right-multiplies each by the 4^n
+Paulis X^a Z^b as a column gather, since sign bits r on the X and Z
+generators amount to the right factor X^{r_z} Z^{r_x}, up to global
+phase.  The group comes back as one read-only (count, 2^n, 2^n) array.
+Enumeration is an oracle only: the exact Clifford twirl is a commutant
+projection in ``twirls``, and the group average checks it in ``checks``
+and the tests.
 """
 
 from __future__ import annotations
@@ -53,26 +64,20 @@ def default_clifford_method(n: int) -> str:
 
 
 _I_POWERS = np.array([1, 1j, -1, -1j])
+_ZERO, _ONE, _TWO, _THREE = (np.uint64(v) for v in range(4))
 
 
 @cache
-def _basis_bits(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The basis labels 0..2^n-1 and the parity of each label's bits."""
+def _basis_bits(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The basis labels 0..2^n-1 and the parity and popcount of each label's bits."""
     labels = np.arange(1 << n)
-    parity = np.zeros(1 << n, dtype=np.int64)
+    popcount = np.zeros(1 << n, dtype=np.int64)
     for q in range(n):
-        parity ^= (labels >> q) & 1
-    labels.setflags(write=False)
-    parity.setflags(write=False)
-    return labels, parity
-
-
-def _pauli_action(x: int, z: int, r: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(source, phase) with P v = phase * v[source] for the Hermitian Pauli
-    with bit masks x, z (qubit 0 most significant) and sign bit r."""
-    labels, parity = _basis_bits(n)
-    source = labels ^ x
-    return source, _I_POWERS[(2 * (r + parity[z & source]) + (x & z).bit_count()) % 4]
+        popcount += (labels >> q) & 1
+    parity = popcount & 1
+    for arr in (labels, parity, popcount):
+        arr.setflags(write=False)
+    return labels, parity, popcount
 
 
 def symplectic_form(n: int) -> np.ndarray:
@@ -80,6 +85,60 @@ def symplectic_form(n: int) -> np.ndarray:
     omega[:n, n:] = np.eye(n, dtype=np.uint8)
     omega[n:, :n] = np.eye(n, dtype=np.uint8)
     return omega
+
+
+def _check_tableaus(n: int, symplectic: np.ndarray, phase: np.ndarray) -> None:
+    """Raise ``DomainError`` unless every tableau of the stack has the right
+    shape and preserves the symplectic form."""
+    if symplectic.shape[1:] != (2 * n, 2 * n) or phase.shape != symplectic.shape[:2]:
+        raise DomainError(
+            f"tableau shapes {symplectic.shape[1:]}, {phase.shape[1:]} invalid for n={n}"
+        )
+    omega = symplectic_form(n)
+    kept = np.all((symplectic.transpose(0, 2, 1) @ omega @ symplectic) % 2 == omega, axis=(1, 2))
+    if not kept.all():
+        raise DomainError(
+            f"tableau {int(np.argmin(kept))} of {len(kept)} does not preserve the symplectic form"
+        )
+
+
+def tableau_unitaries(n: int, symplectic, phase) -> np.ndarray:
+    """Exact dense unitaries of a stack of tableaus, (count, 2^n, 2^n).
+
+    ``symplectic`` is (count, 2n, 2n) and ``phase`` (count, 2n), both 0/1.
+    The whole stack is checked first: a tableau that does not preserve the
+    symplectic form raises ``DomainError``.  The global phase of each
+    unitary is fixed by making the first nonzero amplitude of U|0..0> real
+    positive.
+    """
+    symplectic, phase = np.asarray(symplectic, dtype=np.uint8), np.asarray(phase, dtype=np.uint8)
+    check_capacity(1 << n)
+    _check_tableaus(n, symplectic, phase)
+    count, N = len(symplectic), 1 << n
+    labels, parity, popcount = _basis_bits(n)
+    weights = 1 << np.arange(n - 1, -1, -1)  # qubit 0 is the most significant bit
+    xs, zs = weights @ symplectic[:, :n], weights @ symplectic[:, n:]  # (count, 2n) image masks
+    sources = labels ^ xs[:, :, None]  # image j of sample k: P v = phases[k, j] * v[sources[k, j]]
+    powers = 2 * (phase[:, :, None] + parity[zs[:, :, None] & sources]) + popcount[xs & zs][:, :, None]
+    phases = _I_POWERS[powers % 4]
+    k = np.arange(count)[:, None]
+
+    u0 = np.zeros((count, N), dtype=complex)
+    u0[:, 0] = 1.0
+    for j in range(n):  # project onto the +1 eigenspace of each Z image
+        half = (u0 + phases[:, n + j] * u0[k, sources[:, n + j]]) / 2.0
+        flipped = phases[:, j] * u0[k, sources[:, j]]  # -1 eigenvector: the X image anticommutes
+        u0 = np.where(half.any(axis=1, keepdims=True), half, flipped)
+    u0 = u0 / np.linalg.norm(u0, axis=1, keepdims=True)  # the amplitudes are dyadic: exact
+    lead = u0[k[:, 0], np.argmax(np.abs(u0) > 1e-8, axis=1)]
+    u0 = u0 * (np.abs(lead) / lead)[:, None]
+
+    U = np.empty((count, N, N), dtype=complex)
+    U[:, :, 0] = u0
+    for j in range(n):  # labels are big-endian: bit j belongs to qubit n-1-j
+        image = n - 1 - j
+        U[:, :, 1 << j : 2 << j] = phases[:, image, :, None] * U[k, sources[:, image], : 1 << j]
+    return U
 
 
 @dataclass(frozen=True)
@@ -98,11 +157,7 @@ class CliffordElement:
     def __post_init__(self):
         S = np.asarray(self.symplectic, dtype=np.uint8) % 2
         r = np.asarray(self.phase, dtype=np.uint8) % 2
-        if S.shape != (2 * self.n, 2 * self.n) or r.shape != (2 * self.n,):
-            raise DomainError(f"tableau shapes {S.shape}, {r.shape} invalid for n={self.n}")
-        omega = symplectic_form(self.n)
-        if not np.array_equal((S.T @ omega @ S) % 2, omega):
-            raise DomainError("tableau does not preserve the symplectic form")
+        _check_tableaus(self.n, S[None], r[None])
         S.setflags(write=False)
         r.setflags(write=False)
         object.__setattr__(self, "symplectic", S)
@@ -115,69 +170,65 @@ class CliffordElement:
     def to_dense(self) -> DenseOperator:
         """Exact dense unitary realizing the tableau (global phase fixed
         by making the first nonzero amplitude of U|0..0> real positive)."""
-        n = self.n
-        N = 1 << n
-        check_capacity(N)
-        weights = 1 << np.arange(n - 1, -1, -1)  # qubit 0 is the most significant bit
-        xs, zs = (weights @ self.symplectic[:n]).tolist(), (weights @ self.symplectic[n:]).tolist()
-        images = [_pauli_action(x, z, r, n) for x, z, r in zip(xs, zs, self.phase.tolist())]
-
-        u0 = np.zeros(N, dtype=complex)
-        u0[0] = 1.0
-        for j in range(n):  # project onto the +1 eigenspace of each Z image
-            source, phase = images[n + j]
-            half = (u0 + phase * u0[source]) / 2.0
-            if not half.any():  # -1 eigenvector: the X image anticommutes
-                source, phase = images[j]
-                half = phase * u0[source]
-            u0 = half
-        u0 = u0 / np.linalg.norm(u0)
-        lead = u0[np.abs(u0) > 1e-8][0]
-        u0 = u0 * (abs(lead) / lead)
-
-        U = np.empty((N, N), dtype=complex)
-        U[:, 0] = u0
-        for j in range(n):  # labels are big-endian: bit j belongs to qubit n-1-j
-            source, phase = images[n - 1 - j]
-            U[:, 1 << j : 2 << j] = phase[:, None] * U[source, : 1 << j]
-        return DenseOperator(U, (2,) * n)
+        U = tableau_unitaries(self.n, self.symplectic[None], self.phase[None])[0]
+        return DenseOperator(U, (2,) * self.n)
 
 
 # ---------------------------------------------------------------------------
-# Uniform sampling via the canonical symplectic-group construction.
-# The walk keeps every symplectic vector as one 2n-bit int in the
-# interleaved convention of the index (bit 2i = x_i, bit 2i+1 = z_i); the
-# finished rows are reindexed into the blocked tableau once, as it is built.
+# Uniform sampling via the canonical symplectic-group construction, walked
+# on a whole batch of indices.  Symplectic vectors are uint64 masks in the
+# interleaved convention of the index (bit 2i = x_i, bit 2i+1 = z_i).
 # ---------------------------------------------------------------------------
 
-def _sym_inner(v: int, w: int, even: int) -> int:
-    """Symplectic inner product; ``even`` has the x bit of every pair set."""
-    return (((v & (w >> 1)) ^ ((v >> 1) & w)) & even).bit_count() & 1
+def _sym_inner(v: np.ndarray, w: np.ndarray, even: int) -> np.ndarray:
+    """Symplectic inner products as booleans; ``even`` has the x bit of every pair set.
+
+    The masked product has bits only at x positions, so xor-folding it by
+    2, 4, ... up to the top pair collects its parity in bit 0.
+    """
+    p = ((v & (w >> _ONE)) ^ ((v >> _ONE) & w)) & np.uint64(even)
+    for shift in (32, 16, 8, 4, 2):
+        if shift < even.bit_length():
+            p = p ^ (p >> np.uint64(shift))
+    return (p & _ONE) != 0
 
 
-def _transvect(k: int, v: int, even: int) -> int:
-    return v ^ k if _sym_inner(k, v, even) else v
+def _transvect(k: np.ndarray, v: np.ndarray, even: int) -> np.ndarray:
+    return np.where(_sym_inner(k, v, even), v ^ k, v)
 
 
-def _find_transvection(x: int, y: int, even: int) -> tuple[int, int]:
-    """Vectors h0, h1 with y = Z_h0 Z_h1 x (zero acts as identity)."""
-    if x == y:
-        return 0, 0
-    if _sym_inner(x, y, even):
-        return x ^ y, 0
-    nx, ny = (x | (x >> 1)) & even, (y | (y >> 1)) & even  # the x bit of each nonzero pair
-    if both := nx & ny:  # the first qubit where both are nonzero
-        s = (both & -both).bit_length() - 1
-        xp, yp = (x >> s) & 3, (y >> s) & 3
-        zp = xp ^ yp or (2 if xp == 3 else 3)
-        return x ^ (zp << s), y ^ (zp << s)
-    z = 0
-    for u, only in ((x, nx & ~ny), (y, ny & ~nx)):  # the first qubit where only u is nonzero
-        if only:
-            s = (only & -only).bit_length() - 1
-            up = (u >> s) & 3
-            z |= (2 if up == 3 else up ^ 3) << s
-    return x ^ z, y ^ z
+def _lowest_bit(v: np.ndarray) -> np.ndarray:
+    return v & (~v + _ONE)
+
+
+def _pair(u: np.ndarray, bit: np.ndarray) -> np.ndarray:
+    """The (x, z) pair of u whose x bit is ``bit`` (a power of two), as 0..3."""
+    return (u // np.maximum(bit, _ONE)) & _THREE
+
+
+def _find_transvections(x: np.ndarray, y: np.ndarray, even: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vectors h0, h1 with y = Z_h0 Z_h1 x, elementwise (zero acts as identity).
+
+    Equal vectors need nothing and a nonzero inner product needs x ^ y.
+    Otherwise one vector z joins them: it is set at the first qubit where
+    both are nonzero, or else at the first qubit where only x and the
+    first where only y is nonzero.
+    """
+    nx = (x | (x >> _ONE)) & np.uint64(even)  # the x bit of each nonzero pair
+    ny = (y | (y >> _ONE)) & np.uint64(even)
+    both = _lowest_bit(nx & ny)
+    xp, yp = _pair(x, both), _pair(y, both)
+    z_both = np.where(xp == yp, np.where(xp == _THREE, _TWO, _THREE), xp ^ yp) * both
+    only_x, only_y = _lowest_bit(nx & ~ny), _lowest_bit(ny & ~nx)
+    up_x, up_y = _pair(x, only_x), _pair(y, only_y)
+    z_only = (np.where(up_x == _THREE, _TWO, up_x ^ _THREE) * only_x) | (
+        np.where(up_y == _THREE, _TWO, up_y ^ _THREE) * only_y
+    )
+    z = np.where(both != _ZERO, z_both, z_only)
+    inner = _sym_inner(x, y, even)
+    h0 = np.where(x == y, _ZERO, np.where(inner, x ^ y, x ^ z))
+    h1 = np.where((x == y) | inner, _ZERO, y ^ z)
+    return h0, h1
 
 
 def _num_cosets(n: int) -> int:
@@ -192,52 +243,80 @@ def symplectic_group_order(n: int) -> int:
     return out
 
 
-def _symplectic_rows(i: int, n: int) -> list[int]:
-    """Rows of the i-th 2n x 2n symplectic matrix, each a 2n-bit int."""
-    nn = 2 * n
-    s = (1 << nn) - 1
-    even = s // 3  # 0b0101...01: the x bit of every pair
-    f1 = i % s + 1
-    i //= s
-    h1, h2 = _find_transvection(1, f1, even)
-    bits = i % (1 << (nn - 1))
-    h0 = _transvect(h2, _transvect(h1, 1 | ((bits >> 1) << 2), even), even)
-    if bits & 1:
-        f1 = 0
-    rows = [1, 2]
-    if n > 1:
-        rows += [r << 2 for r in _symplectic_rows(i >> (nn - 1), n - 1)]
-    for k in (h1, h2, h0, f1):
-        rows = [_transvect(k, r, even) for r in rows]
-    return rows
+def _symplectic_stack(indices, n: int) -> np.ndarray:
+    """The symplectic matrices of canonical indices as blocked uint8 tableaus
+    (x-part, then z-part), shape (count, 2n, 2n).
+
+    Level k of the walk fixes the images of pair k of a 2k-bit space, and
+    the outermost level (k = n) takes the lowest digits of the index.  The
+    digits are split off as Python ints, since an index may exceed 64 bits;
+    the walk then runs from level 1 outwards on the whole batch.
+    """
+    if 2 * n > 64:
+        raise DomainError(f"the tableau walk holds 2n <= 64 bits, got n = {n}")
+    rest = np.array(indices, dtype=object)
+    digits = []
+    for k in range(n, 0, -1):
+        s = (1 << (2 * k)) - 1
+        f1 = (rest % s + 1).astype(np.uint64)
+        rest = rest // s
+        bits = (rest % (1 << (2 * k - 1))).astype(np.uint64)
+        rest = rest // (1 << (2 * k - 1))
+        digits.append((f1, bits))
+    rows = np.zeros((len(rest), 0), dtype=np.uint64)
+    for k, (f1, bits) in enumerate(reversed(digits), start=1):
+        even = ((1 << (2 * k)) - 1) // 3  # 0b0101...01: the x bit of every pair
+        h1, h2 = _find_transvections(np.ones_like(f1), f1, even)
+        h0 = _transvect(h2, _transvect(h1, _ONE | ((bits >> _ONE) << _TWO), even), even)
+        first = np.tile(np.array([1, 2], dtype=np.uint64), (len(rows), 1))  # X, Z of qubit 0
+        rows = np.concatenate([first, rows << _TWO], axis=1)
+        for v in (h1, h2, h0, np.where(bits & _ONE, _ZERO, f1)):
+            rows = _transvect(v[:, None], rows, even)
+    order = np.arange(2 * n, dtype=np.uint64).reshape(n, 2).T.ravel()  # x bits, then z bits
+    blocked = rows[:, order]
+    return ((blocked[:, :, None] >> order) & _ONE).astype(np.uint8)
 
 
 def _symplectic_matrix(i: int, n: int) -> np.ndarray:
-    """The i-th symplectic matrix as a blocked tableau (x-part, then z-part)."""
-    rows = _symplectic_rows(i, n)
-    order = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
-    return np.array([[(rows[a] >> b) & 1 for b in order] for a in order], dtype=np.uint8)
+    """The i-th symplectic matrix as a blocked tableau: a batch of one."""
+    return _symplectic_stack([i], n)[0]
+
+
+def sample_tableaus(n: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Uniformly random n-qubit tableaus, one per seed: the symplectic stack
+    (count, 2n, 2n) and the sign bits (count, 2n).
+
+    Each seed feeds its own generator, which draws a uniform canonical index
+    into the symplectic group and then 2n uniform sign bits; together these
+    parametrize the Clifford group mod phase exactly once each.  The walk
+    from indices to matrices runs on the whole batch.
+    """
+    order = symplectic_group_order(n)
+    nbytes = (order.bit_length() + 7) // 8 + 8
+    limit = (1 << (8 * nbytes)) // order * order
+    seeds = list(seeds)
+    indices, phase = [], np.empty((len(seeds), 2 * n), dtype=np.uint8)
+    for k, seed in enumerate(seeds):
+        rng = as_generator(seed)
+        idx = limit
+        while idx >= limit:  # rejection sampling on a wide uniform integer
+            idx = int.from_bytes(rng.bytes(nbytes), "big")
+        indices.append(idx % order)
+        phase[k] = rng.integers(0, 2, size=2 * n, dtype=np.uint8)
+    return _symplectic_stack(indices, n), phase
+
+
+def sample_clifford_unitaries(n: int, seeds) -> np.ndarray:
+    """Dense uniformly random Cliffords, one per seed, as one (count, 2^n,
+    2^n) stack; entry k is ``sample_clifford(n, seeds[k]).to_dense()``."""
+    return tableau_unitaries(n, *sample_tableaus(n, seeds))
 
 
 def sample_clifford(n: int, seed) -> CliffordElement:
-    """A uniformly random n-qubit Clifford (mod global phase), per seed.
-
-    Samples a uniform canonical index into the symplectic group plus 2n
-    uniform sign bits; together these parametrize the Clifford group mod
-    phase exactly once each.
-    """
-    rng = as_generator(seed)
-    order = symplectic_group_order(n)
-    nbytes = (order.bit_length() + 7) // 8 + 8
-    while True:  # rejection sampling on a wide uniform integer
-        idx = int.from_bytes(rng.bytes(nbytes), "big")
-        limit = (1 << (8 * nbytes)) // order * order
-        if idx < limit:
-            idx %= order
-            break
-    S = _symplectic_matrix(idx, n)
-    phase = rng.integers(0, 2, size=2 * n, dtype=np.uint8)
-    return CliffordElement(n, S, phase)
+    """A uniformly random n-qubit Clifford (mod global phase), per seed:
+    ``sample_tableaus`` on a batch of one."""
+    symplectic, phase = sample_tableaus(n, [seed])
+    return CliffordElement(n, symplectic[0], phase[0])
 
 
 # ---------------------------------------------------------------------------
@@ -250,23 +329,20 @@ def enumerate_cliffords(n: int = 1) -> np.ndarray:
     """All n-qubit Cliffords mod global phase, as one read-only
     (count, 2^n, 2^n) array, built once per n and shared by every caller.
 
-    Each canonical symplectic index is converted once with zero sign bits
-    and right-multiplied by every Pauli X^a Z^b, (U X^a Z^b)|c> =
+    Every canonical symplectic index is converted in one batch with zero
+    sign bits and right-multiplied by every Pauli X^a Z^b, (U X^a Z^b)|c> =
     (-1)^{b.c} U|c ^ a>: 24 elements at n=1, 11520 at n=2.  Larger n
     raises ``CapacityError`` (n=3 has 92,897,280 elements).
     """
     if not 1 <= n <= EXACT_QUBIT_CAP:
         raise CapacityError(f"Clifford enumeration needs 1 <= n <= {EXACT_QUBIT_CAP}, got {n}")
     N = 1 << n
-    labels, parity = _basis_bits(n)
+    labels, parity, _ = _basis_bits(n)
     columns = labels[:, None] ^ labels[None, :]  # (a, c) -> c ^ a
     signs = 1 - 2 * parity[labels[:, None] & labels[None, :]]  # (b, c) -> (-1)^{b.c}
-    no_signs = np.zeros(2 * n, dtype=np.uint8)
-    blocks = []
-    for i in range(symplectic_group_order(n)):
-        U = CliffordElement(n, _symplectic_matrix(i, n), no_signs).to_dense().entries
-        products = U[:, columns][:, :, None, :] * signs[None, None]  # (row, a, b, c)
-        blocks.append(products.transpose(1, 2, 0, 3).reshape(-1, N, N))
-    out = np.concatenate(blocks)
+    order = symplectic_group_order(n)
+    U = tableau_unitaries(n, _symplectic_stack(range(order), n), np.zeros((order, 2 * n), dtype=np.uint8))
+    products = U[:, :, columns][:, :, :, None, :] * signs  # (index, row, a, b, c)
+    out = products.transpose(0, 2, 3, 1, 4).reshape(-1, N, N)
     out.setflags(write=False)
     return out

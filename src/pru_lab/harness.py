@@ -29,12 +29,13 @@ from .operators import (
     StateVector,
     check_capacity,
     distinct_mask,
+    register_dim,
     trace_distance,
     workspace_dim,
 )
 from .pru import pru_average_state
 from .schur_weyl import ratio_report
-from .twirls import distinct_overlap_after_clifford, haar_twirl_exact, pf_twirl
+from .twirls import clifford_exact_is_haar, distinct_overlap_after_clifford, haar_twirl_exact, pf_twirl
 
 SCHEMA = "pru-lab/1"
 
@@ -67,7 +68,7 @@ class ExperimentConfig:
             raise DomainError("t must be between 1 and 4")
         if self.state_family not in STATE_FAMILIES:
             raise DomainError(f"unknown state family {self.state_family!r}")
-        if self.t > 2**self.n:
+        if self.t > register_dim(self.n):
             raise DomainError("the distinct subspace is empty when t > 2^n")
         check_capacity(2 ** (self.n * self.t) * self.dim_e)
         if self.clifford_method not in ("exact", "monte_carlo", "none"):
@@ -194,7 +195,7 @@ def build_state(family: str, n: int, t: int, dim_e: int, seed) -> StateVector:
     """A normalized input state on the t query registers plus workspace."""
     if t < 1 or dim_e < 1:
         raise DomainError(f"t and dim_e must be at least 1, got t = {t}, dim_e = {dim_e}")
-    d = 2**n
+    d = register_dim(n)
     nA = d**t
     total = nA * dim_e
     check_capacity(total)
@@ -277,7 +278,6 @@ def run_security_experiment(config: ExperimentConfig) -> ExperimentReport:
     params = {"n": config.n, "t": t, "dim_e": config.dim_e}
     psi = build_state(config.state_family, config.n, t, config.dim_e, config.seed)
 
-    rho_hr = haar_twirl_exact(psi, d, t)
     if config.clifford_method == "none":
         xi = psi.to_density()
         overlap_info = None
@@ -289,6 +289,10 @@ def run_security_experiment(config: ExperimentConfig) -> ExperimentReport:
         )
         xi = overlap_info["state"]
         mc_slack = config.mc_sigma * overlap_info["std_error"]
+    if config.clifford_method == "exact" and clifford_exact_is_haar(t):
+        rho_hr = xi  # the same projection onto span{R_pi}
+    else:
+        rho_hr = haar_twirl_exact(psi, d, t)
     rho_fr = pf_twirl(xi, d, t)
     distance = trace_distance(rho_fr, rho_hr)
 

@@ -37,6 +37,13 @@ def check_capacity(dim: int):
         raise CapacityError(f"total dimension {dim} exceeds cap {cap} (PRU_LAB_DIM_CAP)")
 
 
+def register_dim(n: int) -> int:
+    """2^n, the dimension of an n-qubit register, for n >= 0."""
+    if n < 0:
+        raise DomainError(f"the qubit count n must be at least 0, got {n}")
+    return 2**n
+
+
 def workspace_dim(dim: int, d: int, t: int) -> int:
     """dim_e for a total dimension dim = d^t * dim_e (system first)."""
     n = d**t

@@ -7,6 +7,12 @@ desk-scale statistical experiments need.  (A production instantiation
 would slot a cipher-based permutation and PRF behind the same interface;
 nothing downstream would change.)  The Clifford component is keyed by
 seeding the uniform tableau sampler.
+
+Keyed unitaries are built in batches: the Clifford stack of a batch of
+keys comes from one call into the batched sampler, and P F C is that
+stack with its rows gathered through each inverse permutation and signed
+by each phase table.  ``pru_unitary`` is a batch of one, and the keyed
+average feeds the averaging driver one batch per MC_CHUNK sorted keys.
 """
 
 from __future__ import annotations
@@ -15,7 +21,9 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from .clifford import sample_clifford
+import numpy as np
+
+from .clifford import sample_clifford_unitaries
 from .errors import DomainError
 from .operators import (
     BooleanFunction,
@@ -25,10 +33,8 @@ from .operators import (
     StateVector,
     as_generator,
     check_capacity,
-    phase_op,
-    perm_op,
 )
-from .twirls import _average_conjugation, _stacked
+from .twirls import MC_CHUNK, _average_conjugation
 
 KEY_BYTES = 16
 
@@ -140,16 +146,28 @@ def clifford_seed(k3: bytes) -> int:
     return int.from_bytes(k3, "big")
 
 
+def _keyed_unitaries(n: int, keys) -> np.ndarray:
+    """Dense keyed unitaries P F C, one per key, as a (count, 2^n, 2^n) stack.
+
+    Row y of P F C is row pi^-1(y) of the Clifford times the phase sign at
+    pi^-1(y), so the stack is one row gather plus a sign on the Clifford
+    stack.  The whole stack is checked for unitarity to 1e-10.
+    """
+    check_capacity(2**n)
+    prp, prf = PrpScheme(n), PrfScheme(n)
+    cliffords = sample_clifford_unitaries(n, [clifford_seed(key.k3) for key in keys])
+    inverse = np.argsort([prp.table(key.k1).images for key in keys], axis=1)
+    signs = 1.0 - 2.0 * np.array([prf.table(key.k2).bits for key in keys], dtype=float)
+    k = np.arange(len(keys))[:, None]
+    U = signs[k, inverse][:, :, None] * cliffords[k, inverse]
+    if not np.abs(U.conj().transpose(0, 2, 1) @ U - np.eye(2**n)).max() <= 1e-10:
+        raise DomainError("assembled keyed unitary failed the unitarity check")
+    return U
+
+
 def pru_unitary(key: PruKey, n: int) -> DenseOperator:
     """Dense keyed unitary: permutation operator * phase operator * Clifford."""
-    check_capacity(2**n)
-    P = perm_op(PrpScheme(n).table(key.k1))
-    F = phase_op(PrfScheme(n).table(key.k2))
-    C = sample_clifford(n, clifford_seed(key.k3)).to_dense()
-    U = P @ F @ C
-    if not U.is_unitary(1e-10):
-        raise DomainError("assembled keyed unitary failed the unitarity check")
-    return DenseOperator(U.entries, (2,) * n)
+    return DenseOperator(_keyed_unitaries(n, [key])[0], (2,) * n)
 
 
 def sample_keys(n: int, count: int, seed) -> list[PruKey]:
@@ -164,8 +182,8 @@ def pru_average_state_from_keys(psi: StateVector, t: int, n: int, keys) -> Densi
     key multiset, bitwise.
     """
     keys = sorted(keys)
-    mats = (pru_unitary(key, n).entries for key in keys)
-    avg = _average_conjugation(psi, 2**n, t, _stacked(mats))
+    batches = (_keyed_unitaries(n, keys[i : i + MC_CHUNK]) for i in range(0, len(keys), MC_CHUNK))
+    avg = _average_conjugation(psi, 2**n, t, batches)
     meta = {"num_keys": len(keys), "std_error_fro": avg.std_error_fro}
     nA = 2 ** (n * t)
     return DensityMatrix(avg.mean, (nA, psi.dim // nA), meta=meta)

@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clifford import sample_clifford
+from .clifford import sample_clifford_unitaries
 from .errors import DomainError
 from .operators import (
     DenseOperator,
@@ -441,6 +441,12 @@ def ensemble_twirl(state, ops, d: int, t: int):
     return _wrap(avg.mean, avg.was_state, d, t, meta={"method": "exact", "samples": len(ops)})
 
 
+def clifford_exact_is_haar(t: int) -> bool:
+    """Whether the exact Clifford twirl of t copies is the exact Haar twirl:
+    the Clifford group is a unitary 3-design, so it is for every t <= 3."""
+    return t <= 3
+
+
 def _clifford_sample_seed(seed, index: int) -> list:
     return derive_seed(seed, index // MC_CHUNK, index % MC_CHUNK)
 
@@ -454,13 +460,16 @@ def _clifford_average(state, n: int, t: int, method: str, samples: int, seed, we
             raise DomainError(
                 f"the exact Clifford twirl covers t <= 4, got t = {t}; use method='monte_carlo'"
             )
-        return _project_onto_commutant(state, d, t, pauli=t == 4), None
+        return _project_onto_commutant(state, d, t, pauli=not clifford_exact_is_haar(t)), None
     if method != "monte_carlo":
         raise DomainError(f"unknown method {method!r}")
-    mats = (
-        sample_clifford(n, _clifford_sample_seed(seed, i)).to_dense().entries for i in range(samples)
+    batches = (
+        sample_clifford_unitaries(
+            n, [_clifford_sample_seed(seed, index * MC_CHUNK + j) for j in range(count)]
+        )
+        for index, count in _chunk_seeds(samples)
     )
-    avg = _average_conjugation(state, d, t, _stacked(mats), weights)
+    avg = _average_conjugation(state, d, t, batches, weights)
     meta = {
         "method": "monte_carlo",
         "samples": samples,
@@ -477,9 +486,10 @@ def clifford_twirl(state, n: int, t: int, method: str = "exact", samples: int = 
     slot permutations for t <= 3, where the Clifford group is a unitary
     3-design, and the slot permutations times the Pauli projector Q for
     t = 4.  It runs at every n under the dimension cap; t >= 5 raises.
-    Monte-Carlo averaging converts ``samples`` sampled tableaus, sample i
-    drawn from the seed (seed, i // MC_CHUNK, i % MC_CHUNK), and attaches
-    the Frobenius standard error of the mean to the metadata.
+    Monte-Carlo averaging samples and converts ``samples`` tableaus one
+    MC_CHUNK batch at a time, sample i drawn from the seed (seed,
+    i // MC_CHUNK, i % MC_CHUNK), and attaches the Frobenius standard error
+    of the mean to the metadata.
     """
     return _clifford_average(state, n, t, method, samples, seed)[0]
 

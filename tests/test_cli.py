@@ -139,6 +139,26 @@ def test_bad_sizes_are_domain_errors(capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["twirl", "--channel", "pf", "--n", "-1", "--t", "1"],
+    ["verify", "--n", "-1", "--t", "2", "--check", "weyl_dimension_sum"],
+    ["security", "--n", "-1", "--t", "1"],
+    ["sweep", "--n", "-1", "--t", "1"],
+], ids=["twirl", "verify", "security", "sweep"])
+def test_negative_qubit_counts_are_domain_errors(capsys, argv):
+    code = cli_main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: the qubit count n must be at least 0, got -1")
+    assert captured.out == ""
+
+
+def test_zero_qubits_stay_allowed(capsys):
+    code, out = run_cli(capsys, "twirl", "--channel", "pf", "--n", "0", "--t", "1")
+    assert code == 0
+    assert json.loads(out)["quantities"]["trace"] == pytest.approx(1.0)
+
+
 # --- a bound that fails is a failed record in a complete report ---------------
 
 def _serve_altered_first_block(monkeypatch, alter):

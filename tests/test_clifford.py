@@ -7,7 +7,16 @@ import pytest
 from scipy import stats
 
 from pru_lab import CapacityError, CliffordElement, DomainError, enumerate_cliffords, sample_clifford
-from pru_lab.clifford import _symplectic_matrix, symplectic_form, symplectic_group_order
+from pru_lab.clifford import (
+    _symplectic_matrix,
+    sample_clifford_unitaries,
+    sample_tableaus,
+    symplectic_form,
+    symplectic_group_order,
+    tableau_unitaries,
+)
+from pru_lab.operators import perm_op, phase_op
+from pru_lab.pru import PrfScheme, PrpScheme, _keyed_unitaries, clifford_seed, sample_key
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -214,3 +223,154 @@ def test_dense_cap(monkeypatch):
     assert sample_clifford(2, 0).to_dense().dim == 4
     with pytest.raises(CapacityError):
         sample_clifford(3, 0).to_dense()
+
+
+# --- the batched walk and conversion against scalar oracles -------------------
+# The oracles below are the scalar implementations the batched path replaced:
+# the Koenig-Smolin walk on Python ints, one index at a time, and the dense
+# conversion of one tableau.  They fix the stream the batched path must keep.
+
+def _oracle_inner(v, w, even):
+    return (((v & (w >> 1)) ^ ((v >> 1) & w)) & even).bit_count() & 1
+
+
+def _oracle_transvect(k, v, even):
+    return v ^ k if _oracle_inner(k, v, even) else v
+
+
+def _oracle_find_transvection(x, y, even):
+    if x == y:
+        return 0, 0
+    if _oracle_inner(x, y, even):
+        return x ^ y, 0
+    nx, ny = (x | (x >> 1)) & even, (y | (y >> 1)) & even
+    if both := nx & ny:
+        s = (both & -both).bit_length() - 1
+        xp, yp = (x >> s) & 3, (y >> s) & 3
+        zp = xp ^ yp or (2 if xp == 3 else 3)
+        return x ^ (zp << s), y ^ (zp << s)
+    z = 0
+    for u, only in ((x, nx & ~ny), (y, ny & ~nx)):
+        if only:
+            s = (only & -only).bit_length() - 1
+            up = (u >> s) & 3
+            z |= (2 if up == 3 else up ^ 3) << s
+    return x ^ z, y ^ z
+
+
+def _oracle_rows(i, n):
+    nn = 2 * n
+    s = (1 << nn) - 1
+    even = s // 3
+    f1 = i % s + 1
+    i //= s
+    h1, h2 = _oracle_find_transvection(1, f1, even)
+    bits = i % (1 << (nn - 1))
+    h0 = _oracle_transvect(h2, _oracle_transvect(h1, 1 | ((bits >> 1) << 2), even), even)
+    if bits & 1:
+        f1 = 0
+    rows = [1, 2]
+    if n > 1:
+        rows += [r << 2 for r in _oracle_rows(i >> (nn - 1), n - 1)]
+    for k in (h1, h2, h0, f1):
+        rows = [_oracle_transvect(k, r, even) for r in rows]
+    return rows
+
+
+def _oracle_symplectic(i, n):
+    rows = _oracle_rows(i, n)
+    order = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
+    return np.array([[(rows[a] >> b) & 1 for b in order] for a in order], dtype=np.uint8)
+
+
+def _oracle_sample(n, seed):
+    rng = np.random.default_rng(seed)
+    order = symplectic_group_order(n)
+    nbytes = (order.bit_length() + 7) // 8 + 8
+    while True:
+        idx = int.from_bytes(rng.bytes(nbytes), "big")
+        if idx < (1 << (8 * nbytes)) // order * order:
+            break
+    return _oracle_symplectic(idx % order, n), rng.integers(0, 2, size=2 * n, dtype=np.uint8)
+
+
+def _oracle_dense(S, r):
+    n = len(r) // 2
+    N = 1 << n
+    labels = np.arange(N)
+    parity = np.array([bin(b).count("1") & 1 for b in range(N)])
+    weights = 1 << np.arange(n - 1, -1, -1)
+    images = []
+    for x, z, sign in zip((weights @ S[:n]).tolist(), (weights @ S[n:]).tolist(), r.tolist()):
+        source = labels ^ x
+        power = 2 * (sign + parity[z & source]) + (x & z).bit_count()
+        images.append((source, np.array([1, 1j, -1, -1j])[power % 4]))
+    u0 = np.zeros(N, dtype=complex)
+    u0[0] = 1.0
+    for j in range(n):
+        source, phase = images[n + j]
+        half = (u0 + phase * u0[source]) / 2.0
+        if not half.any():
+            source, phase = images[j]
+            half = phase * u0[source]
+        u0 = half
+    u0 = u0 / np.linalg.norm(u0)
+    lead = u0[np.abs(u0) > 1e-8][0]
+    u0 = u0 * (abs(lead) / lead)
+    U = np.empty((N, N), dtype=complex)
+    U[:, 0] = u0
+    for j in range(n):
+        source, phase = images[n - 1 - j]
+        U[:, 1 << j : 2 << j] = phase[:, None] * U[source, : 1 << j]
+    return U
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_batched_sampling_equals_the_scalar_oracle(n):
+    """512 seeds in one batch: tableaus, sign bits and dense unitaries are
+    bitwise the scalar walk's and the scalar conversion's."""
+    seeds = [[29, 0, j] for j in range(512)]
+    symplectic, phase = sample_tableaus(n, seeds)
+    stack = sample_clifford_unitaries(n, seeds)
+    assert symplectic.dtype == np.uint8 and stack.shape == (512, 2**n, 2**n)
+    for k, seed in enumerate(seeds):
+        S, r = _oracle_sample(n, seed)
+        assert np.array_equal(symplectic[k], S) and np.array_equal(phase[k], r), k
+        assert np.array_equal(stack[k], _oracle_dense(S, r)), k
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_enumeration_equals_the_scalar_oracle(n):
+    """Every canonical index, converted with zero signs, times every Pauli."""
+    ops = enumerate_cliffords(n)
+    N = 2**n
+    zero = np.zeros(2 * n, dtype=np.uint8)
+    labels = np.arange(N)
+    parity = np.array([bin(b).count("1") & 1 for b in range(N)])
+    for i in range(0, symplectic_group_order(n), 7):
+        U = _oracle_dense(_oracle_symplectic(i, n), zero)
+        for a in range(N):
+            for b in range(N):
+                want = U[:, labels ^ a] * (1 - 2 * parity[labels & b])
+                assert np.array_equal(ops[(i * N + a) * N + b], want), (i, a, b)
+
+
+def test_batched_keyed_unitaries_equal_the_operator_product():
+    """P F C for 64 keys in one batch, against perm_op @ phase_op @ C with
+    C from the scalar oracle."""
+    n = 3
+    keys = [sample_key(n, s) for s in range(64)]
+    stack = _keyed_unitaries(n, keys)
+    for key, U in zip(keys, stack):
+        C = _oracle_dense(*_oracle_sample(n, clifford_seed(key.k3)))
+        P = perm_op(PrpScheme(n).table(key.k1)).entries
+        F = phase_op(PrfScheme(n).table(key.k2)).entries
+        assert np.array_equal(U, P @ F @ C)
+
+
+def test_one_corrupted_tableau_fails_its_batch():
+    symplectic, phase = sample_tableaus(2, range(8))
+    assert tableau_unitaries(2, symplectic, phase).shape == (8, 4, 4)
+    symplectic[5, :, 0] = 0  # a zero column cannot preserve the form
+    with pytest.raises(DomainError, match="tableau 5 of 8"):
+        tableau_unitaries(2, symplectic, phase)

@@ -130,13 +130,13 @@ def test_per_sample_overlaps_match_direct_projection():
 
 def test_security_run_samples_each_clifford_once(monkeypatch):
     seeds = []
-    real = twirls.sample_clifford
+    real = twirls.sample_clifford_unitaries
 
-    def counting(n, seed):
-        seeds.append(tuple(seed))
-        return real(n, seed)
+    def counting(n, batch):
+        seeds.extend(tuple(seed) for seed in batch)
+        return real(n, batch)
 
-    monkeypatch.setattr(twirls, "sample_clifford", counting)
+    monkeypatch.setattr(twirls, "sample_clifford_unitaries", counting)
     samples = 24
     run_security_experiment(
         ExperimentConfig(n=2, t=2, clifford_method="monte_carlo", clifford_samples=samples,
