@@ -81,23 +81,18 @@ class SuiteContext:
         return [self.seed, zlib.crc32(name.encode()), *map(int, cell)]
 
 
-def _random_states(dim: int, regs, count: int, seed) -> list[StateVector]:
+def _random_states(d: int, t: int, dim_e: int, count: int, seed,
+                   distinct: bool = False) -> list[StateVector]:
+    """Gaussian random pure states on (d^t, dim_e), supported on the distinct
+    system tuples when ``distinct``; the full support draws the same stream
+    as one complex normal vector per state."""
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        out.append(StateVector(v / np.linalg.norm(v), regs))
-    return out
-
-
-def _distinct_states(d: int, t: int, dim_e: int, count: int, seed) -> list[StateVector]:
-    rng = np.random.default_rng(seed)
-    mask = distinct_mask(d, t)
-    m = int(mask.sum())
+    support = distinct_mask(d, t) if distinct else np.ones(d**t, dtype=bool)
+    m = int(support.sum())
     out = []
     for _ in range(count):
         v = np.zeros((d**t, dim_e), dtype=complex)
-        v[mask] = rng.standard_normal((m, dim_e)) + 1j * rng.standard_normal((m, dim_e))
+        v[support] = rng.standard_normal((m, dim_e)) + 1j * rng.standard_normal((m, dim_e))
         v = v.reshape(-1)
         out.append(StateVector(v / np.linalg.norm(v), (d**t, dim_e)))
     return out
@@ -392,13 +387,10 @@ def _check_pp_commutation(ctx: SuiteContext, d: int, t: int):
 
 @per_cell_check("haar_commutant_vs_block")
 def _check_haar_paths(ctx: SuiteContext, d: int, t: int):
-    if d < t:
-        return []
     decomp = schur_weyl_basis(d, t)
     dim_e = 4 if (d, t) == (4, 2) else 2
     count = 20 if (d, t) == (4, 2) else 3
-    states = _random_states(d**t * dim_e, (d**t, dim_e), count,
-                            ctx.check_seed("haar_commutant_vs_block", d, t))
+    states = _random_states(d, t, dim_e, count, ctx.check_seed("haar_commutant_vs_block", d, t))
     worst = max(
         trace_distance(haar_twirl_exact(st, d, t), haar_twirl_schur_weyl(st, decomp))
         for st in states
@@ -414,11 +406,9 @@ def _check_haar_paths(ctx: SuiteContext, d: int, t: int):
 
 @per_cell_check("haar_invariance")
 def _check_haar_invariance(ctx: SuiteContext, d: int, t: int):
-    if d < t:
-        return []
     dim_e = 2
     seeds = ctx.check_seed("haar_invariance", d, t)
-    st = _random_states(d**t * dim_e, (d**t, dim_e), 1, seeds)[0]
+    st = _random_states(d, t, dim_e, 1, seeds)[0]
     out = haar_twirl_exact(st, d, t).entries
     rng = np.random.default_rng(seeds)
     worst = 0.0
@@ -438,7 +428,7 @@ def _check_haar_mc(ctx: SuiteContext, d: int, t: int):
     if (d, t) != (4, 2):
         return []
     N = ctx.samples_unitary
-    st = _random_states(d**t, (d**t, 1), 1, ctx.check_seed("haar_mc_agreement", d, t))[0]
+    st = _random_states(d, t, 1, 1, ctx.check_seed("haar_mc_agreement", d, t))[0]
     err = trace_distance(
         haar_twirl_mc(st, d, t, N, ctx.check_seed("haar_mc_agreement", d, t, 1)),
         haar_twirl_exact(st, d, t),
@@ -457,7 +447,7 @@ def _check_pf_mc(ctx: SuiteContext, d: int, t: int):
     if (d, t) != (4, 2):
         return []
     N = ctx.samples_unitary
-    st = _random_states(d**t, (d**t, 1), 1, ctx.check_seed("pf_mc_agreement", d, t))[0]
+    st = _random_states(d, t, 1, 1, ctx.check_seed("pf_mc_agreement", d, t))[0]
     err = trace_distance(
         pf_twirl_mc(st, d, t, N, ctx.check_seed("pf_mc_agreement", d, t, 1)),
         pf_twirl(st, d, t),
@@ -478,7 +468,8 @@ def _check_pf_formula(ctx: SuiteContext, d: int, t: int):
     decomp = schur_weyl_basis(d, t)
     dim_e = 4 if (d, t) == (4, 2) else 2
     count = 20 if (d, t) == (4, 2) else 5
-    states = _distinct_states(d, t, dim_e, count, ctx.check_seed("pf_formula_vs_generic", d, t))
+    seed = ctx.check_seed("pf_formula_vs_generic", d, t)
+    states = _random_states(d, t, dim_e, count, seed, distinct=True)
     worst = max(
         trace_distance(pf_twirl(st, d, t), pf_twirl_distinct_formula(st, decomp))
         for st in states
@@ -529,7 +520,7 @@ def _check_pf_basis_rule(ctx: SuiteContext, d: int, t: int):
 
 @per_cell_check("pf_idempotence")
 def _check_pf_idempotence(ctx: SuiteContext, d: int, t: int):
-    st = _random_states(d**t * 2, (d**t, 2), 1, ctx.check_seed("pf_idempotence", d, t))[0]
+    st = _random_states(d, t, 2, 1, ctx.check_seed("pf_idempotence", d, t))[0]
     once = pf_twirl(st, d, t)
     twice = pf_twirl(once, d, t)
     return [
@@ -543,11 +534,8 @@ def _check_pf_idempotence(ctx: SuiteContext, d: int, t: int):
 
 @per_cell_check("twirl_outputs_are_density")
 def _check_density_outputs(ctx: SuiteContext, d: int, t: int):
-    if d < t:
-        return []
     dim_e = 2
-    st = _random_states(d**t * dim_e, (d**t, dim_e), 1,
-                        ctx.check_seed("twirl_outputs_are_density", d, t))[0]
+    st = _random_states(d, t, dim_e, 1, ctx.check_seed("twirl_outputs_are_density", d, t))[0]
     outputs = [haar_twirl_exact(st, d, t), pf_twirl(st, d, t)]
     n = _n_of(d)
     if n is not None:
@@ -570,7 +558,7 @@ def _check_two_design(ctx: SuiteContext, d: int, t: int):
         return []
     params = {"d": d, "t": t, "n": n}
     if n == 1:
-        states = _random_states(d**t * 2, (d**t, 2), 10, ctx.check_seed("clifford_two_design", d, t))
+        states = _random_states(d, t, 2, 10, ctx.check_seed("clifford_two_design", d, t))
         group = enumerate_cliffords(n)  # the group itself, not the commutant projection
         worst = max(
             trace_distance(ensemble_twirl(st, group, d, t), haar_twirl_exact(st, d, t))
@@ -584,7 +572,7 @@ def _check_two_design(ctx: SuiteContext, d: int, t: int):
         ]
     if n == 2:
         N = ctx.samples_clifford
-        st = _random_states(d**t, (d**t, 1), 1, ctx.check_seed("clifford_two_design", d, t))[0]
+        st = _random_states(d, t, 1, 1, ctx.check_seed("clifford_two_design", d, t))[0]
         mc = clifford_twirl(st, n, t, method="monte_carlo", samples=N,
                             seed=ctx.check_seed("clifford_two_design", d, t, 1))
         err = trace_distance(mc, haar_twirl_exact(st, d, t))
@@ -681,7 +669,7 @@ def _check_convergence(ctx: SuiteContext, d: int, t: int):
     if (d, t) != (4, 2):
         return []
     Ns = (100, 1000, 10000, ctx.samples_unitary)
-    st = _random_states(d**t, (d**t, 1), 1, ctx.check_seed("mc_convergence_slope", d, t))[0]
+    st = _random_states(d, t, 1, 1, ctx.check_seed("mc_convergence_slope", d, t))[0]
     out = []
     for label, mc_fn, exact_ref in (
         ("haar", haar_twirl_mc, haar_twirl_exact(st, d, t)),
@@ -718,7 +706,7 @@ def _check_pru(ctx: SuiteContext, d: int, t: int):
     prp = PrpScheme(n)
     tab = prp.table(key.k1)
     bijective = 0 if sorted(tab.images) == list(range(d)) else 1
-    st = _random_states(d**t, (d**t, 1), 1, ctx.check_seed("pru_scheme", d, t, 1))[0]
+    st = _random_states(d, t, 1, 1, ctx.check_seed("pru_scheme", d, t, 1))[0]
     keyed = pru_average_state(st, t, n, ctx.num_keys, ctx.check_seed("pru_scheme", d, t, 2))
     fr = pf_twirl(clifford_twirl(st, n, t, method="exact"), d, t)
     dist = trace_distance(keyed, fr)

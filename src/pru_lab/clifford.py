@@ -17,10 +17,11 @@ them runs on the whole batch.  The indices are split into per-level
 digits, and the walk keeps each symplectic vector as one ``uint64`` mask
 in the index's interleaved order (bit 2i = x_i, bit 2i+1 = z_i), so
 2n <= 64.  The inner product is the parity of a masked AND, taken by
-xor-folding, a transvection is a masked XOR, and the arms of the
-transvection search are ``np.where`` selections.  The finished rows are
-reindexed into the blocked order.  One check that S^T Omega S = Omega
-runs on the whole stack.
+xor-folding, and a transvection is a masked XOR.  Each level starts from
+e_1 = X on qubit 0, so the transvections carrying e_1 to the level's
+first image follow one three-case rule (``_transvections_from_e1``).
+The finished rows are reindexed into the blocked order.  One check that
+S^T Omega S = Omega runs on the whole stack.
 
 Every Pauli is a signed permutation of the computational basis: the
 column with bits (x, z) and sign bit r is the Hermitian Pauli
@@ -197,37 +198,23 @@ def _transvect(k: np.ndarray, v: np.ndarray, even: int) -> np.ndarray:
     return np.where(_sym_inner(k, v, even), v ^ k, v)
 
 
-def _lowest_bit(v: np.ndarray) -> np.ndarray:
-    return v & (~v + _ONE)
+def _transvections_from_e1(y: np.ndarray, even: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vectors h0, h1 with y = Z_h0 Z_h1 e_1, elementwise, where e_1 = X on
+    qubit 0 (mask 1) and a zero vector acts as the identity.
 
-
-def _pair(u: np.ndarray, bit: np.ndarray) -> np.ndarray:
-    """The (x, z) pair of u whose x bit is ``bit`` (a power of two), as 0..3."""
-    return (u // np.maximum(bit, _ONE)) & _THREE
-
-
-def _find_transvections(x: np.ndarray, y: np.ndarray, even: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectors h0, h1 with y = Z_h0 Z_h1 x, elementwise (zero acts as identity).
-
-    Equal vectors need nothing and a nonzero inner product needs x ^ y.
-    Otherwise one vector z joins them: it is set at the first qubit where
-    both are nonzero, or else at the first qubit where only x and the
-    first where only y is nonzero.
+    y = e_1 needs nothing, and y with the z bit of qubit 0 set (a nonzero
+    inner product with e_1) needs e_1 ^ y.  Otherwise one vector z with a
+    nonzero inner product with both joins them: XY on qubit 0 when y has x
+    there, or else Z on qubit 0 plus the Pauli that anticommutes with y's
+    at y's first nonzero qubit (Z there, or X where y has a Z).
     """
-    nx = (x | (x >> _ONE)) & np.uint64(even)  # the x bit of each nonzero pair
-    ny = (y | (y >> _ONE)) & np.uint64(even)
-    both = _lowest_bit(nx & ny)
-    xp, yp = _pair(x, both), _pair(y, both)
-    z_both = np.where(xp == yp, np.where(xp == _THREE, _TWO, _THREE), xp ^ yp) * both
-    only_x, only_y = _lowest_bit(nx & ~ny), _lowest_bit(ny & ~nx)
-    up_x, up_y = _pair(x, only_x), _pair(y, only_y)
-    z_only = (np.where(up_x == _THREE, _TWO, up_x ^ _THREE) * only_x) | (
-        np.where(up_y == _THREE, _TWO, up_y ^ _THREE) * only_y
-    )
-    z = np.where(both != _ZERO, z_both, z_only)
-    inner = _sym_inner(x, y, even)
-    h0 = np.where(x == y, _ZERO, np.where(inner, x ^ y, x ^ z))
-    h1 = np.where((x == y) | inner, _ZERO, y ^ z)
+    nonzero = (y | (y >> _ONE)) & np.uint64(even)  # the x bit of each nonzero pair
+    first = nonzero & (~nonzero + _ONE)  # y is never zero
+    anti = np.where(((y // first) & _THREE) == _TWO, _ONE, _TWO) * first
+    z = np.where((y & _THREE) == _ONE, _THREE, _TWO | anti)
+    inner = (y & _TWO) != _ZERO
+    h0 = np.where(y == _ONE, _ZERO, np.where(inner, _ONE ^ y, _ONE ^ z))
+    h1 = np.where((y == _ONE) | inner, _ZERO, y ^ z)
     return h0, h1
 
 
@@ -266,7 +253,7 @@ def _symplectic_stack(indices, n: int) -> np.ndarray:
     rows = np.zeros((len(rest), 0), dtype=np.uint64)
     for k, (f1, bits) in enumerate(reversed(digits), start=1):
         even = ((1 << (2 * k)) - 1) // 3  # 0b0101...01: the x bit of every pair
-        h1, h2 = _find_transvections(np.ones_like(f1), f1, even)
+        h1, h2 = _transvections_from_e1(f1, even)
         h0 = _transvect(h2, _transvect(h1, _ONE | ((bits >> _ONE) << _TWO), even), even)
         first = np.tile(np.array([1, 2], dtype=np.uint64), (len(rows), 1))  # X, Z of qubit 0
         rows = np.concatenate([first, rows << _TWO], axis=1)
@@ -275,11 +262,6 @@ def _symplectic_stack(indices, n: int) -> np.ndarray:
     order = np.arange(2 * n, dtype=np.uint64).reshape(n, 2).T.ravel()  # x bits, then z bits
     blocked = rows[:, order]
     return ((blocked[:, :, None] >> order) & _ONE).astype(np.uint8)
-
-
-def _symplectic_matrix(i: int, n: int) -> np.ndarray:
-    """The i-th symplectic matrix as a blocked tableau: a batch of one."""
-    return _symplectic_stack([i], n)[0]
 
 
 def sample_tableaus(n: int, seeds) -> tuple[np.ndarray, np.ndarray]:

@@ -29,14 +29,16 @@ both.  It returns the overlap next to its bound and does not judge them:
 the ``clifford_distinct_overlap`` records of the security experiment and
 of the ``verify`` suite do.
 
-Monte-Carlo runs draw their randomness per fixed-size chunk from seeds
-derived as (seed, chunk index), and chunks are reduced in ascending order,
-so results are reproducible however the chunks are scheduled.
+Every Monte-Carlo twirl is one call of ``_sampled_twirl`` with its own
+``draw(count, chunk_seed)``: chunk c of MC_CHUNK samples is drawn from the
+seed (seed, c), and chunks are reduced in ascending order, so results are
+reproducible however the chunks are scheduled.  Haar and permutation-phase
+chunks seed one generator each; Clifford sample j of chunk c seeds its own
+generator with (seed, c, j).
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from math import factorial
 from typing import NamedTuple
@@ -86,16 +88,6 @@ def _wrap(matrix: np.ndarray, was_state: bool, d: int, t: int, meta: dict | None
     if was_state:
         return DensityMatrix(matrix, regs, meta=meta)
     return DenseOperator(matrix, regs, meta=meta)
-
-
-def _chunk_seeds(samples: int):
-    """Yield (chunk_index, count) pairs covering ``samples``."""
-    done, index = 0, 0
-    while done < samples:
-        count = min(MC_CHUNK, samples - done)
-        yield index, count
-        done += count
-        index += 1
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +277,6 @@ def _average_conjugation(state, d: int, t: int, batches, weights=None) -> _Avera
     return _Average(acc, was_state, float(np.sqrt(var / samples)), per_sample)
 
 
-def _stacked(mats):
-    """Group an iterable of d x d matrices into (count, d, d) batches."""
-    it = iter(mats)
-    while chunk := list(itertools.islice(it, MC_CHUNK)):
-        yield np.stack(chunk)
-
-
 def _pf_unitaries(d: int, count: int, rng) -> np.ndarray:
     """A batch of (label permutation) x (random sign pattern) matrices."""
     perms = np.argsort(rng.random((count, d)), axis=1)
@@ -301,31 +286,38 @@ def _pf_unitaries(d: int, count: int, rng) -> np.ndarray:
     return pf
 
 
-def _sampled_twirl(state, d: int, t: int, samples: int, seed, draw, label: str):
+def _sampled_twirl(state, d: int, t: int, samples: int, seed, draw, weights=None, **meta):
+    """The Monte-Carlo mean over ``samples`` unitaries, and the per-sample
+    values of ``weights`` (see ``_average_conjugation``).
+
+    Chunk c holds samples c * MC_CHUNK onwards, at most MC_CHUNK of them,
+    and is the stack ``draw(count, derive_seed(seed, c))``; chunks are drawn
+    one at a time and reduced in ascending order.  ``meta`` is added to the
+    result's metadata.
+    """
     batches = (
-        draw(d, count, np.random.default_rng(derive_seed(seed, chunk_index)))
-        for chunk_index, count in _chunk_seeds(samples)
+        draw(min(MC_CHUNK, samples - start), derive_seed(seed, start // MC_CHUNK))
+        for start in range(0, samples, MC_CHUNK)
     )
-    avg = _average_conjugation(state, d, t, batches)
-    meta = {
-        "method": "monte_carlo",
-        "ensemble": label,
-        "samples": samples,
-        "seed": seed,
-        "std_error_fro": avg.std_error_fro,
-    }
-    return _wrap(avg.mean, avg.was_state, d, t, meta=meta)
+    avg = _average_conjugation(state, d, t, batches, weights)
+    meta = {"method": "monte_carlo", **meta, "samples": samples, "seed": seed,
+            "std_error_fro": avg.std_error_fro}
+    return _wrap(avg.mean, avg.was_state, d, t, meta=meta), avg.values
 
 
 def haar_twirl_mc(state, d: int, t: int, samples: int, seed):
     """Monte-Carlo Haar twirl, deterministic per seed."""
-    return _sampled_twirl(state, d, t, samples, seed, haar_unitaries, "haar")
+    def draw(count, chunk_seed):
+        return haar_unitaries(d, count, np.random.default_rng(chunk_seed))
+    return _sampled_twirl(state, d, t, samples, seed, draw, ensemble="haar")[0]
 
 
 def pf_twirl_mc(state, d: int, t: int, samples: int, seed):
     """Monte-Carlo permutation-phase twirl over sampled (permutation, sign
     pattern) pairs, deterministic per seed."""
-    return _sampled_twirl(state, d, t, samples, seed, _pf_unitaries, "pf")
+    def draw(count, chunk_seed):
+        return _pf_unitaries(d, count, np.random.default_rng(chunk_seed))
+    return _sampled_twirl(state, d, t, samples, seed, draw, ensemble="pf")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -436,19 +428,16 @@ def pf_twirl_distinct_formula(state, decomp: IsotypicDecomposition):
 def ensemble_twirl(state, ops, d: int, t: int):
     """Exact t-fold twirl over an explicit ensemble of unitaries on C^d:
     a list of ``DenseOperator``s or d x d arrays, or one (count, d, d) stack."""
-    mats = (op.entries if isinstance(op, DenseOperator) else np.asarray(op) for op in ops)
-    avg = _average_conjugation(state, d, t, _stacked(mats))
-    return _wrap(avg.mean, avg.was_state, d, t, meta={"method": "exact", "samples": len(ops)})
+    us = np.array([op.entries if isinstance(op, DenseOperator) else op for op in ops])
+    batches = (us[i : i + MC_CHUNK] for i in range(0, len(us), MC_CHUNK))
+    avg = _average_conjugation(state, d, t, batches)
+    return _wrap(avg.mean, avg.was_state, d, t, meta={"method": "exact", "samples": len(us)})
 
 
 def clifford_exact_is_haar(t: int) -> bool:
     """Whether the exact Clifford twirl of t copies is the exact Haar twirl:
     the Clifford group is a unitary 3-design, so it is for every t <= 3."""
     return t <= 3
-
-
-def _clifford_sample_seed(seed, index: int) -> list:
-    return derive_seed(seed, index // MC_CHUNK, index % MC_CHUNK)
 
 
 def _clifford_average(state, n: int, t: int, method: str, samples: int, seed, weights=None):
@@ -463,20 +452,10 @@ def _clifford_average(state, n: int, t: int, method: str, samples: int, seed, we
         return _project_onto_commutant(state, d, t, pauli=not clifford_exact_is_haar(t)), None
     if method != "monte_carlo":
         raise DomainError(f"unknown method {method!r}")
-    batches = (
-        sample_clifford_unitaries(
-            n, [_clifford_sample_seed(seed, index * MC_CHUNK + j) for j in range(count)]
-        )
-        for index, count in _chunk_seeds(samples)
-    )
-    avg = _average_conjugation(state, d, t, batches, weights)
-    meta = {
-        "method": "monte_carlo",
-        "samples": samples,
-        "seed": seed,
-        "std_error_fro": avg.std_error_fro,
-    }
-    return _wrap(avg.mean, avg.was_state, d, t, meta=meta), avg.values
+
+    def draw(count, chunk_seed):  # sample i draws from (seed, i // MC_CHUNK, i % MC_CHUNK)
+        return sample_clifford_unitaries(n, [chunk_seed + [j] for j in range(count)])
+    return _sampled_twirl(state, d, t, samples, seed, draw, weights)
 
 
 def clifford_twirl(state, n: int, t: int, method: str = "exact", samples: int = 0, seed: int = 0):

@@ -8,7 +8,7 @@ from scipy import stats
 
 from pru_lab import CapacityError, CliffordElement, DomainError, enumerate_cliffords, sample_clifford
 from pru_lab.clifford import (
-    _symplectic_matrix,
+    _symplectic_stack,
     sample_clifford_unitaries,
     sample_tableaus,
     symplectic_form,
@@ -133,7 +133,7 @@ def test_canonical_index_map_is_pinned(n, indices, digest):
     in the transvection search) passes every group-level test, so the map
     itself is pinned: SHA-256 of the stacked uint8 tableaus.
     """
-    stacked = np.stack([_symplectic_matrix(i, n) for i in indices])
+    stacked = _symplectic_stack(indices, n)
     assert stacked.dtype == np.uint8 and stacked.shape == (len(indices), 2 * n, 2 * n)
     assert hashlib.sha256(stacked.tobytes()).hexdigest() == digest
 
@@ -152,9 +152,8 @@ def test_enumeration_uniformity_chi2():
     keys = {canonical_key(op): i for i, op in enumerate(ops)}
     counts = np.zeros(24)
     N = 10000
-    for seed in range(N):
-        U = sample_clifford(1, seed).to_dense()
-        counts[keys[canonical_key(U.entries)]] += 1
+    for U in sample_clifford_unitaries(1, range(N)):
+        counts[keys[canonical_key(U)]] += 1
     expected = N / 24
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 < stats.chi2.ppf(0.99, df=23)

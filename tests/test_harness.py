@@ -236,7 +236,7 @@ def test_commutation_checks_measure_the_dense_commutator(monkeypatch):
     )
 
     haar = _measured(report, "haar_invariance")
-    assert sorted(haar) == [(2, 2), (4, 2), (4, 3)]
+    assert sorted(haar) == [(2, 2), (2, 3), (4, 2), (4, 3)]
     assert len(unitaries) == 10 * len(states)  # ten draws per cell
     for i, ((d, t), rho) in enumerate(zip(sorted(haar), states)):
         batch = unitaries[10 * i : 10 * (i + 1)]

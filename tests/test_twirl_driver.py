@@ -24,6 +24,7 @@ from pru_lab import (
 )
 from pru_lab import clifford, twirls
 from pru_lab.operators import distinct_mask, haar_unitaries
+from pru_lab.twirls import MC_CHUNK
 
 from conftest import random_state
 
@@ -119,13 +120,45 @@ def test_per_sample_overlaps_match_direct_projection():
     mask = np.repeat(distinct_mask(d, t), dim_e)
     direct = []
     for i in range(samples):
-        U = sample_clifford(n, twirls._clifford_sample_seed(seed, i)).to_dense().entries
+        U = sample_clifford(n, [seed, i // MC_CHUNK, i % MC_CHUNK]).to_dense().entries
         big = np.kron(np.kron(U, U), np.eye(dim_e))
         direct.append(float(np.sum(np.abs((big @ psi.amplitudes)[mask]) ** 2)))
     assert info["overlap"] == pytest.approx(np.mean(direct), abs=1e-12)
     assert info["std_error"] == pytest.approx(np.std(direct, ddof=1) / np.sqrt(samples), abs=1e-12)
     twirled = clifford_twirl(psi, n, t, method="monte_carlo", samples=samples, seed=seed)
     assert np.abs(info["state"].entries - twirled.entries).max() < 1e-12
+
+
+def _documented_stream(ensemble, d, samples, seed):
+    """The unitaries a Monte-Carlo twirl must average, rebuilt from the
+    documented seed layout: chunk c of MC_CHUNK draws from the seed
+    [seed, c], and Clifford sample i from [seed, i // MC_CHUNK, i % MC_CHUNK]."""
+    if ensemble == "clifford":
+        seeds = [[seed, i // MC_CHUNK, i % MC_CHUNK] for i in range(samples)]
+        return clifford.sample_clifford_unitaries(d.bit_length() - 1, seeds)
+    chunks = range(0, samples, MC_CHUNK)
+    return np.concatenate([
+        ENSEMBLES[ensemble](d, min(MC_CHUNK, samples - start), np.random.default_rng([seed, c]))
+        for c, start in enumerate(chunks)
+    ])
+
+
+@pytest.mark.parametrize("ensemble", sorted(ENSEMBLES))
+def test_monte_carlo_twirls_seed_each_chunk_as_documented(ensemble):
+    """Three chunks, the last of one sample, so a wrong chunk seed, a wrong
+    per-sample seed or a dropped remainder moves the mean by about 1e-3."""
+    d, t, samples, seed = 2, 2, 2 * MC_CHUNK + 1, 17
+    psi = random_state(d**t, (d**t, 1), 5)
+    twirl = {
+        "haar": lambda: haar_twirl_mc(psi, d, t, samples, seed),
+        "pf": lambda: pf_twirl_mc(psi, d, t, samples, seed),
+        "clifford": lambda: clifford_twirl(psi, 1, t, method="monte_carlo", samples=samples, seed=seed),
+    }[ensemble]()
+    us = _documented_stream(ensemble, d, samples, seed)
+    assert len(us) == samples
+    want = kron_oracle(_matrix(psi), us, t).mean(axis=0)
+    assert np.abs(twirl.entries - want).max() < 1e-12
+    assert twirl.meta["samples"] == samples and twirl.meta["seed"] == seed
 
 
 def test_security_run_samples_each_clifford_once(monkeypatch):
