@@ -29,7 +29,6 @@ from .operators import (
     BooleanFunction,
     DenseOperator,
     DensityMatrix,
-    PermutationD,
     StateVector,
     apply_to_registers,
     distinct_projector,

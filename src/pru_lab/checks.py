@@ -35,7 +35,6 @@ from .operators import (
     subsystem_perm_op,
     tensor_power,
     trace_distance,
-    PermutationD,
 )
 from .pru import PrpScheme, pru_average_state, sample_key
 from .schur_weyl import (
@@ -165,8 +164,6 @@ def _check_character_orthogonality(ctx: SuiteContext, t: int):
 
 @per_t_check("irrep_schur_orthogonality")
 def _check_schur_orthogonality(ctx: SuiteContext, t: int):
-    if t > 4:
-        return []
     perms = all_permutations(t)
     reps = {lam: young_orthogonal_rep(lam) for lam in partitions(t)}
     worst = 0.0
@@ -192,20 +189,16 @@ def _check_schur_orthogonality(ctx: SuiteContext, t: int):
 
 @per_t_check("perm_representation_property")
 def _check_perm_representation(ctx: SuiteContext, t: int):
-    if t > 4:
-        return []
+    # R_a R_g |x> = |m_a(m_g(x))>, so R_a R_g - R_{a g} has entries 0 or +-1
+    # and its max modulus is whether the two index maps differ.  The adjacent
+    # transpositions g generate S_t, so a and g cover every product.
     d = 2
-    perms = all_permutations(t)
-    rng = np.random.default_rng(ctx.check_seed("perm_representation_property", t))
-    pairs = (
-        [(a, b) for a in perms for b in perms]
-        if t <= 3
-        else [(perms[rng.integers(len(perms))], perms[rng.integers(len(perms))]) for _ in range(200)]
-    )
-    ops = {p: subsystem_perm_op(p, d).entries for p in perms}
-    worst = max(
-        float(np.abs(ops[a] @ ops[b] - ops[a.compose(b)]).max()) for a, b in pairs
-    )
+    maps = {p: subsystem_perm_index_map(p, d) for p in all_permutations(t)}
+    gens = [PermutationT.transposition(t, k - 1, k) for k in range(1, t)]
+    worst = 0.0
+    for a, m in maps.items():
+        for g in gens:
+            worst = max(worst, float(np.any(m[maps[g]] != maps[a.compose(g)])))
     return [
         BoundCheck.make(
             "perm_representation_property", {"t": t, "d": d}, worst, 0, "eq", 1e-12,
@@ -365,16 +358,17 @@ def _check_distinct_commutes(ctx: SuiteContext, d: int, t: int):
 
 @per_cell_check("perm_phase_commutation")
 def _check_pp_commutation(ctx: SuiteContext, d: int, t: int):
-    if t > 3:
-        return []
+    # P^{x t} relabels every digit of a basis index: with index maps p and m,
+    # P^{x t} R_sigma - R_sigma P^{x t} has entries 0 or +-1 and is nonzero
+    # exactly where p[m] and m[p] differ.
     rng = np.random.default_rng(ctx.check_seed("perm_phase_commutation", d, t))
+    digits = np.array(np.unravel_index(np.arange(d**t), (d,) * t))  # (t, d^t)
+    label_maps = [np.ravel_multi_index(rng.permutation(d)[digits], (d,) * t) for _ in range(3)]
     worst = 0.0
-    for _ in range(3):
-        images = rng.permutation(d)
-        P = perm_op(PermutationD(tuple(int(x) for x in images))).entries
-        for sigma in all_permutations(t):
-            R = subsystem_perm_op(sigma, d).entries
-            worst = max(worst, _tensor_power_commutator(P, R, d, t, 1))
+    for sigma in all_permutations(t):
+        m = subsystem_perm_index_map(sigma, d)
+        for p in label_maps:
+            worst = max(worst, float(np.any(p[m] != m[p])))
     return [
         BoundCheck.make(
             "perm_phase_commutation", {"d": d, "t": t, "n": _n_of(d)}, worst, 0, "eq", 1e-12,
@@ -491,7 +485,7 @@ def _check_pf_basis_rule(ctx: SuiteContext, d: int, t: int):
     # Independent oracle: the mean of U^{x t} (x) conj(U^{x t}) over every
     # label permutation and sign pattern, as one superoperator.
     flat = np.stack([
-        tensor_power(DenseOperator(perm_op(PermutationD(images)).entries * np.array(signs)), t)
+        tensor_power(DenseOperator(perm_op(PermutationT(images)).entries * np.array(signs)), t)
         .entries.reshape(-1)
         for images in itertools.permutations(range(d))
         for signs in itertools.product((1.0, -1.0), repeat=d)
@@ -740,7 +734,8 @@ def run_lemma_suite(
 ) -> ExperimentReport:
     """Run every named check over the (d, t) grid and collect one report.
 
-    ``check_names`` restricts the run to a subset; unknown names raise.
+    ``check_names`` restricts the run to a subset; unknown names raise, and
+    so does a run that produces no record.
     """
     ctx = SuiteContext(
         seed=seed,
@@ -768,8 +763,13 @@ def run_lemma_suite(
             for name, fn in PER_CELL_CHECKS.items():
                 if want(name):
                     checks.extend(_timed(fn, ctx, d, t))
+    if not checks:
+        raise DomainError(
+            f"checks {sorted(check_names) if check_names else 'all'} produced no record on "
+            f"d in {list(ds)}, t in {list(ts)}"
+        )
 
-    report = ExperimentReport(
+    return ExperimentReport(
         kind="verify",
         config={
             "ds": list(ds),
@@ -780,14 +780,11 @@ def run_lemma_suite(
             "num_keys": num_keys,
             "checks": sorted(check_names) if check_names else "all",
         },
-        quantities={"num_checks": 0},
+        quantities={"num_checks": len(checks)},
         checks=checks,
         seed=seed,
-        timings={"total_ms": 0.0},
+        timings={"total_ms": (time.perf_counter() - t_start) * 1e3},
     )
-    report.quantities["num_checks"] = len(checks)
-    report.timings["total_ms"] = (time.perf_counter() - t_start) * 1e3
-    return report
 
 
 def _timed(fn, ctx, *cell) -> list[BoundCheck]:

@@ -6,8 +6,8 @@ Subcommands:
   twirl     apply a single channel to a described state and dump a summary
   sweep     run the security experiment over an (n, t) grid
 
-Exit status: 0 when every reported check passed, 1 otherwise, 2 for usage
-errors.
+Exit status: 0 when every reported check passed, 1 otherwise (an error,
+a failing check, or a verify run that measures nothing), 2 for usage errors.
 """
 
 from __future__ import annotations

@@ -64,8 +64,10 @@ class ExperimentConfig:
     mc_sigma: float = 3.0
 
     def __post_init__(self):
-        if self.t < 1 or self.t > 4:
-            raise DomainError("t must be between 1 and 4")
+        if self.t < 1:
+            raise DomainError("t must be at least 1")
+        if self.num_keys < 0:
+            raise DomainError(f"the key count must be at least 0, got {self.num_keys}")
         if self.state_family not in STATE_FAMILIES:
             raise DomainError(f"unknown state family {self.state_family!r}")
         if self.t > register_dim(self.n):

@@ -204,43 +204,14 @@ class BooleanFunction:
         return BooleanFunction((0,) * d)
 
 
-@dataclass(frozen=True)
-class PermutationD:
-    """A permutation of the basis labels [d], stored as an image table."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        images = tuple(int(i) for i in self.images)
-        if sorted(images) != list(range(len(images))):
-            raise DomainError("image table is not a bijection")
-        object.__setattr__(self, "images", images)
-
-    @property
-    def d(self) -> int:
-        return len(self.images)
-
-    def __call__(self, x: int) -> int:
-        return self.images[x]
-
-    def inverse(self) -> "PermutationD":
-        inv = [0] * self.d
-        for x, y in enumerate(self.images):
-            inv[y] = x
-        return PermutationD(tuple(inv))
-
-    @staticmethod
-    def identity(d: int) -> "PermutationD":
-        return PermutationD(tuple(range(d)))
-
-
 # ---------------------------------------------------------------------------
 # Concrete operator constructors.
 # ---------------------------------------------------------------------------
 
-def perm_op(pi: PermutationD) -> DenseOperator:
-    """The operator |x> -> |pi(x)| on C^d."""
-    d = pi.d
+def perm_op(pi: PermutationT) -> DenseOperator:
+    """The operator |x> -> |pi(x)> on C^d, for a permutation pi of the d = pi.t
+    basis labels."""
+    d = pi.t
     M = np.zeros((d, d), dtype=complex)
     M[np.asarray(pi.images), np.arange(d)] = 1.0
     return DenseOperator(M, (d,))
@@ -255,14 +226,10 @@ def subsystem_perm_index_map(pi: PermutationT, d: int) -> np.ndarray:
     """Index map m with R_pi |a> = |m(a)> on the product basis of (C^d)^{x t}.
 
     Basis label a has digits (a_1 .. a_t) base d, most significant first;
-    the image collects digits at the slots pi^{-1}(i).
+    the image collects digits at the slots pi^{-1}(i), which is the index
+    array with its axes transposed by pi.
     """
-    t = pi.t
-    n = d**t
-    digits = np.stack(np.unravel_index(np.arange(n), (d,) * t), axis=1)  # (n, t)
-    inv = pi.inverse()
-    permuted = digits[:, list(inv.images)]
-    return np.ravel_multi_index(tuple(permuted.T), (d,) * t)
+    return np.arange(d**pi.t).reshape((d,) * pi.t).transpose(pi.images).reshape(-1)
 
 
 def subsystem_perm_op(pi: PermutationT, d: int) -> DenseOperator:

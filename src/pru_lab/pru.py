@@ -29,11 +29,11 @@ from .operators import (
     BooleanFunction,
     DenseOperator,
     DensityMatrix,
-    PermutationD,
     StateVector,
     as_generator,
     check_capacity,
 )
+from .symgroup import PermutationT
 from .twirls import MC_CHUNK, _average_conjugation
 
 KEY_BYTES = 16
@@ -127,13 +127,14 @@ class PrpScheme:
     def d(self) -> int:
         return 2**self.n
 
-    def table(self, key: bytes) -> PermutationD:
+    def table(self, key: bytes) -> PermutationT:
+        """The keyed permutation of the d basis labels, a PermutationT of degree d."""
         stream = _digest_stream(key, b"prp")
         images = list(range(self.d))
         for i in range(self.d - 1, 0, -1):  # Fisher-Yates on the digest stream
             j = _uniform_below(stream, i + 1)
             images[i], images[j] = images[j], images[i]
-        return PermutationD(tuple(images))
+        return PermutationT(tuple(images))
 
     def eval(self, key: bytes, x: int) -> int:
         return self.table(key)(x)

@@ -95,7 +95,8 @@ def _partition_tuples(t: int, max_part: int) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class PermutationT:
-    """A permutation of the t tensor slots, stored as a 0-indexed image table."""
+    """A permutation of 0..t-1 as an image table: of the t tensor slots of
+    (C^d)^{x t} (``subsystem_perm_op``) or of the t = d basis labels (``perm_op``)."""
 
     images: tuple[int, ...]
 

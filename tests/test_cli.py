@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +152,40 @@ def test_negative_qubit_counts_are_domain_errors(capsys, argv):
     assert code == 1
     assert captured.err.startswith("error: the qubit count n must be at least 0, got -1")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["security", "sweep"])
+def test_negative_key_counts_are_domain_errors(capsys, command):
+    code = cli_main([command, "--n", "1", "--t", "2", "--keys", "-3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: the key count must be at least 0, got -3")
+    assert captured.out == ""
+
+
+def test_a_verify_run_that_measures_nothing_fails(capsys):
+    code = cli_main(["verify", "--n", "1", "--t", "2", "--check", "pf_mc_agreement"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: checks ['pf_mc_agreement'] produced no record")
+    assert "d in [2], t in [2]" in captured.err
+    assert captured.out == ""
+
+
+def test_five_copies_at_three_qubits_stop_at_the_dimension_cap(capsys, monkeypatch):
+    """One dense operator at n = 3, t = 5 is 32768^2 complex entries; the run
+    must stop at the cap before allocating anything of that order."""
+    monkeypatch.delenv("PRU_LAB_DIM_CAP", raising=False)
+    tracemalloc.start()
+    try:
+        code = cli_main(["security", "--n", "3", "--t", "5", "--clifford", "monte_carlo"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: total dimension 32768 exceeds cap")
+    assert peak < 4 * 2**20
 
 
 def test_zero_qubits_stay_allowed(capsys):

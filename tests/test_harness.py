@@ -19,9 +19,9 @@ from pru_lab import (
     run_security_experiment,
     strip_timing_fields,
 )
-from pru_lab import DenseOperator, all_permutations, checks, subsystem_perm_op
+from pru_lab import PermutationT, all_permutations, checks, perm_op, subsystem_perm_op, tensor_power
 from pru_lab.harness import STATE_FAMILIES
-from pru_lab.operators import distinct_mask, haar_unitaries
+from pru_lab.operators import distinct_mask, subsystem_perm_index_map
 
 
 @pytest.mark.parametrize("family", STATE_FAMILIES)
@@ -207,11 +207,9 @@ def _measured(report, check_id):
 
 
 def test_commutation_checks_measure_the_dense_commutator(monkeypatch):
-    """With the twirl replaced by the identity and the slot permutations by
-    random unitaries, both checks must fail, each reading the commutator
-    that dense Kronecker products give."""
-    states, unitaries, label_perms, slot_ops = [], [], [], []
-    rng = np.random.default_rng(3)
+    """With the twirl replaced by the identity, the invariance check must
+    fail, reading the commutator that dense Kronecker products give."""
+    states, unitaries = [], []
 
     def identity_twirl(st, d, t):
         states.append(st.to_density())
@@ -223,17 +221,9 @@ def test_commutation_checks_measure_the_dense_commutator(monkeypatch):
             return log[-1]
         return wrapped
 
-    def random_slot_op(pi, d):
-        slot_ops.append(haar_unitaries(d**pi.t, 1, rng)[0])
-        return DenseOperator(slot_ops[-1])
-
     monkeypatch.setattr(checks, "haar_twirl_exact", identity_twirl)
     monkeypatch.setattr(checks, "haar_unitaries", recording(checks.haar_unitaries, unitaries))
-    monkeypatch.setattr(checks, "perm_op", recording(checks.perm_op, label_perms))
-    monkeypatch.setattr(checks, "subsystem_perm_op", random_slot_op)
-    report = run_lemma_suite(
-        ds=(2, 4), ts=(2, 3), seed=8, check_names=["haar_invariance", "perm_phase_commutation"]
-    )
+    report = run_lemma_suite(ds=(2, 4), ts=(2, 3), seed=8, check_names=["haar_invariance"])
 
     haar = _measured(report, "haar_invariance")
     assert sorted(haar) == [(2, 2), (2, 3), (4, 2), (4, 3)]
@@ -244,17 +234,61 @@ def test_commutation_checks_measure_the_dense_commutator(monkeypatch):
         assert not haar[d, t].passed
         assert abs(haar[d, t].measured - oracle) < 1e-12
 
+
+def _dense_from_map(m):
+    R = np.zeros((len(m), len(m)))
+    R[m, np.arange(len(m))] = 1.0
+    return R
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_permutation_checks_match_dense_products(monkeypatch, broken):
+    """Both permutation checks read their products off index maps; the dense
+    matrices of the same maps decide the value: 0 for the slot permutations,
+    1 when every map has its first two images swapped.  The identity label
+    permutation commutes with every map, and all three label draws are the
+    identity at (d, t) = (2, 2) under this seed."""
+    def index_map(pi, d):
+        m = subsystem_perm_index_map(pi, d)
+        if broken:
+            m[[0, 1]] = m[[1, 0]]
+        return m
+
+    monkeypatch.setattr(checks, "subsystem_perm_index_map", index_map)
+    seed, names = 4, ["perm_representation_property", "perm_phase_commutation"]
+    report = run_lemma_suite(ds=(2, 3), ts=(2, 3, 4), seed=seed, check_names=names)
+    expect = 1.0 if broken else 0.0
+
+    rep = [c for c in report.checks if c.check_id == names[0]]
+    assert [c.params["t"] for c in rep] == [2, 3, 4]
+    for c in rep:
+        R = {pi: _dense_from_map(index_map(pi, 2)) for pi in all_permutations(c.params["t"])}
+        oracle = max(float(np.abs(R[a] @ R[b] - R[a.compose(b)]).max()) for a in R for b in R)
+        assert c.measured == oracle == expect
+        assert c.passed is not broken
+
     perm = _measured(report, "perm_phase_commutation")
-    assert sorted(perm) == [(2, 2), (2, 3), (4, 2), (4, 3)]
-    for d, t in sorted(perm):
-        oracle = 0.0
-        for _ in range(3):
-            P = label_perms.pop(0).entries
-            for _ in all_permutations(t):
-                oracle = max(oracle, _kron_commutator(P, slot_ops.pop(0), t, 1))
-        assert not perm[d, t].passed
-        assert abs(perm[d, t].measured - oracle) < 1e-12
-    assert not label_perms and not slot_ops
+    assert sorted(perm) == [(d, t) for d in (2, 3) for t in (2, 3, 4)]
+    for (d, t), c in perm.items():
+        rng = np.random.default_rng(checks.SuiteContext(seed).check_seed(names[1], d, t))
+        draws = [PermutationT(rng.permutation(d)) for _ in range(3)]
+        Ps = [tensor_power(perm_op(pi), t).entries for pi in draws]
+        oracle = max(
+            float(np.abs(P @ R - R @ P).max())
+            for R in (_dense_from_map(index_map(pi, d)) for pi in all_permutations(t))
+            for P in Ps
+        )
+        moved = any(pi != PermutationT.identity(d) for pi in draws)
+        assert moved is ((d, t) != (2, 2))
+        assert c.measured == oracle == (expect if moved else 0.0)
+        assert c.passed is not (broken and moved)
+
+
+def test_permutation_checks_run_past_four_copies():
+    names = ["irrep_schur_orthogonality", "perm_representation_property", "perm_phase_commutation"]
+    report = run_lemma_suite(ds=(2,), ts=(5,), check_names=names)
+    assert [c.check_id for c in report.checks] == names
+    assert all(c.passed and c.params["t"] == 5 for c in report.checks)
 
 
 @pytest.mark.parametrize("broken", [False, True])

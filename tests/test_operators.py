@@ -1,5 +1,7 @@
 """Dense operators, states, register utilities, and Haar sampling."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from pru_lab import (
     CapacityError,
     DensityMatrix,
     DomainError,
-    PermutationD,
     PermutationT,
     StateVector,
     all_permutations,
@@ -23,19 +24,26 @@ from pru_lab import (
     tensor_power,
     trace_distance,
 )
-from pru_lab.operators import dim_cap, distinct_mask, falling_factorial, haar_unitaries, trace_norm
+from pru_lab.operators import (
+    dim_cap,
+    distinct_mask,
+    falling_factorial,
+    haar_unitaries,
+    subsystem_perm_index_map,
+    trace_norm,
+)
 
 from conftest import random_state
 
 
 def test_perm_op_identity_and_swap():
-    assert np.allclose(perm_op(PermutationD.identity(3)).entries, np.eye(3))
-    X = perm_op(PermutationD((1, 0)))
+    assert np.allclose(perm_op(PermutationT.identity(3)).entries, np.eye(3))
+    X = perm_op(PermutationT((1, 0)))
     assert np.allclose(X.entries, [[0, 1], [1, 0]])
 
 
 def test_perm_op_group_inverse():
-    pi = PermutationD((2, 0, 3, 1))
+    pi = PermutationT((2, 0, 3, 1))
     P = perm_op(pi)
     Pinv = perm_op(pi.inverse())
     assert np.allclose((P @ Pinv).entries, np.eye(4))
@@ -67,6 +75,18 @@ def test_subsystem_perm_representation_property(d, t):
             assert np.abs(ops[a] @ ops[b] - ops[a.compose(b)]).max() < 1e-12
 
 
+@pytest.mark.parametrize("d,t", [(2, 1), (3, 3), (2, 4), (4, 3), (2, 5)])
+def test_subsystem_perm_index_map_moves_digits(d, t):
+    """Reference: image digit i of label a is a's digit at slot pi^{-1}(i)."""
+    for pi in all_permutations(t):
+        inv = pi.inverse()
+        want = [
+            np.ravel_multi_index(tuple(a[inv(i)] for i in range(t)), (d,) * t)
+            for a in itertools.product(range(d), repeat=t)
+        ]
+        assert subsystem_perm_index_map(pi, d).tolist() == want
+
+
 def test_subsystem_perm_trace_counts_cycles():
     d, t = 4, 3
     for pi in all_permutations(t):
@@ -77,7 +97,7 @@ def test_subsystem_perm_trace_counts_cycles():
 def test_perm_tensor_power_commutes_with_slots():
     rng = np.random.default_rng(5)
     d, t = 3, 3
-    P = perm_op(PermutationD(tuple(int(x) for x in rng.permutation(d))))
+    P = perm_op(PermutationT(tuple(int(x) for x in rng.permutation(d))))
     Pt = tensor_power(P, t)
     for sigma in all_permutations(t):
         R = subsystem_perm_op(sigma, d)
@@ -177,7 +197,7 @@ def test_partial_trace_requires_registers():
 
 
 def test_apply_to_registers():
-    X = perm_op(PermutationD((1, 0)))
+    X = perm_op(PermutationT((1, 0)))
     st = StateVector(np.kron([1, 0], [0, 1]).astype(complex), (2, 2))
     out = apply_to_registers(X, st, [1])
     assert np.allclose(out.amplitudes, np.kron([1, 0], [1, 0]))

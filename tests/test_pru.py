@@ -10,7 +10,7 @@ from pru_lab import (
     CapacityError,
     CliffordElement,
     DomainError,
-    PermutationD,
+    PermutationT,
     PrfScheme,
     PrpScheme,
     PruKey,
@@ -78,7 +78,7 @@ def test_prf_outputs_are_bits():
 
 def test_identity_components_give_identity():
     U = (
-        perm_op(PermutationD.identity(4))
+        perm_op(PermutationT.identity(4))
         @ phase_op(BooleanFunction.zero(4))
         @ CliffordElement.identity(2).to_dense()
     )
