@@ -18,7 +18,7 @@ from math import factorial, log2, sqrt
 
 import numpy as np
 
-from .clifford import default_clifford_method, enumerate_cliffords
+from .clifford import enumerate_cliffords
 from .errors import DomainError
 from .harness import BoundCheck, ExperimentReport, build_state, gentle_normalize
 from .operators import (
@@ -52,7 +52,9 @@ from .symgroup import (
     young_orthogonal_rep,
 )
 from .twirls import (
+    CLIFFORD_EXACT_T_CAP,
     clifford_twirl,
+    default_clifford_method,
     distinct_overlap_after_clifford,
     ensemble_twirl,
     haar_twirl_exact,
@@ -360,10 +362,11 @@ def _check_distinct_commutes(ctx: SuiteContext, d: int, t: int):
 def _check_pp_commutation(ctx: SuiteContext, d: int, t: int):
     # P^{x t} relabels every digit of a basis index: with index maps p and m,
     # P^{x t} R_sigma - R_sigma P^{x t} has entries 0 or +-1 and is nonzero
-    # exactly where p[m] and m[p] differ.
-    rng = np.random.default_rng(ctx.check_seed("perm_phase_commutation", d, t))
+    # exactly where p[m] and m[p] differ.  The adjacent label transpositions
+    # generate S_d, so they cover every label permutation.
     digits = np.array(np.unravel_index(np.arange(d**t), (d,) * t))  # (t, d^t)
-    label_maps = [np.ravel_multi_index(rng.permutation(d)[digits], (d,) * t) for _ in range(3)]
+    swaps = [np.array(PermutationT.transposition(d, k - 1, k).images) for k in range(1, d)]
+    label_maps = [np.ravel_multi_index(swap[digits], (d,) * t) for swap in swaps]
     worst = 0.0
     for sigma in all_permutations(t):
         m = subsystem_perm_index_map(sigma, d)
@@ -532,7 +535,7 @@ def _check_density_outputs(ctx: SuiteContext, d: int, t: int):
     st = _random_states(d, t, dim_e, 1, ctx.check_seed("twirl_outputs_are_density", d, t))[0]
     outputs = [haar_twirl_exact(st, d, t), pf_twirl(st, d, t)]
     n = _n_of(d)
-    if n is not None:
+    if n is not None and t <= CLIFFORD_EXACT_T_CAP:
         outputs.append(clifford_twirl(st, n, t, method="exact"))
     min_eig = min(float(out.eigenvalues()[0]) for out in outputs)
     trace_dev = max(abs(float(np.trace(out.entries).real) - 1) for out in outputs)
@@ -587,7 +590,7 @@ def _check_overlap(ctx: SuiteContext, d: int, t: int):
         return []
     params = {"d": d, "t": t, "n": n}
     psi = build_state("adversarial_colliding", n, t, 1, ctx.check_seed("clifford_distinct_overlap", d, t))
-    method = default_clifford_method(n)
+    method = default_clifford_method(n, t)
     info = distinct_overlap_after_clifford(
         psi, n, t, method=method, samples=ctx.samples_clifford,
         seed=ctx.check_seed("clifford_distinct_overlap", d, t, 1),

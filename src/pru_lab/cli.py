@@ -18,7 +18,6 @@ import sys
 import numpy as np
 
 from .checks import run_lemma_suite
-from .clifford import default_clifford_method
 from .errors import PruLabError
 from .harness import (
     STATE_FAMILIES,
@@ -29,7 +28,8 @@ from .harness import (
 )
 from .operators import register_dim, trace_distance
 from .schur_weyl import ratio_report
-from .twirls import clifford_twirl, haar_twirl_exact, haar_twirl_mc, pf_twirl, pf_twirl_mc
+from .twirls import (clifford_twirl, default_clifford_method, haar_twirl_exact, haar_twirl_mc,
+                     pf_twirl, pf_twirl_mc)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -106,7 +106,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_security(args) -> int:
-    method = default_clifford_method(args.n) if args.clifford == "auto" else args.clifford
+    method = default_clifford_method(args.n, args.t) if args.clifford == "auto" else args.clifford
     config = ExperimentConfig(
         n=args.n,
         t=args.t,
@@ -198,7 +198,7 @@ def _cmd_sweep(args) -> int:
                 t=t,
                 dim_e=args.dim_e,
                 state_family=args.state,
-                clifford_method=default_clifford_method(n),
+                clifford_method=default_clifford_method(n, t),
                 clifford_samples=args.samples,
                 num_keys=args.keys,
                 seed=args.seed,

@@ -55,13 +55,9 @@ from .errors import CapacityError, DomainError
 from .operators import DenseOperator, as_generator, check_capacity
 
 # Bounds enumeration, and is the policy for exact Clifford twirls under `--clifford
-# auto` and in the overlap check; the exact twirl itself runs at any n.
+# auto` and in the overlap check (``twirls.default_clifford_method``); the exact
+# twirl itself runs at any n.
 EXACT_QUBIT_CAP = 2
-
-
-def default_clifford_method(n: int) -> str:
-    """The ``--clifford auto`` choice: exact up to EXACT_QUBIT_CAP qubits, Monte-Carlo above."""
-    return "exact" if n <= EXACT_QUBIT_CAP else "monte_carlo"
 
 
 _I_POWERS = np.array([1, 1j, -1, -1j])

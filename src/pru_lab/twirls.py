@@ -4,19 +4,18 @@ Each channel (Haar, permutation-phase, Clifford) comes in an exact flavor
 and a seeded Monte-Carlo flavor, and acts on the system factor of an
 operator that may carry an entangled workspace register.
 
-Exact Haar and Clifford twirling are one routine: the orthogonal
-projection onto the commutant, paired with the input by index gathers and
-solved with the pseudo-inverse of the spanning operators' Gram matrix.
-The Haar commutant is spanned by the tensor-slot permutations (Gram
-matrix d^{#cycles}, singular when d < t).  The Clifford group is a unitary
-3-design, so for t <= 3 its commutant is the same; at t = 4 it adds the
-permutations times the Pauli projector Q = d^-2 sum_P P^{x4}.  The exact
-permutation-phase twirl is a mean over pattern classes: system basis
-pairs (x, y) whose 2t digits have the same equality relation form one
-label-permutation orbit, so each output block is the mean of the input
-blocks over its class, zeroed unless every value occurs an even number of
-times.  The class table is built once per (d, t).  The blockwise
-Schur-Weyl formulas for both twirls share one footprint loop in
+Every exact twirl is one routine: the orthogonal projection onto the
+commutant of the group's t-fold action, paired with the input by index
+gathers and solved with the pseudo-inverse of the spanning operators' Gram
+matrix.  The Haar commutant is spanned by the tensor-slot permutations
+(Gram matrix d^{#cycles}, singular when d < t).  The Clifford group is a
+unitary 3-design, so for t <= 3 its commutant is the same; at t = 4 it adds
+the permutations times the Pauli projector Q = d^-2 sum_P P^{x4}.  The
+permutation-phase commutant is spanned by the indicators of the even
+pattern classes: basis pairs (x, y) whose 2t digits have the same equality
+relation, with every value occurring an even number of times.  Each
+spanning set is built once per (d, t).  The blockwise Schur-Weyl formulas
+for the Haar and permutation-phase twirls share one footprint loop in
 ``schur_weyl``.
 
 Every ensemble average -- the Monte-Carlo Haar, permutation-phase and
@@ -45,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clifford import sample_clifford_unitaries
+from .clifford import EXACT_QUBIT_CAP, sample_clifford_unitaries
 from .errors import DomainError
 from .operators import (
     DenseOperator,
@@ -91,17 +90,33 @@ def _wrap(matrix: np.ndarray, was_state: bool, d: int, t: int, meta: dict | None
 
 
 # ---------------------------------------------------------------------------
-# Exact twirls as commutant projections, and the Haar block formula.
+# Exact twirls as commutant projections, and the Schur-Weyl block formulas.
 # ---------------------------------------------------------------------------
 
 class _Commutant(NamedTuple):
-    """Operators spanning a commutant, each a (rows, cols, scale) term for
-    scale * sum_i |rows[i]><cols[i]|, and the pseudo-inverse of their Gram
-    matrix Tr[B_j^dag B_k]."""
+    """Operators spanning a commutant, as terms (rows, cols, scale) that each
+    stack operators scale * sum_i |rows[j, i]><cols[j, i]| with disjoint
+    supports, and the pseudo-inverse of their block-diagonal Gram matrix
+    Tr[B_j^dag B_k] as a (blocks, m, m) stack, operators in term order."""
 
     terms: tuple
     gram_pinv: np.ndarray
     meta: dict
+
+
+def _freeze_commutant(terms: list, gram: np.ndarray) -> _Commutant:
+    """Pseudo-invert each block of the (blocks, m, m) ``gram`` and freeze the
+    cached record.  Null eigenvalues are round-off of about eps * max (0.9
+    eps * max at d = 8 with Q, a fifth of pinv's default cutoff), so each
+    block is cut at matrix_rank's m * eps.  The metadata carries the rank
+    and the condition number over the kept spectrum."""
+    values, vectors = np.linalg.eigh(gram)
+    kept = np.abs(values) > gram.shape[-1] * np.finfo(float).eps * np.abs(values).max(-1, keepdims=True)
+    gram_pinv = (vectors / np.where(kept, values, np.inf)[..., None, :]) @ vectors.swapaxes(-1, -2)
+    meta = {"gram_rank": int(kept.sum()), "gram_condition": float(values[kept].max() / values[kept].min())}
+    for array in (gram_pinv, *(a for r, c, _ in terms for a in (r, c))):
+        array.setflags(write=False)
+    return _Commutant(tuple(terms), gram_pinv, meta)
 
 
 @lru_cache(maxsize=8)
@@ -111,19 +126,19 @@ def _commutant(d: int, t: int, pauli: bool) -> _Commutant:
     Q = d^-2 sum_P P^{x4} = d^-1 (sum_a X_a^{x4}) diag(1[x1^x2^x3^x4 = 0]), so
     R_pi Q is d masked index maps, and since Q is a projector commuting with
     every R_pi, each Gram entry is Tr[R_tau] = d^{#cycles(tau)} or Tr[R_tau Q]
-    for tau = sigma^-1 pi.  The operators are dependent when d < t, and
-    always with Q, so the Gram matrix is pseudo-inverted.
+    for tau = sigma^-1 pi.  The operators overlap, so each is its own term
+    and the Gram matrix is one block, singular when d < t and always with Q.
     """
     n = d**t
     perms = all_permutations(t)
     maps = [subsystem_perm_index_map(pi, d) for pi in perms]
     labels = np.arange(n)
-    terms = [(m, labels, 1.0) for m in maps]
+    terms = [(m[None], labels[None], 1.0) for m in maps]
     if pauli:
         even = labels[np.bitwise_xor.reduce(np.unravel_index(labels, (d,) * t)) == 0]
         shifted = (even[None, :] ^ (np.arange(d) * sum(d**k for k in range(t)))[:, None]).ravel()
-        cols = np.tile(even, d)
-        terms += [(m[shifted], cols, 1.0 / d) for m in maps]
+        cols = np.tile(even, (1, d))
+        terms += [(m[None, shifted], cols, 1.0 / d) for m in maps]
     traces = np.array([np.count_nonzero(r == c) * s for r, c, s in terms])
     index = {pi: i for i, pi in enumerate(perms)}
     tau = np.array([[index[sigma.inverse().compose(pi)] for pi in perms] for sigma in perms])
@@ -131,40 +146,68 @@ def _commutant(d: int, t: int, pauli: bool) -> _Commutant:
     if pauli:
         with_q = traces[tau + len(perms)]
         gram = np.block([[gram, with_q], [with_q, with_q]])
-    # Null eigenvalues are round-off of about eps * max (0.9 eps * max at d = 8
-    # with Q, a fifth of pinv's default cutoff), so cut at matrix_rank's len * eps.
-    values, vectors = np.linalg.eigh(gram)
-    kept = np.abs(values) > len(gram) * np.finfo(float).eps * np.abs(values).max()
-    gram_pinv = (vectors[:, kept] / values[kept]) @ vectors[:, kept].T
-    meta = {
-        "gram_rank": int(kept.sum()),
-        "gram_condition": float(values[kept].max() / values[kept].min()),
-    }
-    for r, c, _ in terms:  # cached, so shared by every caller
-        r.setflags(write=False)
-        c.setflags(write=False)
-    gram_pinv.setflags(write=False)
-    return _Commutant(tuple(terms), gram_pinv, meta)
+    return _freeze_commutant(terms, gram[None])
 
 
-def _project_onto_commutant(state, d: int, t: int, pauli: bool = False):
-    """Orthogonal projection of the system factor onto a commutant.
+@lru_cache(maxsize=8)
+def _pf_commutant(d: int, t: int) -> _Commutant:
+    """The indicators of the even pattern classes, which span the
+    permutation-phase commutant.
 
-    Pairs the input with each spanning operator by index gathers, solves
-    with the Gram pseudo-inverse, and scatters the coefficients back; the
-    workspace factor rides along as matrix-valued coefficients.
+    Basis pairs (x, y) whose 2t digits have the same equality relation form
+    one label-permutation orbit; the binary phases keep its indicator when
+    every value occurs an even number of times.  The indicators have
+    disjoint supports, so the Gram matrix is diagonal with the class sizes
+    on it, classes of one size share a term, and odd classes are never
+    materialised.  The relation is packed as first-occurrence pointers:
+    digit j points at the first digit equal to it, a value in [0, j], so the
+    pointers form one mixed-radix integer below (2t)!, built on (n, n)
+    broadcasts and compacted whenever the next radix could overflow int64.
     """
+    n = d**t
+    digits = np.stack(np.unravel_index(np.arange(n), (d,) * t), axis=1)  # (n, t)
+    slots = [digits[:, i, None] for i in range(t)] + [digits[None, :, i] for i in range(t)]
+    code = np.zeros((1, 1), dtype=np.int64)
+    for j in range(1, 2 * t):
+        if factorial(j + 1) > np.iinfo(np.int64).max:
+            code = np.unique(code, return_inverse=True)[1].reshape(code.shape)
+        first = np.full((1, 1), j, dtype=np.int8)
+        for i in range(j - 1, -1, -1):
+            first = np.where(slots[i] == slots[j], np.int8(i), first)
+        code = code * (j + 1) + first
+    _, first_pair, labels, sizes = np.unique(
+        np.broadcast_to(code, (n, n)).reshape(-1),
+        return_index=True, return_inverse=True, return_counts=True,
+    )
+    values = [digits[pair, i] for pair in (first_pair // n, first_pair % n) for i in range(t)]
+    even = np.ones(len(sizes), dtype=bool)
+    for v in values:
+        even &= sum(u == v for u in values) % 2 == 0
+    pairs = np.flatnonzero(even[labels])
+    pairs = pairs[np.argsort(labels[pairs], kind="stable")]  # grouped by class
+    blocks = [pairs[sizes[labels[pairs]] == size].reshape(-1, size) for size in sorted(set(sizes[even]))]
+    terms = [(block // n, block % n, 1.0) for block in blocks]
+    return _freeze_commutant(terms, np.sort(sizes[even]).astype(float)[:, None, None])
+
+
+def _project_onto_commutant(state, d: int, t: int, basis: _Commutant):
+    """Orthogonal projection of the system factor onto the span of ``basis``:
+    pairs the input with each operator by index gathers, solves with the
+    Gram pseudo-inverse and scatters the coefficients back; the workspace
+    factor rides along as matrix-valued coefficients."""
     matrix, was_state = _as_matrix(state)
     check_capacity(matrix.shape[0])
     dim_e = workspace_dim(matrix.shape[0], d, t)
     n = d**t
-    basis = _commutant(d, t, pauli)
     arr = matrix.reshape(n, dim_e, n, dim_e)
-    pairings = np.stack([s * arr[r, :, c, :].sum(axis=0) for r, c, s in basis.terms])  # (ops, E, E)
-    coeffs = (basis.gram_pinv @ pairings.reshape(len(pairings), -1)).reshape(pairings.shape)
+    pairings = np.concatenate([s * arr[r, :, c, :].sum(axis=1) for r, c, s in basis.terms])
+    blocks, m, _ = basis.gram_pinv.shape
+    coeffs = (basis.gram_pinv @ pairings.reshape(blocks, m, -1)).reshape(pairings.shape)
     out = np.zeros_like(arr)
-    for (r, c, s), coeff in zip(basis.terms, coeffs):
-        out[r, :, c, :] += s * coeff[None, :, :]
+    start = 0
+    for r, c, s in basis.terms:
+        out[r, :, c, :] += s * coeffs[start : start + len(r), None]
+        start += len(r)
     meta = {"method": "exact"} | basis.meta
     return _wrap(out.reshape(matrix.shape), was_state, d, t, meta=meta)
 
@@ -174,11 +217,16 @@ def haar_twirl_exact(state, d: int, t: int):
     commutant of U^{x t}, through the Gram matrix G[s, p] = d^{#cycles(s^-1 p)}.
 
     Any d works: for d < t the permutations are dependent and the Gram
-    pseudo-inverse (the Weingarten function) drops the missing blocks.  The
-    metadata carries the Gram rank and its condition number over the kept
-    spectrum.
+    pseudo-inverse (the Weingarten function) drops the missing blocks.
     """
-    return _project_onto_commutant(state, d, t)
+    return _project_onto_commutant(state, d, t, _commutant(d, t, False))
+
+
+def pf_twirl(state, d: int, t: int):
+    """Exact permutation-phase twirl, workspace blocks carried along: each
+    output block is the mean of the input blocks over its pattern class, or
+    zero when the class is odd.  Its Gram rank is the even-class count."""
+    return _project_onto_commutant(state, d, t, _pf_commutant(d, t))
 
 
 def _blockwise_twirl(state, decomp: IsotypicDecomposition, weyl_state):
@@ -196,6 +244,38 @@ def haar_twirl_schur_weyl(state, decomp: IsotypicDecomposition):
     """Assemble the twirl output blockwise: maximally mixed on each
     unitary-group factor, the input's own footprint on the rest."""
     return _blockwise_twirl(state, decomp, lambda block: np.eye(block.weyl_dim) / block.weyl_dim)
+
+
+def pf_twirl_basis_element(x, y, d: int) -> DenseOperator:
+    """Exact permutation-phase twirl of the matrix unit |x><y|."""
+    x, y = tuple(int(v) for v in x), tuple(int(v) for v in y)
+    t = len(x)
+    if len(y) != t:
+        raise DomainError("tuples must have equal length")
+    if any(not 0 <= v < d for v in x + y):
+        raise DomainError(f"tuple values must lie in [0, {d})")
+    n = d**t
+    check_capacity(n)
+    unit = np.zeros((n, n), dtype=complex)
+    unit[np.ravel_multi_index(x, (d,) * t), np.ravel_multi_index(y, (d,) * t)] = 1.0
+    return DenseOperator(pf_twirl(unit, d, t).entries, (d,) * t)
+
+
+def pf_twirl_distinct_formula(state, decomp: IsotypicDecomposition):
+    """Block formula for inputs supported on distinct tuples: the
+    distinct-block mixed state replaces the maximally mixed one."""
+    matrix, was_state = _as_matrix(state)
+    d, t = decomp.d, decomp.t
+    dim_e = workspace_dim(matrix.shape[0], d, t)
+    mask = distinct_mask(d, t).astype(float)
+    full_mask = np.repeat(mask, dim_e)
+    projected = full_mask[:, None] * matrix * full_mask[None, :]
+    # sqrt(dim) times the Frobenius norm bounds the trace norm of the leak
+    if np.sqrt(matrix.shape[0]) * np.linalg.norm(matrix - projected) > 1e-9:
+        raise DomainError("input is not supported on the distinct subspace")
+    return _blockwise_twirl(
+        state, decomp, lambda block: block.distinct_block / np.trace(block.distinct_block).real
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -321,107 +401,6 @@ def pf_twirl_mc(state, d: int, t: int, samples: int, seed):
 
 
 # ---------------------------------------------------------------------------
-# Permutation-phase twirl, exact.
-# ---------------------------------------------------------------------------
-
-class _PfClasses(NamedTuple):
-    labels: np.ndarray  # (n * n,) class of each system basis pair (a, b), row-major
-    order: np.ndarray  # (n * n,) the pairs stably sorted by class
-    sizes: np.ndarray  # (classes,) pairs per class
-    even: np.ndarray  # (classes,) every value occurs an even number of times
-
-
-@lru_cache(maxsize=8)
-def _pf_classes(d: int, t: int) -> _PfClasses:
-    """Group the system basis pairs (x_a, y_b) by joint pattern, the
-    equality relation among their 2t digits; a pattern class is exactly one
-    label-permutation orbit.
-
-    The relation is packed as first-occurrence pointers: digit j points at
-    the first digit equal to it, a value in [0, j], so the pointers form one
-    mixed-radix integer below (2t)!.  Codes are built on (n, n) broadcasts
-    of the digit columns and compacted whenever the next radix could
-    overflow int64.
-    """
-    n = d**t
-    digits = np.stack(np.unravel_index(np.arange(n), (d,) * t), axis=1)  # (n, t)
-    slots = [digits[:, i, None] for i in range(t)] + [digits[None, :, i] for i in range(t)]
-    code = np.zeros((1, 1), dtype=np.int64)
-    for j in range(1, 2 * t):
-        if factorial(j + 1) > np.iinfo(np.int64).max:
-            code = np.unique(code, return_inverse=True)[1].reshape(code.shape)
-        first = np.full((1, 1), j, dtype=np.int8)
-        for i in range(j - 1, -1, -1):
-            first = np.where(slots[i] == slots[j], np.int8(i), first)
-        code = code * (j + 1) + first
-    _, labels, sizes = np.unique(
-        np.broadcast_to(code, (n, n)).reshape(-1), return_inverse=True, return_counts=True
-    )
-    labels = labels.astype(np.min_scalar_type(len(sizes) - 1))
-    order = np.argsort(labels, kind="stable").astype(np.min_scalar_type(n * n - 1))
-    first_pair = order[np.cumsum(sizes) - sizes]  # one representative pair per class
-    values = [digits[first_pair // n, i] for i in range(t)]
-    values += [digits[first_pair % n, i] for i in range(t)]
-    even = np.ones(len(sizes), dtype=bool)
-    for v in values:
-        even &= sum(u == v for u in values) % 2 == 0
-    return _PfClasses(labels, order, sizes, even)
-
-
-def pf_twirl(state, d: int, t: int):
-    """Exact permutation-phase twirl, workspace blocks carried along.
-
-    Averaging |x><y| over label permutations spreads it uniformly over its
-    joint-pattern class, and averaging the binary phases keeps it only when
-    every value occurs an even number of times.  So output block (a, b) is
-    the mean of the input blocks over the class of (a, b), or zero.
-    """
-    matrix, was_state = _as_matrix(state)
-    check_capacity(matrix.shape[0])
-    dim_e = workspace_dim(matrix.shape[0], d, t)
-    n = d**t
-    classes = _pf_classes(d, t)
-    pairs = matrix.reshape(n, dim_e, n, dim_e).transpose(0, 2, 1, 3).reshape(n * n, dim_e**2)
-    starts = np.cumsum(classes.sizes) - classes.sizes
-    means = np.add.reduceat(pairs[classes.order], starts, axis=0) / classes.sizes[:, None]
-    means[~classes.even] = 0
-    out = means[classes.labels].reshape(n, n, dim_e, dim_e).transpose(0, 2, 1, 3)
-    return _wrap(out.reshape(matrix.shape), was_state, d, t)
-
-
-def pf_twirl_basis_element(x, y, d: int) -> DenseOperator:
-    """Exact permutation-phase twirl of the matrix unit |x><y|."""
-    x, y = tuple(int(v) for v in x), tuple(int(v) for v in y)
-    t = len(x)
-    if len(y) != t:
-        raise DomainError("tuples must have equal length")
-    if any(not 0 <= v < d for v in x + y):
-        raise DomainError(f"tuple values must lie in [0, {d})")
-    n = d**t
-    check_capacity(n)
-    unit = np.zeros((n, n), dtype=complex)
-    unit[np.ravel_multi_index(x, (d,) * t), np.ravel_multi_index(y, (d,) * t)] = 1.0
-    return DenseOperator(pf_twirl(unit, d, t).entries, (d,) * t)
-
-
-def pf_twirl_distinct_formula(state, decomp: IsotypicDecomposition):
-    """Block formula for inputs supported on distinct tuples: the
-    distinct-block mixed state replaces the maximally mixed one."""
-    matrix, was_state = _as_matrix(state)
-    d, t = decomp.d, decomp.t
-    dim_e = workspace_dim(matrix.shape[0], d, t)
-    mask = distinct_mask(d, t).astype(float)
-    full_mask = np.repeat(mask, dim_e)
-    projected = full_mask[:, None] * matrix * full_mask[None, :]
-    # sqrt(dim) times the Frobenius norm bounds the trace norm of the leak
-    if np.sqrt(matrix.shape[0]) * np.linalg.norm(matrix - projected) > 1e-9:
-        raise DomainError("input is not supported on the distinct subspace")
-    return _blockwise_twirl(
-        state, decomp, lambda block: block.distinct_block / np.trace(block.distinct_block).real
-    )
-
-
-# ---------------------------------------------------------------------------
 # Explicit-ensemble and Clifford twirls.
 # ---------------------------------------------------------------------------
 
@@ -434,10 +413,19 @@ def ensemble_twirl(state, ops, d: int, t: int):
     return _wrap(avg.mean, avg.was_state, d, t, meta={"method": "exact", "samples": len(us)})
 
 
+CLIFFORD_EXACT_T_CAP = 4  # the Clifford commutant is known here up to four copies
+
+
 def clifford_exact_is_haar(t: int) -> bool:
     """Whether the exact Clifford twirl of t copies is the exact Haar twirl:
     the Clifford group is a unitary 3-design, so it is for every t <= 3."""
     return t <= 3
+
+
+def default_clifford_method(n: int, t: int) -> str:
+    """The ``--clifford auto`` choice: exact up to EXACT_QUBIT_CAP qubits and
+    CLIFFORD_EXACT_T_CAP copies, Monte-Carlo otherwise."""
+    return "exact" if n <= EXACT_QUBIT_CAP and t <= CLIFFORD_EXACT_T_CAP else "monte_carlo"
 
 
 def _clifford_average(state, n: int, t: int, method: str, samples: int, seed, weights=None):
@@ -445,11 +433,12 @@ def _clifford_average(state, n: int, t: int, method: str, samples: int, seed, we
     ``weights`` (None for the exact projection)."""
     d = 2**n
     if method == "exact":
-        if t > 4:
+        if t > CLIFFORD_EXACT_T_CAP:
             raise DomainError(
-                f"the exact Clifford twirl covers t <= 4, got t = {t}; use method='monte_carlo'"
+                f"the exact Clifford twirl covers t <= {CLIFFORD_EXACT_T_CAP}, got t = {t}; "
+                "use method='monte_carlo'"
             )
-        return _project_onto_commutant(state, d, t, pauli=not clifford_exact_is_haar(t)), None
+        return _project_onto_commutant(state, d, t, _commutant(d, t, not clifford_exact_is_haar(t))), None
     if method != "monte_carlo":
         raise DomainError(f"unknown method {method!r}")
 

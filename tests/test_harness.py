@@ -245,9 +245,9 @@ def _dense_from_map(m):
 def test_permutation_checks_match_dense_products(monkeypatch, broken):
     """Both permutation checks read their products off index maps; the dense
     matrices of the same maps decide the value: 0 for the slot permutations,
-    1 when every map has its first two images swapped.  The identity label
-    permutation commutes with every map, and all three label draws are the
-    identity at (d, t) = (2, 2) under this seed."""
+    1 when every map has its first two images swapped.  The label
+    permutations are the adjacent transpositions, which no broken map
+    commutes with, so every cell reads 1 when broken, d = 2 included."""
     def index_map(pi, d):
         m = subsystem_perm_index_map(pi, d)
         if broken:
@@ -270,18 +270,26 @@ def test_permutation_checks_match_dense_products(monkeypatch, broken):
     perm = _measured(report, "perm_phase_commutation")
     assert sorted(perm) == [(d, t) for d in (2, 3) for t in (2, 3, 4)]
     for (d, t), c in perm.items():
-        rng = np.random.default_rng(checks.SuiteContext(seed).check_seed(names[1], d, t))
-        draws = [PermutationT(rng.permutation(d)) for _ in range(3)]
-        Ps = [tensor_power(perm_op(pi), t).entries for pi in draws]
+        Ps = [tensor_power(perm_op(PermutationT.transposition(d, k - 1, k)), t).entries for k in range(1, d)]
         oracle = max(
             float(np.abs(P @ R - R @ P).max())
             for R in (_dense_from_map(index_map(pi, d)) for pi in all_permutations(t))
             for P in Ps
         )
-        moved = any(pi != PermutationT.identity(d) for pi in draws)
-        assert moved is ((d, t) != (2, 2))
-        assert c.measured == oracle == (expect if moved else 0.0)
-        assert c.passed is not (broken and moved)
+        assert c.measured == oracle == expect
+        assert c.passed is not broken
+
+
+def test_clifford_checks_past_four_copies_use_monte_carlo():
+    """The exact Clifford twirl stops at t = 4: past it the density check
+    keeps its Haar and permutation-phase outputs and the overlap check
+    samples."""
+    names = ["twirl_outputs_are_density", "clifford_distinct_overlap"]
+    report = run_lemma_suite(ds=(2,), ts=(5,), samples_clifford=200, check_names=names)
+    ids = [c.check_id for c in report.checks]
+    assert ids == ["twirl_output_psd", "twirl_output_trace", "clifford_distinct_overlap"]
+    assert report.checks[-1].params["method"] == "monte_carlo"
+    assert report.passed
 
 
 def test_permutation_checks_run_past_four_copies():

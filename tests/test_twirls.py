@@ -279,6 +279,49 @@ def test_pf_twirl_matches_explicit_group_mean(d, t, dim_e, seed):
     assert np.abs(pf_twirl(X, d, t).entries - oracle).max() < 1e-12
 
 
+def _set_partitions(items):
+    if not items:
+        yield []
+        return
+    for rest in _set_partitions(items[1:]):
+        for i in range(len(rest)):
+            yield rest[:i] + [[items[0]] + rest[i]] + rest[i + 1 :]
+        yield [[items[0]]] + rest
+
+
+@pytest.mark.parametrize("d, t", [(2, 2), (3, 2), (2, 3), (3, 3)])
+def test_pf_commutant_is_the_even_class_span(d, t):
+    """Each spanning operator commutes with (PF)^{x t} for the whole group,
+    the stored Gram pseudo-inverse inverts the dense Tr[B_j^T B_k], and the
+    operator count is both the number of set partitions of the 2t digit
+    positions into at most d even blocks and the commutant's dimension,
+    the group mean of Tr[g]^{2t}."""
+    basis = twirls._pf_commutant(d, t)
+    n = d**t
+    ops = []
+    for rows, cols, scale in basis.terms:
+        for r, c in zip(rows, cols):
+            op = np.zeros((n, n))
+            op[r, c] = scale
+            ops.append(op)
+    group = _signed_permutations(d)
+    for g in group:
+        gt = reduce(np.kron, [g] * t)
+        assert all(np.array_equal(gt @ op, op @ gt) for op in ops)
+    gram = np.array([[np.trace(a.T @ b) for b in ops] for a in ops])
+    blocks, m, _ = basis.gram_pinv.shape
+    stored = np.zeros_like(gram)
+    for i in range(blocks):
+        stored[i * m : (i + 1) * m, i * m : (i + 1) * m] = basis.gram_pinv[i]
+    assert np.abs(stored - np.linalg.pinv(gram)).max() < 1e-15
+    even = sum(
+        1 for p in _set_partitions(list(range(2 * t)))
+        if len(p) <= d and all(len(block) % 2 == 0 for block in p)
+    )
+    dim = sum(np.trace(g) ** (2 * t) for g in group) / len(group)
+    assert len(ops) == basis.meta["gram_rank"] == even == dim
+
+
 def _check_channel_properties(twirl, d, t, dim_e, seed, g=None):
     """Trace preserved and an exactly Hermitian PSD density output for a
     density input; given g, also idempotent and commuting with
