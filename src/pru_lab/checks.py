@@ -30,6 +30,7 @@ from .operators import (
     distinct_projector,
     falling_factorial,
     haar_unitaries,
+    hermitian_eigvalsh,
     perm_op,
     subsystem_perm_index_map,
     subsystem_perm_op,
@@ -241,7 +242,7 @@ def _check_completeness(ctx: SuiteContext, d: int, t: int):
     )
     rank_dev = 0
     for b in decomp.blocks:
-        evals = np.linalg.eigvalsh(b.projector.entries)
+        evals = hermitian_eigvalsh(b.projector.entries)
         rank_dev = max(rank_dev, abs(int((evals > 0.5).sum()) - b.weyl_dim * b.specht_dim))
     return [
         BoundCheck.make("isotypic_completeness", params, res_complete, 0, "eq", 1e-8,

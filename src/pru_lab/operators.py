@@ -376,16 +376,65 @@ def partial_trace(op: DenseOperator | DensityMatrix, keep: list[int]) -> DenseOp
     return DenseOperator(arr.reshape(dim, dim), out_regs)
 
 
+def _components(pattern: np.ndarray) -> np.ndarray:
+    """Component label of each vertex of the graph with the symmetric
+    boolean adjacency ``pattern``: the smallest vertex index in its
+    component.  Min-label propagation along the edges, each round followed
+    by pointer jumping until every label is its own label's label."""
+    rows, cols = np.nonzero(pattern)  # row-major, so each row's edges are contiguous
+    active = np.flatnonzero(np.bincount(rows, minlength=len(pattern)))
+    starts = np.searchsorted(rows, active)
+    label = np.arange(len(pattern))
+    while True:
+        hooked = label.copy()
+        hooked[active] = np.minimum(label[active], np.minimum.reduceat(label[cols], starts))
+        while not np.array_equal(hooked[hooked], hooked):
+            hooked = hooked[hooked]
+        if np.array_equal(hooked, label):
+            return label
+        label = hooked
+
+
+def hermitian_eigvalsh(A: np.ndarray) -> np.ndarray:
+    """The eigenvalues of a Hermitian matrix, component by component.
+
+    The connected components of the nonzero pattern (``-0.0`` counts as
+    zero, and no entry is ever thresholded) are exact invariant subspaces,
+    so their eigenvalues are those of A.  Components of equal size share
+    one batched ``eigvalsh``, an all-zero row adds one zero, and the result
+    is grouped by component, not sorted.  When A is one component it is
+    ``np.linalg.eigvalsh(A)`` itself.  As in ``eigvalsh``, only the values
+    of the lower triangle are used; the pattern is made symmetric, so a
+    nonzero entry in either triangle joins its row and column.
+    """
+    A = np.asarray(A)
+    pattern = A != 0
+    pattern |= pattern.T
+    label = _components(pattern)
+    nonzero = pattern.any(axis=1)
+    if nonzero.all() and not label.any():
+        return np.linalg.eigvalsh(A)
+    order = np.argsort(label, kind="stable")
+    order = order[nonzero[order]]  # each component contiguous, zero rows dropped
+    size = np.bincount(label)[label[order]]
+    parts = [np.zeros(len(A) - len(order))]
+    for s in sorted(set(size.tolist())):
+        idx = order[size == s].reshape(-1, s)
+        parts.append(np.linalg.eigvalsh(A[idx[:, :, None], idx[:, None, :]]).ravel())
+    return np.concatenate(parts)
+
+
 def trace_norm(A: np.ndarray) -> float:
     """Unnormalized Schatten-1 norm (sum of singular values).
 
     An exactly Hermitian input, such as a difference of two
-    ``DensityMatrix`` entries, takes the sum of its absolute eigenvalues;
-    anything else takes the singular values.
+    ``DensityMatrix`` entries, takes the sum of its absolute eigenvalues,
+    one connected component of its nonzero pattern at a time
+    (``hermitian_eigvalsh``); anything else takes the singular values.
     """
     A = np.asarray(A)
     if np.array_equal(A, A.conj().T):
-        return float(np.abs(np.linalg.eigvalsh(A)).sum())
+        return float(np.abs(hermitian_eigvalsh(A)).sum())
     return float(np.linalg.svd(A, compute_uv=False).sum())
 
 

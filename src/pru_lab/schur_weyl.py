@@ -11,6 +11,13 @@ permutation matrices and Young's orthogonal (real) irrep matrices, and is
 stored as float64, so rotating an operator into it takes real matrix
 products on the interleaved real view of the complex operator.
 
+The basis is built orbit by orbit.  A sum of slot permutations never moves
+a basis tuple out of its S_t-orbit (the tuples with the same sorted
+digits), so the matrix unit whose range seeds each block is diagonalised
+one orbit block at a time, and every basis vector is supported on a single
+orbit.  The blockwise twirl outputs and the distinct blocks then have
+exact zeros between orbits, which ``operators.trace_norm`` splits on.
+
 ``schur_weyl_basis`` is cached per (d, t) and its arrays are read-only.
 It does not check itself: ``verify_decomposition`` and ``ratio_report``
 return residuals and numeric traces, and only the records of the
@@ -21,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 
 import numpy as np
@@ -97,9 +104,13 @@ class IsotypicDecomposition:
     t: int
     blocks: tuple[IsotypicBlock, ...]
 
-    @property
+    @cached_property
     def basis_matrix(self) -> np.ndarray:
-        return np.concatenate([b.basis for b in self.blocks], axis=1)
+        """The block bases side by side, real (d^t, d^t): built on first
+        access and read-only, like the arrays it is made of."""
+        matrix = np.concatenate([b.basis for b in self.blocks], axis=1)
+        matrix.setflags(write=False)
+        return matrix
 
     def block_slices(self) -> list[slice]:
         out, off = [], 0
@@ -109,19 +120,49 @@ class IsotypicDecomposition:
         return out
 
 
+def _orbits_by_size(d: int, t: int) -> list[np.ndarray]:
+    """The S_t-orbits of the basis tuples of (C^d)^{x t}, grouped by size:
+    one (orbits, size) array of tuple indices per orbit size."""
+    n = d**t
+    digits = np.stack(np.unravel_index(np.arange(n), (d,) * t))
+    key = np.ravel_multi_index(np.sort(digits, axis=0), (d,) * t)  # the sorted tuple
+    order = np.argsort(key, kind="stable")  # each orbit contiguous
+    size = np.bincount(key, minlength=n)[key[order]]
+    return [order[size == s].reshape(-1, s) for s in sorted(set(size.tolist()))]
+
+
+def _unit_range(unit: np.ndarray, orbits: list[np.ndarray], lam: Partition) -> np.ndarray:
+    """Orthonormal columns spanning the range of the projector ``unit``,
+    which has no entry between orbits: one batched ``eigh`` per orbit size,
+    so each column is supported on one orbit."""
+    n = len(unit)
+    cols = []
+    for idx in orbits:
+        evals, evecs = np.linalg.eigh(unit[idx[:, :, None], idx[:, None, :]])
+        if np.abs(np.round(evals) - evals).max() > RANK_TOL:
+            raise ConsistencyError(f"matrix-unit eigenvalues not 0/1 for {lam}: {evals}")
+        orbit, k = np.nonzero(evals > 0.5)
+        vecs = np.zeros((n, len(orbit)))
+        vecs[idx[orbit], np.arange(len(orbit))[:, None]] = evecs[orbit, :, k]
+        cols.append(vecs)
+    return np.concatenate(cols, axis=1)
+
+
 @lru_cache(maxsize=8)
 def schur_weyl_basis(d: int, t: int) -> IsotypicDecomposition:
     """Construct the full decomposition for (d, t), cached and read-only.
 
     Per partition, matrix units assembled from the orthogonal irrep map the
     first Specht column onto the others, so one orthonormalization of the
-    (1,1) unit's range yields the whole block basis deterministically.
+    (1,1) unit's range, orbit by orbit, yields the whole block basis
+    deterministically.
     """
     n = d**t
     check_capacity(n)
     perms = all_permutations(t)
     tfact = factorial(t)
     mask = distinct_mask(d, t).astype(float)
+    orbits = _orbits_by_size(d, t)
     blocks = []
     for lam in partitions(t):
         if lam.rows > d:
@@ -132,13 +173,9 @@ def schur_weyl_basis(d: int, t: int) -> IsotypicDecomposition:
         scale = vdim / tfact
 
         unit_00 = _char_weighted_perm_sum({pi: scale * rep[pi][0, 0] for pi in perms}, d, t)
-        evals, evecs = np.linalg.eigh(unit_00)
-        if np.abs(np.round(evals) - evals).max() > RANK_TOL:
-            raise ConsistencyError(f"matrix-unit eigenvalues not 0/1 for {lam}: {evals}")
-        sel = evals > 0.5
-        if int(sel.sum()) != wdim:
-            raise ConsistencyError(f"rank {sel.sum()} != weyl dim {wdim} for {lam}")
-        w_vecs = evecs[:, sel]
+        w_vecs = _unit_range(unit_00, orbits, lam)
+        if w_vecs.shape[1] != wdim:
+            raise ConsistencyError(f"rank {w_vecs.shape[1]} != weyl dim {wdim} for {lam}")
 
         basis = np.zeros((n, wdim * vdim))
         for j in range(vdim):

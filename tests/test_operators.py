@@ -29,6 +29,7 @@ from pru_lab.operators import (
     distinct_mask,
     falling_factorial,
     haar_unitaries,
+    hermitian_eigvalsh,
     subsystem_perm_index_map,
     trace_norm,
 )
@@ -168,6 +169,77 @@ def test_trace_norm_matches_singular_values():
     N = np.array([[0.0, 1.0], [0.0, 0.0]])
     assert abs(trace_norm(N) - np.linalg.svd(N, compute_uv=False).sum()) < 1e-15
     assert abs(trace_norm(N) - 1.0) < 1e-15
+
+
+def _hidden_blocks(sizes, seed, chain=False):
+    """A random Hermitian block-diagonal matrix with ``sizes`` blocks, its
+    rows and columns shuffled by a random permutation.  With ``chain``,
+    each block is tridiagonal, so its rows are joined only through a path."""
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    A = np.zeros((n, n), dtype=complex)
+    off = 0
+    for s in sizes:
+        X = rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
+        if chain:
+            X = np.triu(np.tril(X, 1), -1)
+        A[off : off + s, off : off + s] = X + X.conj().T
+        off += s
+    p = rng.permutation(n)
+    return A[p][:, p]
+
+
+@pytest.mark.parametrize("chain", [False, True])
+@pytest.mark.parametrize("sizes", [(1, 5, 5, 2, 7, 1, 3), (12,) * 10, (40, 1, 1)])
+def test_trace_norm_splits_hidden_blocks(sizes, chain):
+    A = _hidden_blocks(sizes, sum(sizes), chain)
+    full = np.linalg.eigvalsh(A)
+    assert np.allclose(np.sort(hermitian_eigvalsh(A)), full, rtol=0, atol=1e-12)
+    norm = np.abs(full).sum()
+    assert abs(trace_norm(A) - norm) <= 1e-12 * norm
+
+
+@pytest.mark.parametrize("coupling", [3.0, 1e-300])
+def test_one_entry_joins_two_blocks(coupling):
+    """A single nonzero pair coupling two blocks merges them into one
+    component, however small it is, so the split returns the full
+    ``eigvalsh``; apart, the two blocks' spectra come back one after the
+    other."""
+    A = _hidden_blocks((6, 4), 5)
+    j = int(np.flatnonzero(A[0] == 0)[0])  # a row of the block that row 0 is not in
+    B = A.copy()
+    B[0, j] = B[j, 0] = coupling
+    assert np.array_equal(hermitian_eigvalsh(B), np.linalg.eigvalsh(B))
+    assert not np.array_equal(hermitian_eigvalsh(A), np.linalg.eigvalsh(A))
+    assert trace_norm(B) == np.abs(np.linalg.eigvalsh(B)).sum()
+
+
+def test_trace_norm_of_one_component_is_the_full_eigvalsh():
+    A = _hidden_blocks((30,), 3)
+    A[A == 0] = 1e-300  # dense, so one component
+    assert trace_norm(A) == np.abs(np.linalg.eigvalsh(A)).sum()
+    assert np.array_equal(hermitian_eigvalsh(A), np.linalg.eigvalsh(A))
+
+
+def test_trace_norm_of_zero_is_zero():
+    assert trace_norm(np.zeros((7, 7), dtype=complex)) == 0.0
+    assert trace_norm(np.zeros((0, 0))) == 0.0
+    assert np.array_equal(hermitian_eigvalsh(np.zeros((4, 4))), np.zeros(4))
+
+
+def test_negative_zero_entries_count_as_zero():
+    A = _hidden_blocks((3, 4, 2), 8)
+    B = np.where(A == 0, -0.0 - 0.0j, A)
+    assert np.signbit(B.real).sum() > np.signbit(A.real).sum()
+    assert np.array_equal(hermitian_eigvalsh(B), hermitian_eigvalsh(A))
+    assert len(hermitian_eigvalsh(B)) == len(A)
+    assert trace_norm(B) == trace_norm(A)
+
+
+def test_trace_norm_of_non_hermitian_input_takes_the_svd():
+    A = _hidden_blocks((3, 4, 2), 9)
+    A[0, 1] += 1j  # breaks Hermiticity, and may or may not join blocks
+    assert trace_norm(A) == float(np.linalg.svd(A, compute_uv=False).sum())
 
 
 def test_density_matrix_stores_its_exact_hermitian_part():

@@ -1,5 +1,6 @@
 """Isotypic projectors, the explicit block basis, and distinct-subspace blocks."""
 
+import itertools
 from fractions import Fraction
 from math import factorial
 
@@ -27,8 +28,9 @@ from pru_lab import (
 )
 from pru_lab.operators import haar_unitaries
 from pru_lab.schur_weyl import rotate_from_basis, rotate_to_basis
+from pru_lab.twirls import haar_twirl_schur_weyl, pf_twirl_distinct_formula
 
-from conftest import random_state
+from conftest import random_distinct_state, random_state
 
 
 def projector_rank(M, tol=0.5):
@@ -92,10 +94,43 @@ def test_basis_verification_residuals(d, t):
 def test_basis_is_cached_and_read_only():
     dec = schur_weyl_basis(4, 2)
     assert schur_weyl_basis(4, 2) is dec
-    for block in dec.blocks:
+    assert dec.basis_matrix is dec.basis_matrix
+    with pytest.raises(ValueError):
+        dec.basis_matrix[0, 0] = 1.0
+    for block, sl in zip(dec.blocks, dec.block_slices()):
+        assert np.array_equal(block.basis, dec.basis_matrix[:, sl])
         for arr in (block.basis, block.distinct_block, block.projector.entries):
             with pytest.raises(ValueError):
                 arr[0, 0] = 1.0
+
+
+def _orbit_labels(d, t):
+    """The S_t-orbit of each basis tuple, labelled by its sorted digits."""
+    return [tuple(sorted(x)) for x in itertools.product(range(d), repeat=t)]
+
+
+@pytest.mark.parametrize("d, t", [(2, 2), (3, 2), (2, 3), (4, 3)])
+def test_basis_columns_lie_on_one_orbit(d, t):
+    orbit = _orbit_labels(d, t)
+    B = schur_weyl_basis(d, t).basis_matrix
+    for column in B.T:
+        assert len({orbit[a] for a in np.flatnonzero(column)}) == 1
+
+
+def test_blockwise_twirls_vanish_exactly_between_orbits():
+    """Both blockwise formulas rebuild the identity (or the distinct block)
+    on the unitary-group factor, whose basis vectors each lie on one orbit,
+    so no output entry joins two orbits; this is what lets the trace norm
+    split them."""
+    d, t, dim_e = 4, 3, 2
+    dec = schur_weyl_basis(d, t)
+    orbit = np.repeat(np.unique(_orbit_labels(d, t), axis=0, return_inverse=True)[1], dim_e)
+    between = orbit[:, None] != orbit[None, :]
+    state = random_state(d**t * dim_e, (d**t, dim_e), 43)
+    distinct = random_distinct_state(d, t, dim_e, 43)
+    for out in (haar_twirl_schur_weyl(state, dec), pf_twirl_distinct_formula(distinct, dec)):
+        assert np.all(out.entries[between] == 0)
+        assert np.count_nonzero(out.entries[~between]) > 0
 
 
 def test_unitary_matrix_elements_vanish_off_block():
