@@ -421,42 +421,27 @@ def _check_haar_invariance(ctx: SuiteContext, d: int, t: int):
     ]
 
 
-@per_cell_check("haar_mc_agreement")
-def _check_haar_mc(ctx: SuiteContext, d: int, t: int):
-    if (d, t) != (4, 2):
-        return []
-    N = ctx.samples_unitary
-    st = _random_states(d, t, 1, 1, ctx.check_seed("haar_mc_agreement", d, t))[0]
-    err = trace_distance(
-        haar_twirl_mc(st, d, t, N, ctx.check_seed("haar_mc_agreement", d, t, 1)),
-        haar_twirl_exact(st, d, t),
-    )
-    return [
-        BoundCheck.make(
-            "haar_mc_agreement", {"d": d, "t": t, "n": _n_of(d), "samples": N},
-            err, 5 / sqrt(N), "le", 0,
-            "Monte-Carlo mean of the twirl within 5 N^{-1/2} of the exact channel in 1-norm",
-        )
-    ]
+def _mc_agreement_check(name, sampled, exact):
+    """Register ``name``: the Monte-Carlo twirl ``sampled`` against the exact
+    channel ``exact`` on one random state at (d, t) = (4, 2)."""
+    @per_cell_check(name)
+    def check(ctx: SuiteContext, d: int, t: int):
+        if (d, t) != (4, 2):
+            return []
+        N = ctx.samples_unitary
+        st = _random_states(d, t, 1, 1, ctx.check_seed(name, d, t))[0]
+        err = trace_distance(sampled(st, d, t, N, ctx.check_seed(name, d, t, 1)), exact(st, d, t))
+        return [
+            BoundCheck.make(
+                name, {"d": d, "t": t, "n": _n_of(d), "samples": N},
+                err, 5 / sqrt(N), "le", 0,
+                "Monte-Carlo mean of the twirl within 5 N^{-1/2} of the exact channel in 1-norm",
+            )
+        ]
 
 
-@per_cell_check("pf_mc_agreement")
-def _check_pf_mc(ctx: SuiteContext, d: int, t: int):
-    if (d, t) != (4, 2):
-        return []
-    N = ctx.samples_unitary
-    st = _random_states(d, t, 1, 1, ctx.check_seed("pf_mc_agreement", d, t))[0]
-    err = trace_distance(
-        pf_twirl_mc(st, d, t, N, ctx.check_seed("pf_mc_agreement", d, t, 1)),
-        pf_twirl(st, d, t),
-    )
-    return [
-        BoundCheck.make(
-            "pf_mc_agreement", {"d": d, "t": t, "n": _n_of(d), "samples": N},
-            err, 5 / sqrt(N), "le", 0,
-            "Monte-Carlo mean of the twirl within 5 N^{-1/2} of the exact channel in 1-norm",
-        )
-    ]
+_mc_agreement_check("haar_mc_agreement", haar_twirl_mc, haar_twirl_exact)
+_mc_agreement_check("pf_mc_agreement", pf_twirl_mc, pf_twirl)
 
 
 @per_cell_check("pf_formula_vs_generic")
@@ -747,6 +732,8 @@ def run_lemma_suite(
         samples_unitary=samples_unitary,
         num_keys=num_keys,
     )
+    if any(t < 1 for t in ts):
+        raise DomainError(f"t must be at least 1, got t in {list(ts)}")
     known = set(PER_T_CHECKS) | set(PER_CELL_CHECKS)
     if check_names:
         unknown = set(check_names) - known

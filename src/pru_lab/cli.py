@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .checks import run_lemma_suite
-from .errors import PruLabError
+from .errors import DomainError, PruLabError
 from .harness import (
     STATE_FAMILIES,
     ExperimentConfig,
@@ -215,6 +215,8 @@ def cli_main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise DomainError(f"the seed must be at least 0, got {args.seed}")
         if args.command == "verify":
             return _cmd_verify(args)
         if args.command == "security":

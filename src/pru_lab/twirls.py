@@ -13,8 +13,10 @@ unitary 3-design, so for t <= 3 its commutant is the same; at t = 4 it adds
 the permutations times the Pauli projector Q = d^-2 sum_P P^{x4}.  The
 permutation-phase commutant is spanned by the indicators of the even
 pattern classes: basis pairs (x, y) whose 2t digits have the same equality
-relation, with every value occurring an even number of times.  Each
-spanning set is built once per (d, t).  The blockwise Schur-Weyl formulas
+pattern, with every value occurring an even number of times.  Each class
+is enumerated as its even pattern times the injective relabelings of the
+pattern's values, so only kept pairs are built.  Each spanning set is
+built once per (d, t).  The blockwise Schur-Weyl formulas
 for the Haar and permutation-phase twirls share one footprint loop in
 ``schur_weyl``.
 
@@ -39,7 +41,7 @@ generator with (seed, c, j).
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
+from itertools import permutations
 from typing import NamedTuple
 
 import numpy as np
@@ -154,40 +156,39 @@ def _pf_commutant(d: int, t: int) -> _Commutant:
     """The indicators of the even pattern classes, which span the
     permutation-phase commutant.
 
-    Basis pairs (x, y) whose 2t digits have the same equality relation form
+    Basis pairs (x, y) whose 2t digits have the same equality pattern form
     one label-permutation orbit; the binary phases keep its indicator when
-    every value occurs an even number of times.  The indicators have
-    disjoint supports, so the Gram matrix is diagonal with the class sizes
-    on it, classes of one size share a term, and odd classes are never
-    materialised.  The relation is packed as first-occurrence pointers:
-    digit j points at the first digit equal to it, a value in [0, j], so the
-    pointers form one mixed-radix integer below (2t)!, built on (n, n)
-    broadcasts and compacted whenever the next radix could overflow int64.
+    every value occurs an even number of times.  So each kept class is an
+    even pattern times its injective relabelings: the patterns grow one
+    digit slot at a time as restricted growth strings (slot j takes a value
+    at most one above the largest so far), and a prefix is dropped once it
+    has more odd-count values than slots left to pair them.  A pattern with
+    k values has the (d)_k relabelings of its values as members, sorted by
+    the flat pair index x d^t + y and stored in C order, so the pairing sums
+    each class in that order.  The indicators have disjoint supports,
+    so the Gram matrix is diagonal with the class sizes on it, the classes
+    with k values share a term, and no odd class is ever built.
     """
     n = d**t
-    digits = np.stack(np.unravel_index(np.arange(n), (d,) * t), axis=1)  # (n, t)
-    slots = [digits[:, i, None] for i in range(t)] + [digits[None, :, i] for i in range(t)]
-    code = np.zeros((1, 1), dtype=np.int64)
-    for j in range(1, 2 * t):
-        if factorial(j + 1) > np.iinfo(np.int64).max:
-            code = np.unique(code, return_inverse=True)[1].reshape(code.shape)
-        first = np.full((1, 1), j, dtype=np.int8)
-        for i in range(j - 1, -1, -1):
-            first = np.where(slots[i] == slots[j], np.int8(i), first)
-        code = code * (j + 1) + first
-    _, first_pair, labels, sizes = np.unique(
-        np.broadcast_to(code, (n, n)).reshape(-1),
-        return_index=True, return_inverse=True, return_counts=True,
-    )
-    values = [digits[pair, i] for pair in (first_pair // n, first_pair % n) for i in range(t)]
-    even = np.ones(len(sizes), dtype=bool)
-    for v in values:
-        even &= sum(u == v for u in values) % 2 == 0
-    pairs = np.flatnonzero(even[labels])
-    pairs = pairs[np.argsort(labels[pairs], kind="stable")]  # grouped by class
-    blocks = [pairs[sizes[labels[pairs]] == size].reshape(-1, size) for size in sorted(set(sizes[even]))]
-    terms = [(block // n, block % n, 1.0) for block in blocks]
-    return _freeze_commutant(terms, np.sort(sizes[even]).astype(float)[:, None, None])
+    patterns = np.zeros((1, 0), dtype=np.int8)
+    for j in range(2 * t):
+        top = patterns.max(axis=1, initial=-1)
+        patterns = np.concatenate(
+            [np.insert(patterns[top >= v - 1], j, v, axis=1) for v in range(min(d, j + 1))]
+        )
+        odd = sum(np.count_nonzero(patterns == v, axis=1) % 2 for v in range(min(d, j + 1)))
+        patterns = patterns[odd <= 2 * t - j - 1]
+    k_of = patterns.max(axis=1) + 1  # the number of values in each pattern
+    place = d ** np.arange(2 * t - 1, -1, -1)  # digit slot -> weight in the flat pair index
+    terms, sizes = [], []
+    for k in range(1, min(d, t) + 1):  # every even pattern has 1 <= k <= min(d, t) values
+        group = patterns[k_of == k]
+        weights = np.stack([(group == v) @ place for v in range(k)], axis=1)  # (classes, k)
+        relabelings = np.array(list(permutations(range(d), k)))
+        flat = np.sort(weights @ relabelings.T, axis=1)  # (classes, (d)_k)
+        terms.append((flat // n, flat % n, 1.0))
+        sizes += [flat.shape[1]] * len(flat)
+    return _freeze_commutant(terms, np.array(sizes, dtype=float)[:, None, None])
 
 
 def _project_onto_commutant(state, d: int, t: int, basis: _Commutant):

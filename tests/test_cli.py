@@ -141,6 +141,25 @@ def test_bad_sizes_are_domain_errors(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["verify", "--n", "1", "--t", "0", "--check", "pf_idempotence"],
+    ["verify", "--n", "1", "--t", "0", "--check", "haar_invariance"],
+    ["verify", "--n", "1", "--t", "-1", "--check", "pf_idempotence"],
+    ["security", "--n", "1", "--t", "1", "--seed", "-1"],
+    ["verify", "--n", "1", "--t", "2", "--seed", "-3", "--check", "pf_idempotence"],
+    ["twirl", "--channel", "haar", "--n", "1", "--t", "1", "--seed", "-2"],
+    ["sweep", "--n", "1", "--t", "1", "--seed", "-1"],
+], ids=["verify-zero-t-pf", "verify-zero-t-haar", "verify-negative-t", "security-negative-seed",
+        "verify-negative-seed", "twirl-negative-seed", "sweep-negative-seed"])
+def test_bad_copy_counts_and_seeds_are_domain_errors(capsys, argv):
+    code = cli_main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
     ["twirl", "--channel", "pf", "--n", "-1", "--t", "1"],
     ["verify", "--n", "-1", "--t", "2", "--check", "weyl_dimension_sum"],
     ["security", "--n", "-1", "--t", "1"],

@@ -1,6 +1,7 @@
 """Twirl channels: exact paths, block formulas, Monte-Carlo, Clifford averages."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 from math import factorial
@@ -320,6 +321,91 @@ def test_pf_commutant_is_the_even_class_span(d, t):
     )
     dim = sum(np.trace(g) ** (2 * t) for g in group) / len(group)
     assert len(ops) == basis.meta["gram_rank"] == even == dim
+
+
+def _pf_commutant_by_pattern_code(d, t):
+    """Slow oracle: encode the equality pattern of every one of the (d^t)^2
+    basis pairs as an integer, group the pairs with np.unique, and keep the
+    classes whose first pair has every value an even number of times."""
+    n = d**t
+    digits = np.stack(np.unravel_index(np.arange(n), (d,) * t), axis=1)  # (n, t)
+    slots = [digits[:, i, None] for i in range(t)] + [digits[None, :, i] for i in range(t)]
+    code = np.zeros((1, 1), dtype=np.int64)
+    for j in range(1, 2 * t):
+        if factorial(j + 1) > np.iinfo(np.int64).max:
+            code = np.unique(code, return_inverse=True)[1].reshape(code.shape)
+        first = np.full((1, 1), j, dtype=np.int8)
+        for i in range(j - 1, -1, -1):
+            first = np.where(slots[i] == slots[j], np.int8(i), first)
+        code = code * (j + 1) + first
+    _, first_pair, labels, sizes = np.unique(
+        np.broadcast_to(code, (n, n)).reshape(-1),
+        return_index=True, return_inverse=True, return_counts=True,
+    )
+    values = [digits[pair, i] for pair in (first_pair // n, first_pair % n) for i in range(t)]
+    even = np.ones(len(sizes), dtype=bool)
+    for v in values:
+        even &= sum(u == v for u in values) % 2 == 0
+    pairs = np.flatnonzero(even[labels])
+    pairs = pairs[np.argsort(labels[pairs], kind="stable")]  # grouped by class
+    blocks = [pairs[sizes[labels[pairs]] == size].reshape(-1, size) for size in sorted(set(sizes[even]))]
+    terms = [(block // n, block % n, 1.0) for block in blocks]
+    return twirls._freeze_commutant(terms, np.sort(sizes[even]).astype(float)[:, None, None])
+
+
+def _classes(basis, n):
+    """Every spanning operator's support as its list of flat pair indices x n + y."""
+    return sorted((rows * n + cols).tolist() for r, c, _ in basis.terms for rows, cols in zip(r, c))
+
+
+@pytest.mark.parametrize("d, t", [
+    (1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (2, 6), (3, 2), (3, 3),
+    (4, 2), (4, 3), (3, 4), (4, 4), (5, 3), (8, 2), (8, 3), (3, 5),
+])
+def test_pf_commutant_matches_the_pattern_code_oracle(d, t):
+    """The even patterns times their relabelings are the oracle's classes,
+    each listed in ascending pair order, with the same Gram metadata, and
+    the projection gives the oracle's output bit for bit."""
+    basis, oracle = twirls._pf_commutant(d, t), _pf_commutant_by_pattern_code(d, t)
+    n = d**t
+    classes = _classes(basis, n)
+    assert all(members == sorted(members) for members in classes)
+    assert classes == _classes(oracle, n)
+    sizes = [len(rows) for r, _, _ in basis.terms for rows in r]  # in Gram order
+    assert sorted(sizes) == sorted(len(rows) for r, _, _ in oracle.terms for rows in r)
+    assert np.array_equal(basis.gram_pinv.ravel(), 1.0 / np.array(sizes))
+    assert basis.meta == oracle.meta
+    for dim_e in (1, 2):
+        X = _random_operator(d, t, dim_e, 100 * d + t)
+        assert np.array_equal(
+            pf_twirl(X, d, t).entries, twirls._project_onto_commutant(X, d, t, oracle).entries
+        )
+
+
+@pytest.mark.parametrize("d, t, count, sizes", [(8, 4, 379, {8, 56, 336, 1680}), (16, 3, 31, {16, 240, 3360})])
+def test_pf_commutant_counts_past_the_default_grid(d, t, count, sizes):
+    """One class per set partition of the 2t digit slots into at most d even
+    blocks, and a partition with k blocks gives a class of (d)_k pairs."""
+    basis = twirls._pf_commutant(d, t)
+    even = [
+        len(p) for p in _set_partitions(list(range(2 * t)))
+        if len(p) <= d and all(len(block) % 2 == 0 for block in p)
+    ]
+    got = sorted(len(rows) for r, _, _ in basis.terms for rows in r)
+    assert len(got) == basis.meta["gram_rank"] == len(even) == count
+    assert got == sorted(factorial(d) // factorial(d - k) for k in even)
+    assert set(got) == sizes
+
+
+def test_pf_commutant_builds_only_the_kept_pairs():
+    """An uncached (8, 4) build stays far below one (d^t)^2 int64 array (128 MiB)."""
+    tracemalloc.start()
+    try:
+        twirls._pf_commutant.__wrapped__(8, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def _check_channel_properties(twirl, d, t, dim_e, seed, g=None):
