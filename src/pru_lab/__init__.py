@@ -83,6 +83,12 @@ from .harness import (
     strip_timing_fields,
 )
 from .checks import run_lemma_suite
-from .cli import cli_main
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):  # cli_main on first use, so ``python -m pru_lab.cli`` runs cli once
+    if name == "cli_main":
+        from .cli import cli_main
+        return cli_main
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

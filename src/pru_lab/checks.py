@@ -40,6 +40,8 @@ from .operators import (
 from .pru import PrpScheme, pru_average_state, sample_key
 from .schur_weyl import (
     ratio_report,
+    rotate_from_basis,
+    rotate_to_basis,
     schur_weyl_basis,
     verify_decomposition,
 )
@@ -298,18 +300,10 @@ def _check_distinct_trace(ctx: SuiteContext, d: int, t: int):
 @per_cell_check("distinct_reconstruction")
 def _check_distinct_reconstruction(ctx: SuiteContext, d: int, t: int):
     decomp = schur_weyl_basis(d, t)
-    n = d**t
-    B = decomp.basis_matrix
-    recon = np.zeros((n, n), dtype=complex)
-    off = 0
-    for b in decomp.blocks:
-        emb = np.zeros((n, n), dtype=complex)
-        emb[off : off + b.block_dim, off : off + b.block_dim] = np.kron(
-            b.distinct_block, np.eye(b.specht_dim)
-        )
-        recon += B @ emb @ B.conj().T
-        off += b.block_dim
-    worst = float(np.abs(recon - distinct_projector(d, t).entries).max())
+    emb = np.zeros((d**t, d**t))
+    for sl, b in zip(decomp.block_slices(), decomp.blocks):
+        emb[sl, sl] = np.kron(b.distinct_block, np.eye(b.specht_dim))
+    worst = float(np.abs(rotate_from_basis(emb, decomp) - distinct_projector(d, t).entries).max())
     return [
         BoundCheck.make(
             "distinct_reconstruction", {"d": d, "t": t, "n": _n_of(d)}, worst, 0, "eq", 1e-9,
@@ -599,28 +593,19 @@ def _check_collapse(ctx: SuiteContext, d: int, t: int):
     decomp = schur_weyl_basis(d, t)
     n = d**t
     perms = all_permutations(t)
-    B = decomp.basis_matrix
-    rotated = np.stack([B.conj().T @ subsystem_perm_op(pi, d).entries @ B for pi in perms])
-
-    labels = []
-    for bi, block in enumerate(decomp.blocks):
-        for i in range(block.weyl_dim):
-            for j in range(block.specht_dim):
-                labels.append((bi, i, j))
-    slices = decomp.block_slices()
+    rotated = np.stack([rotate_to_basis(subsystem_perm_op(pi, d).entries, decomp) for pi in perms])
     worst = 0.0
-    for a, (bi, i, j) in enumerate(labels):
-        for b, (bi2, i2, j2) in enumerate(labels):
-            summed = np.einsum("s,sxy->xy", rotated[:, a, b].conj(), rotated)
-            expect = np.zeros((n, n), dtype=complex)
-            if bi == bi2 and i == i2:
-                block = decomp.blocks[bi]
-                unit = np.zeros((block.specht_dim, block.specht_dim))
-                unit[j, j2] = 1.0
-                scale = factorial(t) / block.specht_dim
-                sl = slices[bi]
-                expect[sl, sl] = scale * np.kron(np.eye(block.weyl_dim), unit)
-            worst = max(worst, float(np.abs(summed - expect).max()))
+    for sl, block in zip(decomp.block_slices(), decomp.blocks):
+        v = block.specht_dim
+        for a in range(sl.start, sl.stop):  # basis label (i, j) of the block, j fastest
+            # over every beta at once: summed[beta] = sum_pi conj(<alpha|R_pi|beta>) R_pi
+            summed = (rotated[:, a].conj().T @ rotated.reshape(len(perms), n * n)).reshape(n, n, n)
+            i, j = divmod(a - sl.start, v)
+            for j2 in range(v):  # minus the expected sum at beta = (i, j2) of the same block
+                unit = np.zeros((v, v))
+                unit[j, j2] = factorial(t) / v
+                summed[sl.start + i * v + j2, sl, sl] -= np.kron(np.eye(block.weyl_dim), unit)
+            worst = max(worst, float(np.abs(summed).max()))
     return [
         BoundCheck.make(
             "collapse_identity", {"d": d, "t": t, "n": _n_of(d)}, worst, 0, "eq", 1e-8,

@@ -44,9 +44,16 @@ def register_dim(n: int) -> int:
     return 2**n
 
 
+def system_dim(d: int, t: int) -> int:
+    """d^t, the dimension of t copies of C^d, for t >= 1."""
+    if t < 1:
+        raise DomainError(f"the copy count t must be at least 1, got {t}")
+    return d**t
+
+
 def workspace_dim(dim: int, d: int, t: int) -> int:
     """dim_e for a total dimension dim = d^t * dim_e (system first)."""
-    n = d**t
+    n = system_dim(d, t)
     if dim % n:
         raise DomainError(f"dimension {dim} not divisible by d^t = {n}")
     return dim // n

@@ -8,15 +8,17 @@ kept in exact integer/rational arithmetic; matrices are the only floats.
 
 The basis is real: it is built from eigenvectors of real combinations of
 permutation matrices and Young's orthogonal (real) irrep matrices, and is
-stored as float64, so rotating an operator into it takes real matrix
-products on the interleaved real view of the complex operator.
+stored as float64.
 
 The basis is built orbit by orbit.  A sum of slot permutations never moves
 a basis tuple out of its S_t-orbit (the tuples with the same sorted
 digits), so the matrix unit whose range seeds each block is diagonalised
 one orbit block at a time, and every basis vector is supported on a single
-orbit.  The blockwise twirl outputs and the distinct blocks then have
-exact zeros between orbits, which ``operators.trace_norm`` splits on.
+orbit.  So the basis is a set of s x s orbit blocks, and every product with
+it is a rotation that applies them in batched real products on the
+interleaved real view of the complex operator.  The blockwise twirl outputs
+and the distinct blocks have exact zeros between orbits, which
+``operators.trace_norm`` splits on.
 
 ``schur_weyl_basis`` is cached per (d, t) and its arrays are read-only.
 It does not check itself: ``verify_decomposition`` and ``ratio_report``
@@ -42,6 +44,7 @@ from .operators import (
     haar_unitaries,
     subsystem_perm_index_map,
     subsystem_perm_op,
+    system_dim,
     tensor_power,
     workspace_dim,
 )
@@ -57,6 +60,7 @@ from .symgroup import (
 )
 
 RANK_TOL = 1e-7  # projector eigenvalues are 0/1; anything inside the gap is a bug
+ORBIT_CHUNK = 4  # orbits per batched rotation product; bounds its temporaries
 
 
 def _char_weighted_perm_sum(coeffs: dict[PermutationT, float], d: int, t: int) -> np.ndarray:
@@ -112,6 +116,25 @@ class IsotypicDecomposition:
         matrix.setflags(write=False)
         return matrix
 
+    @cached_property
+    def orbit_blocks(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """``basis_matrix`` factored by orbit, read-only: per orbit size s, the
+        orbits' tuples and the s columns each owns, both (count, s), and the
+        blocks B[tuples, columns], (count, s, s).  A nonzero of B outside the
+        blocks raises ``ConsistencyError``, so block products are dense ones."""
+        B = self.basis_matrix
+        key = _orbit_key(self.d, self.t)
+        col_key = key[np.abs(B).argmax(axis=0)]  # each column's orbit, by its largest entry
+        if not np.array_equal(np.bincount(key, minlength=len(B)), np.bincount(col_key, minlength=len(B))):
+            raise ConsistencyError("basis columns do not lie s to each orbit of s tuples")
+        factors = [(r, c, B[r[:, :, None], c[:, None, :]])
+                   for r, c in zip(_orbits_by_size(key), _orbits_by_size(col_key))]
+        if sum(np.count_nonzero(f[2]) for f in factors) != np.count_nonzero(B):
+            raise ConsistencyError("basis has a nonzero outside its orbit blocks")
+        for array in (a for f in factors for a in f):
+            array.setflags(write=False)
+        return tuple(factors)
+
     def block_slices(self) -> list[slice]:
         out, off = [], 0
         for b in self.blocks:
@@ -120,14 +143,16 @@ class IsotypicDecomposition:
         return out
 
 
-def _orbits_by_size(d: int, t: int) -> list[np.ndarray]:
-    """The S_t-orbits of the basis tuples of (C^d)^{x t}, grouped by size:
-    one (orbits, size) array of tuple indices per orbit size."""
-    n = d**t
-    digits = np.stack(np.unravel_index(np.arange(n), (d,) * t))
-    key = np.ravel_multi_index(np.sort(digits, axis=0), (d,) * t)  # the sorted tuple
+def _orbit_key(d: int, t: int) -> np.ndarray:
+    """Each basis tuple's S_t-orbit, labelled by the index of its sorted tuple."""
+    digits = np.stack(np.unravel_index(np.arange(d**t), (d,) * t))
+    return np.ravel_multi_index(np.sort(digits, axis=0), (d,) * t)
+
+
+def _orbits_by_size(key: np.ndarray) -> list[np.ndarray]:
+    """Indices grouped by orbit ``key``, one (orbits, size) array per size."""
     order = np.argsort(key, kind="stable")  # each orbit contiguous
-    size = np.bincount(key, minlength=n)[key[order]]
+    size = np.bincount(key, minlength=len(key))[key[order]]
     return [order[size == s].reshape(-1, s) for s in sorted(set(size.tolist()))]
 
 
@@ -157,12 +182,12 @@ def schur_weyl_basis(d: int, t: int) -> IsotypicDecomposition:
     (1,1) unit's range, orbit by orbit, yields the whole block basis
     deterministically.
     """
-    n = d**t
+    n = system_dim(d, t)
     check_capacity(n)
     perms = all_permutations(t)
     tfact = factorial(t)
     mask = distinct_mask(d, t).astype(float)
-    orbits = _orbits_by_size(d, t)
+    orbits = _orbits_by_size(_orbit_key(d, t))
     blocks = []
     for lam in partitions(t):
         if lam.rows > d:
@@ -228,7 +253,7 @@ def verify_decomposition(decomp: IsotypicDecomposition, seed: int = 7) -> dict:
 
     U = DenseOperator(haar_unitaries(d, 1, np.random.default_rng(seed))[0])
     Ut = tensor_power(U, t).entries
-    rotated = B.T @ Ut @ B
+    rotated = rotate_to_basis(Ut, decomp)
     slices = decomp.block_slices()
     mask = np.ones((n, n), dtype=bool)
     for sl in slices:
@@ -240,16 +265,15 @@ def verify_decomposition(decomp: IsotypicDecomposition, seed: int = 7) -> dict:
         off = inner - np.einsum("ajbj->ab", inner)[:, None, :, None] * np.eye(v)[None, :, None, :] / v
         specht_res = max(specht_res, float(np.abs(off).max()))
     residuals["unitary_block_action"] = specht_res
-    residuals["unitary_off_block"] = float(np.abs(rotated[mask]).max()) if mask.any() else 0.0
+    residuals["unitary_off_block"] = float(np.abs(rotated[mask]).max(initial=0.0))
 
     perm_res = off_res = 0.0
     for pi in all_permutations(t):
-        rotated = B.T @ subsystem_perm_op(pi, d).entries @ B
+        rotated = rotate_to_basis(subsystem_perm_op(pi, d).entries, decomp)
         for sl, block in zip(slices, decomp.blocks):
             expected = np.kron(np.eye(block.weyl_dim), young_orthogonal_rep(block.partition)[pi])
             perm_res = max(perm_res, float(np.abs(rotated[sl, sl] - expected).max()))
-        if mask.any():
-            off_res = max(off_res, float(np.abs(rotated[mask]).max()))
+        off_res = max(off_res, float(np.abs(rotated[mask]).max(initial=0.0)))
     residuals["perm_block_action"] = perm_res
     residuals["perm_off_block"] = off_res
     residuals["distinct_block_idempotence"] = max(
@@ -272,32 +296,41 @@ def distinct_block(lam: Partition, decomp: IsotypicDecomposition) -> DenseOperat
 # Workspace-register-aware rotation helpers shared with the twirl channels.
 # ---------------------------------------------------------------------------
 
-def _conjugate_real(matrix: np.ndarray, M: np.ndarray, d: int, t: int) -> np.ndarray:
-    """(M^T x I) X (M x I) for a real M on the system factor of a complex X.
+def _conjugate_real(matrix: np.ndarray, decomp: IsotypicDecomposition, inverse: bool) -> np.ndarray:
+    """(B^T x I) X (B x I) for the real basis B on the system factor of a
+    complex X, or (B x I) X (B^T x I) when ``inverse``.
 
-    Each of the two passes is one real matrix product on the interleaved
-    float64 view of a contiguous complex array: it multiplies M^T into the
-    leading system axis, then turns the axes (a, e, b, f) into (b, f, a', e)
-    so the other system axis leads.
+    Each of the two passes multiplies B^T (or B) into the leading system axis
+    of the interleaved float64 view of a contiguous complex array by orbit-block
+    products: for ORBIT_CHUNK orbits at a time, it gathers their rows, applies
+    their s x s blocks in one batched product and scatters the result.  It then
+    turns the axes (a, e, b, f) into (b, f, a', e) so the other system axis leads.
     """
-    dim_e = workspace_dim(matrix.shape[0], d, t)
-    n = d**t
+    dim_e = workspace_dim(matrix.shape[0], decomp.d, decomp.t)
+    n = decomp.d**decomp.t
     arr = np.asarray(matrix, dtype=complex)
     for _ in range(2):
         flat = np.ascontiguousarray(arr).reshape(n, -1).view(np.float64)
-        arr = (M.T @ flat).view(complex).reshape(n, dim_e, n, dim_e).transpose(2, 3, 0, 1)
+        del arr  # the previous pass's output, once flat has copied it
+        arr = np.empty_like(flat)
+        for rows, cols, blocks in decomp.orbit_blocks:
+            src, dst, mats = (cols, rows, blocks) if inverse else (rows, cols, blocks.transpose(0, 2, 1))
+            for k in range(0, len(rows), ORBIT_CHUNK):
+                sl = slice(k, k + ORBIT_CHUNK)
+                arr[dst[sl]] = mats[sl] @ flat[src[sl]]
+        arr = arr.view(complex).reshape(n, dim_e, n, dim_e).transpose(2, 3, 0, 1)
     return arr.reshape(n * dim_e, n * dim_e)
 
 
 def rotate_to_basis(matrix: np.ndarray, decomp: IsotypicDecomposition) -> np.ndarray:
     """Conjugate the system factor into the Schur-Weyl basis, carrying any
     trailing workspace factor along untouched: (B^T x I) X (B x I)."""
-    return _conjugate_real(matrix, decomp.basis_matrix, decomp.d, decomp.t)
+    return _conjugate_real(matrix, decomp, inverse=False)
 
 
 def rotate_from_basis(matrix: np.ndarray, decomp: IsotypicDecomposition) -> np.ndarray:
     """The inverse of ``rotate_to_basis``: (B x I) X (B^T x I)."""
-    return _conjugate_real(matrix, decomp.basis_matrix.T, decomp.d, decomp.t)
+    return _conjugate_real(matrix, decomp, inverse=True)
 
 
 def block_footprints(rotated: np.ndarray, decomp: IsotypicDecomposition):

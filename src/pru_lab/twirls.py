@@ -58,6 +58,7 @@ from .operators import (
     distinct_mask,
     haar_unitaries,
     subsystem_perm_index_map,
+    system_dim,
     workspace_dim,
 )
 from .schur_weyl import (
@@ -169,7 +170,7 @@ def _pf_commutant(d: int, t: int) -> _Commutant:
     so the Gram matrix is diagonal with the class sizes on it, the classes
     with k values share a term, and no odd class is ever built.
     """
-    n = d**t
+    n = system_dim(d, t)
     patterns = np.zeros((1, 0), dtype=np.int8)
     for j in range(2 * t):
         top = patterns.max(axis=1, initial=-1)

@@ -253,6 +253,21 @@ def test_a_basis_entry_moved_by_1e6_fails_its_record(capsys, monkeypatch):
     assert records["basis_orthonormality"]["measured"] > 1e-6
 
 
+def test_a_basis_entry_moved_off_its_orbit_is_an_error(capsys, monkeypatch):
+    def moved(block):
+        basis = block.basis.copy()
+        assert np.flatnonzero(basis[:, 0]).tolist() == [0]  # the first column is |00>
+        basis[[0, -1], 0] = basis[[-1, 0], 0]  # it becomes |33>, on another orbit
+        return dataclasses.replace(block, basis=basis)
+
+    _serve_altered_first_block(monkeypatch, moved)
+    code = cli_main(["verify", "--n", "2", "--t", "2", "--check", "basis_block_action"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "orbit" in captured.err
+
+
 def test_a_scaled_distinct_block_fails_the_trace_record(capsys, monkeypatch):
     _serve_altered_first_block(
         monkeypatch, lambda b: dataclasses.replace(b, distinct_block=1.001 * b.distinct_block)
@@ -304,3 +319,14 @@ def test_cli_import_does_not_load_scipy():
         [sys.executable, "-c", "import pru_lab.cli, sys; assert 'scipy' not in sys.modules"],
         env=env, check=True,
     )
+
+
+def test_module_run_reports_bad_input_as_an_error_line():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pru_lab.cli", "verify", "--n", "1", "--t", "0"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")

@@ -1,6 +1,8 @@
 """Isotypic projectors, the explicit block basis, and distinct-subspace blocks."""
 
+import dataclasses
 import itertools
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 from pru_lab import (
+    ConsistencyError,
     DensityMatrix,
     DomainError,
     Partition,
@@ -254,7 +257,7 @@ def test_isotypic_projector_domain_errors():
         isotypic_projector(Partition((2,)), 4, 3)
 
 
-@pytest.mark.parametrize("d, t, dim_e", [(2, 2, 3), (4, 3, 2)])
+@pytest.mark.parametrize("d, t, dim_e", [(2, 2, 3), (4, 3, 2), (8, 3, 2), (3, 3, 1)])
 def test_rotations_match_kron_conjugation(d, t, dim_e):
     dec = schur_weyl_basis(d, t)
     B = dec.basis_matrix
@@ -264,5 +267,52 @@ def test_rotations_match_kron_conjugation(d, t, dim_e):
     rng = np.random.default_rng(d * 10 + t)
     X = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     K = np.kron(B, np.eye(dim_e))
-    assert np.abs(rotate_to_basis(X, dec) - K.conj().T @ X @ K).max() < 1e-12
-    assert np.abs(rotate_from_basis(X, dec) - K @ X @ K.conj().T).max() < 1e-12
+    for Y in (X, X.real.copy()):
+        assert np.abs(rotate_to_basis(Y, dec) - K.conj().T @ Y @ K).max() < 1e-12
+        assert np.abs(rotate_from_basis(Y, dec) - K @ Y @ K.conj().T).max() < 1e-12
+
+
+def test_orbit_blocks_factor_the_basis():
+    dec = schur_weyl_basis(4, 3)
+    B, rebuilt = dec.basis_matrix, np.zeros_like(dec.basis_matrix)
+    orbit = _orbit_labels(4, 3)
+    for rows, cols, blocks in dec.orbit_blocks:
+        assert rows.shape == cols.shape == blocks.shape[:2] and blocks.shape[1:] == (rows.shape[1],) * 2
+        assert all(len({orbit[a] for a in r}) == 1 for r in rows)
+        rebuilt[rows[:, :, None], cols[:, None, :]] = blocks
+        with pytest.raises(ValueError):
+            blocks[0, 0, 0] = 1.0
+    assert np.array_equal(rebuilt, B)
+
+
+# In the symmetric block at (d, t) = (2, 2), column 0 is |00> and column 2 is
+# (|01> + |10>)/sqrt 2.  Each move takes one entry to row |11>, on another
+# orbit: all of column 0, which then leaves its orbit, or the |10> half of
+# column 2, which keeps its orbit by its first largest entry.
+@pytest.mark.parametrize("column, row", [(0, 0), (2, 2)])
+def test_a_basis_entry_off_its_orbit_fails_the_factorization(column, row):
+    dec = schur_weyl_basis(2, 2)
+    basis = dec.blocks[0].basis.copy()
+    assert basis[row, column] != 0 and basis[3, column] == 0
+    basis[[row, 3], column] = basis[[3, row], column]
+    moved = dataclasses.replace(dec, blocks=(dataclasses.replace(dec.blocks[0], basis=basis),) + dec.blocks[1:])
+    with pytest.raises(ConsistencyError, match="orbit"):
+        moved.orbit_blocks
+
+
+# tracemalloc peak of one (8, 3, 2) rotation as the dense n x n real product it replaced
+DENSE_ROTATION_PEAK_BYTES = 50_332_768
+
+
+def test_a_rotation_allocates_no_more_than_the_dense_product():
+    dec = schur_weyl_basis(8, 3)
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((1024, 1024)) + 1j * rng.standard_normal((1024, 1024))
+    rotate_to_basis(X, dec)  # builds the orbit factorization
+    tracemalloc.start()
+    try:
+        rotate_to_basis(X, dec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= DENSE_ROTATION_PEAK_BYTES

@@ -210,6 +210,23 @@ def test_pf_formula_rejects_a_tiny_colliding_leak(dec42):
         pf_twirl_distinct_formula(DenseOperator(leak, (16, 4)), dec42)
 
 
+@pytest.mark.parametrize("t", [0, -1])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t: pf_twirl(np.eye(2), 2, t),
+        lambda t: haar_twirl_exact(np.eye(2), 2, t),
+        lambda t: haar_twirl_mc(np.eye(2), 2, t, 4, 1),
+        lambda t: pf_twirl_mc(np.eye(2), 2, t, 4, 1),
+        lambda t: schur_weyl_basis(2, t),
+    ],
+    ids=["pf_twirl", "haar_twirl_exact", "haar_twirl_mc", "pf_twirl_mc", "schur_weyl_basis"],
+)
+def test_library_entry_points_reject_fewer_than_one_copy(call, t):
+    with pytest.raises(DomainError, match="at least 1"):
+        call(t)
+
+
 def test_pf_equals_haar_on_deficit_free_block(dec42):
     B = dec42.basis_matrix
     anti = B[:, 10:16]  # the 6-dimensional antisymmetric block
