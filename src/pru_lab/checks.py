@@ -25,7 +25,6 @@ from .operators import (
     DenseOperator,
     DensityMatrix,
     StateVector,
-    apply_on_axis,
     distinct_mask,
     distinct_projector,
     falling_factorial,
@@ -36,6 +35,7 @@ from .operators import (
     subsystem_perm_op,
     tensor_power,
     trace_distance,
+    transpose,
 )
 from .pru import PrpScheme, pru_average_state, sample_key
 from .schur_weyl import (
@@ -103,15 +103,18 @@ def _random_states(d: int, t: int, dim_e: int, count: int, seed,
 
 
 def _tensor_power_commutator(V: np.ndarray, X: np.ndarray, d: int, t: int, dim_e: int) -> float:
-    """max |[V^{x t} x I, X]| entrywise, with V applied axis by axis: on each
-    system row axis of X for the left product, and V^T on each system
-    column axis for the right one."""
-    shaped = X.reshape(((d,) * t + (dim_e,)) * 2)
-    left, right = shaped, shaped
-    for k in range(t):
-        left = apply_on_axis(V, left, k)
-        right = apply_on_axis(V.T, right, t + 1 + k)
-    left -= right
+    """max |[V^{x t} x I, X]| entrywise.  V^{x t} x I is applied to the rows
+    of X one leading system axis at a time, as a product broadcast over the
+    axes before it; X (V^{x t} x I) is the transpose of (V^T)^{x t} x I
+    applied the same way to X^T."""
+
+    def on_rows(M, A):
+        for k in range(t):
+            A = np.matmul(M, A.reshape(d**k, d, -1))
+        return A.reshape(X.shape)
+
+    left = transpose(on_rows(V, X))
+    left -= on_rows(V.T, transpose(X))
     return float(np.abs(left).max())
 
 

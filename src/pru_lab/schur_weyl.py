@@ -46,6 +46,7 @@ from .operators import (
     subsystem_perm_op,
     system_dim,
     tensor_power,
+    transpose,
     workspace_dim,
 )
 from .symgroup import (
@@ -303,23 +304,24 @@ def _conjugate_real(matrix: np.ndarray, decomp: IsotypicDecomposition, inverse: 
     Each of the two passes multiplies B^T (or B) into the leading system axis
     of the interleaved float64 view of a contiguous complex array by orbit-block
     products: for ORBIT_CHUNK orbits at a time, it gathers their rows, applies
-    their s x s blocks in one batched product and scatters the result.  It then
-    turns the axes (a, e, b, f) into (b, f, a', e) so the other system axis leads.
+    their s x s blocks in one batched product and scatters the result.  Between
+    the passes the tiled ``operators.transpose`` brings the other system axis
+    to the front; the second pass's result is returned as its transposed view.
     """
-    dim_e = workspace_dim(matrix.shape[0], decomp.d, decomp.t)
+    workspace_dim(matrix.shape[0], decomp.d, decomp.t)  # d^t must divide the dimension
     n = decomp.d**decomp.t
-    arr = np.asarray(matrix, dtype=complex)
-    for _ in range(2):
-        flat = np.ascontiguousarray(arr).reshape(n, -1).view(np.float64)
-        del arr  # the previous pass's output, once flat has copied it
-        arr = np.empty_like(flat)
+
+    def on_rows(arr):
+        flat = arr.reshape(n, -1).view(np.float64)
+        out = np.empty_like(flat)
         for rows, cols, blocks in decomp.orbit_blocks:
             src, dst, mats = (cols, rows, blocks) if inverse else (rows, cols, blocks.transpose(0, 2, 1))
             for k in range(0, len(rows), ORBIT_CHUNK):
                 sl = slice(k, k + ORBIT_CHUNK)
-                arr[dst[sl]] = mats[sl] @ flat[src[sl]]
-        arr = arr.view(complex).reshape(n, dim_e, n, dim_e).transpose(2, 3, 0, 1)
-    return arr.reshape(n * dim_e, n * dim_e)
+                out[dst[sl]] = mats[sl] @ flat[src[sl]]
+        return out.view(complex).reshape(arr.shape)
+
+    return on_rows(transpose(on_rows(np.ascontiguousarray(matrix, dtype=complex)))).T
 
 
 def rotate_to_basis(matrix: np.ndarray, decomp: IsotypicDecomposition) -> np.ndarray:

@@ -21,7 +21,7 @@ from pru_lab import (
 )
 from pru_lab import PermutationT, all_permutations, checks, perm_op, subsystem_perm_op, tensor_power
 from pru_lab.harness import STATE_FAMILIES
-from pru_lab.operators import distinct_mask, subsystem_perm_index_map
+from pru_lab.operators import distinct_mask, haar_unitaries, subsystem_perm_index_map
 
 
 @pytest.mark.parametrize("family", STATE_FAMILIES)
@@ -200,6 +200,17 @@ def test_check_records_carry_the_whole_call_time(monkeypatch):
 def _kron_commutator(V, X, t, dim_e):
     big = np.kron(reduce(np.kron, [V] * t), np.eye(dim_e))
     return float(np.abs(big @ X - X @ big).max())
+
+
+@pytest.mark.parametrize("d, t, dim_e", [(2, 3, 2), (4, 2, 3), (8, 2, 2)])
+def test_tensor_power_commutator_matches_dense_kronecker_products(d, t, dim_e):
+    """On a non-Hermitian X; at (8, 2, 2) the 128 rows cross a tile edge."""
+    rng = np.random.default_rng(d * t * dim_e)
+    n = d**t * dim_e
+    X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    V = haar_unitaries(d, 1, rng)[0]
+    got = checks._tensor_power_commutator(V, X, d, t, dim_e)
+    assert abs(got - _kron_commutator(V, X, t, dim_e)) < 1e-12
 
 
 def _measured(report, check_id):

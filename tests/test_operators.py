@@ -1,6 +1,7 @@
 """Dense operators, states, register utilities, and Haar sampling."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,9 @@ from pru_lab import (
     tensor_power,
     trace_distance,
 )
+from pru_lab import operators
 from pru_lab.operators import (
+    TILE,
     dim_cap,
     distinct_mask,
     falling_factorial,
@@ -32,6 +35,7 @@ from pru_lab.operators import (
     hermitian_eigvalsh,
     subsystem_perm_index_map,
     trace_norm,
+    transpose,
 )
 
 from conftest import random_state
@@ -242,15 +246,79 @@ def test_trace_norm_of_non_hermitian_input_takes_the_svd():
     assert trace_norm(A) == float(np.linalg.svd(A, compute_uv=False).sum())
 
 
-def test_density_matrix_stores_its_exact_hermitian_part():
-    rho = random_state(16, (16,), 4).to_density().entries
-    A = np.random.default_rng(5).standard_normal((16, 16)) * (1 + 1j)
+# one tile, a tile less or more by one row, and partial last tiles
+EDGE_SIZES = [1, TILE - 1, TILE, TILE + 1, 2 * TILE + 2, 4 * TILE]
+
+
+@pytest.mark.parametrize("n", EDGE_SIZES)
+def test_tiled_transpose_matches_numpy(n):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    out = transpose(a)
+    assert out.flags.c_contiguous and np.array_equal(out, a.T)
+    pattern = a.real > 0
+    assert np.array_equal(transpose(pattern), pattern.T)
+
+
+@pytest.mark.parametrize("n", EDGE_SIZES)
+def test_trace_norm_tests_hermiticity_as_array_equal(n, monkeypatch):
+    """The tiled test reads every mirrored pair, the partial tiles too, and
+    compares with ``==``, so a signed zero still counts as equal."""
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    H = X + X.conj().T
+    asymmetric, imaginary_diagonal, signed_zero = H.copy(), H.copy(), H.copy()
+    asymmetric[n - 1, 0] += 1.0  # the last partial tile; a real diagonal entry when n = 1
+    imaginary_diagonal[n - 1, n - 1] += 1e-300j
+    signed_zero[n - 1, 0], signed_zero[0, n - 1] = -0.0, 0.0
+    calls = []
+    monkeypatch.setattr(operators, "hermitian_eigvalsh", lambda A: calls.append(A) or np.linalg.eigvalsh(A))
+    for A, hermitian in [(H, True), (asymmetric, n == 1), (imaginary_diagonal, False), (signed_zero, True)]:
+        assert np.array_equal(A, A.conj().T) == hermitian
+        calls.clear()
+        norm = trace_norm(A)
+        assert bool(calls) == hermitian
+        if not hermitian:
+            assert norm == float(np.linalg.svd(A, compute_uv=False).sum())
+
+
+@pytest.mark.parametrize("n", [16, *EDGE_SIZES])
+def test_density_matrix_stores_its_exact_hermitian_part(n):
+    rho = random_state(n, (n,), 4).to_density().entries
+    A = np.random.default_rng(5).standard_normal((n, n)) * (1 + 1j)
     given = rho + 1e-12 * (A - A.conj().T)  # anti-Hermitian perturbation
     before = given.copy()
     entries = DensityMatrix(given).entries
+    expected = (given + given.conj().T) * 0.5
+    assert np.array_equal(entries.view(np.uint64), expected.view(np.uint64))  # bit for bit
     assert np.array_equal(entries, entries.conj().T)
     assert np.abs(entries - rho).max() < 1e-15
     assert np.array_equal(given, before) and given.flags.writeable
+
+
+@pytest.mark.parametrize("n", [TILE + 1, 2 * TILE + 2])
+@pytest.mark.parametrize("entry, accepted", [(2e-10, False), (5e-11, True)])
+def test_density_matrix_checks_hermiticity_in_the_last_partial_tile(n, entry, accepted):
+    given = np.eye(n, dtype=complex) / n
+    given[n - 1, 0] = entry  # its mirror entry stays 0
+    if not accepted:
+        with pytest.raises(DomainError, match="not Hermitian"):
+            DensityMatrix(given)
+        return
+    entries = DensityMatrix(given).entries
+    assert entries[n - 1, 0] == entries[0, n - 1] == entry / 2
+
+
+def test_density_matrix_allocates_one_matrix_and_tile_scratch():
+    n = 1024
+    given = np.eye(n, dtype=complex) / n
+    tracemalloc.start()
+    try:
+        DensityMatrix(given)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * n * n + 8 * 16 * TILE * TILE
 
 
 def test_partial_trace_entangled():
