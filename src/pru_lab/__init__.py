@@ -30,7 +30,6 @@ from .operators import (
     DenseOperator,
     DensityMatrix,
     StateVector,
-    apply_to_registers,
     distinct_projector,
     partial_trace,
     perm_op,

@@ -83,8 +83,11 @@ def _parser() -> argparse.ArgumentParser:
 def _emit(report: ExperimentReport, args) -> None:
     text = report.to_json() + "\n" if args.format == "json" else report.to_csv()
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise PruLabError(f"cannot write the report to {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

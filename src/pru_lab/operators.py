@@ -168,9 +168,9 @@ class DensityMatrix:
                 tile += arr[P, Q]
                 tile *= 0.5
                 herm[P, Q] = tile
-        if residual > 1e-10:
+        if not residual <= 1e-10:  # NaN fails too
             raise DomainError("density matrix is not Hermitian within 1e-10")
-        if abs(np.trace(arr) - 1.0) > 1e-9:
+        if not abs(np.trace(arr) - 1.0) <= 1e-9:
             raise DomainError(f"density matrix trace {np.trace(arr)} != 1 within 1e-9")
         object.__setattr__(self, "entries", _freeze(herm))
         object.__setattr__(self, "registers", _check_registers(arr.shape[0], self.registers))
@@ -199,7 +199,7 @@ class StateVector:
     def __post_init__(self):
         arr = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         check_capacity(arr.shape[0])
-        if abs(np.linalg.norm(arr) - 1.0) > 1e-10:
+        if not abs(np.linalg.norm(arr) - 1.0) <= 1e-10:  # NaN fails too
             raise DomainError("state vector is not normalized within 1e-10")
         object.__setattr__(self, "amplitudes", _freeze(arr))
         object.__setattr__(self, "registers", _check_registers(arr.shape[0], self.registers))
@@ -349,39 +349,21 @@ def tensor_power(U: DenseOperator, t: int) -> DenseOperator:
     return DenseOperator(out, regs)
 
 
-def apply_on_axis(mats: np.ndarray, tensor: np.ndarray, axis: int) -> np.ndarray:
-    """Multiply ``mats`` into one axis: out[.., i, ..] = sum_j M[i, j] tensor[.., j, ..].
+def apply_tensor_power(mats: np.ndarray, tensor: np.ndarray, t: int) -> np.ndarray:
+    """M^{x t} applied to the t leading d-dimensional slots of ``tensor``, for
+    one (d, d) matrix M or each M of a (count, d, d) stack.
 
-    ``mats`` is one (m, m) matrix or a (count, m, m) stack.  For a stack,
-    axis 0 of ``tensor`` is a batch axis of length 1 or count, and result
-    entry s is M_s applied to batch entry s (or to the single shared one).
-    """
-    lead = mats.ndim - 2
-    moved = np.moveaxis(tensor, axis, lead)  # one matrix product per stack entry
-    out = mats @ moved.reshape(moved.shape[: lead + 1] + (prod(moved.shape[lead + 1 :]),))
-    return np.moveaxis(out.reshape(out.shape[:lead] + moved.shape[lead:]), lead, axis)
-
-
-def apply_to_registers(U: np.ndarray | DenseOperator, state: StateVector, indices: list[int]) -> StateVector:
-    """Apply ``U`` to the selected tensor factors of ``state``.
-
-    ``U`` must be square of dimension equal to the product of the selected
-    register dimensions, ordered as in ``indices``.
-    """
-    if state.registers is None:
-        raise DomainError("state has no register shape tag")
-    regs = state.registers
-    mat = U.entries if isinstance(U, DenseOperator) else np.asarray(U)
-    sel_dim = prod(regs[i] for i in indices)
-    if mat.shape != (sel_dim, sel_dim):
-        raise DomainError(f"operator dim {mat.shape} does not match registers {indices} of {regs}")
-    psi = state.amplitudes.reshape(regs)
-    rest = [i for i in range(len(regs)) if i not in indices]
-    psi = np.transpose(psi, indices + rest)
-    shaped = psi.reshape(sel_dim, -1)
-    out = apply_on_axis(mat, shaped, 0).reshape([regs[i] for i in indices] + [regs[i] for i in rest])
-    out = np.transpose(out, np.argsort(indices + rest))
-    return StateVector(out.reshape(-1), regs)
+    ``tensor`` holds d^t * m entries in C order: the t slots, then a tail of
+    m.  Each slot costs one matrix product, which also moves it behind the
+    other axes, so the result is (m, d^t), or (count, m, d^t) for a stack:
+    the tail, then the slots back in order."""
+    d = mats.shape[-1]
+    batch = mats.shape[:-2]
+    mats_t = np.swapaxes(mats, -1, -2)
+    out = np.reshape(tensor, (d, -1))
+    for _ in range(t):
+        out = (np.swapaxes(out, -1, -2) @ mats_t).reshape(batch + (d, -1))
+    return out.reshape(batch + (-1, d**t))
 
 
 def partial_trace(op: DenseOperator | DensityMatrix, keep: list[int]) -> DenseOperator:

@@ -23,7 +23,8 @@ for the Haar and permutation-phase twirls share one footprint loop in
 Every ensemble average -- the Monte-Carlo Haar, permutation-phase and
 Clifford twirls, ``ensemble_twirl`` and the keyed average in ``pru`` --
 goes through one driver, ``_average_conjugation``, which conjugates thin
-factors of the input by batches of single-register unitaries.
+factors of the input by batches of single-register unitaries, one system
+slot at a time through ``operators.apply_tensor_power``.
 ``distinct_overlap_after_clifford`` takes its per-sample overlaps from the
 same pass and also returns the twirled state, so one Clifford pass serves
 both.  It returns the overlap next to its bound and does not judge them:
@@ -52,7 +53,7 @@ from .operators import (
     DenseOperator,
     DensityMatrix,
     StateVector,
-    apply_on_axis,
+    apply_tensor_power,
     check_capacity,
     derive_seed,
     distinct_mask,
@@ -310,8 +311,9 @@ def _average_conjugation(state, d: int, t: int, batches, weights=None) -> _Avera
     """Mean of (U^{x t} x I) X (U^{x t} x I)^dag over every U in ``batches``.
 
     ``batches`` yields (count, d, d) stacks of single-register unitaries.
-    Each stack is applied along the first t tensor axes of the factors of
-    X and folded into the sum with one matrix product.  The Frobenius
+    Each stack is applied to the t system slots of the factors of X by
+    ``apply_tensor_power``, put back in slot-then-workspace order and
+    folded into the sum with one matrix product.  The Frobenius
     standard error of the mean comes for free, because conjugation keeps
     the Frobenius norm sample by sample.  Given a diagonal observable
     ``weights`` on the system factor (length d^t), the per-sample values
@@ -323,16 +325,13 @@ def _average_conjugation(state, d: int, t: int, batches, weights=None) -> _Avera
     left0, w, right0, was_state = _factors(state)
     total, rank = left0.shape
     dim_e = workspace_dim(total, d, t)
-    shaped = (1, rank) + (d,) * t + (dim_e,)
     if weights is not None:
         weights = np.repeat(np.asarray(weights, dtype=float), dim_e)
     step = max(1, _SUB_BATCH_ELEMENTS // max(total * rank, 1))
 
     def conjugated(us, factor):  # (count, rank, total): factor columns, conjugated
-        tensor = factor.T.reshape(shaped)
-        for axis in range(2, t + 2):
-            tensor = apply_on_axis(us, tensor, axis)
-        return tensor.reshape(len(us), rank, total)
+        rotated = apply_tensor_power(us, factor, t).reshape(len(us), dim_e, rank, -1)
+        return rotated.transpose(0, 2, 3, 1).reshape(len(us), rank, total)
 
     def folded(us):  # sum over us of (U L) diag(w) (U R)^dag, and per-sample values
         left = conjugated(us, left0)

@@ -89,6 +89,16 @@ def test_csv_and_json_same_numbers(capsys, tmp_path):
         assert float(cells[5]) == check["bound"]
 
 
+def test_unwritable_out_path_is_an_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "r.json"
+    code = cli_main(["twirl", "--channel", "haar", "--n", "1", "--t", "1", "--out", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(f"error: cannot write the report to {path}")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_twirl_summary_and_dump(capsys):
     code, out = run_cli(
         capsys, "twirl", "--channel", "pf", "--n", "1", "--t", "2",

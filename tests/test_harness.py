@@ -202,14 +202,14 @@ def _kron_commutator(V, X, t, dim_e):
     return float(np.abs(big @ X - X @ big).max())
 
 
-@pytest.mark.parametrize("d, t, dim_e", [(2, 3, 2), (4, 2, 3), (8, 2, 2)])
+@pytest.mark.parametrize("d, t, dim_e", [(2, 3, 2), (4, 2, 3), (8, 2, 2), (3, 3, 1), (2, 1, 3)])
 def test_tensor_power_commutator_matches_dense_kronecker_products(d, t, dim_e):
     """On a non-Hermitian X; at (8, 2, 2) the 128 rows cross a tile edge."""
     rng = np.random.default_rng(d * t * dim_e)
     n = d**t * dim_e
     X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     V = haar_unitaries(d, 1, rng)[0]
-    got = checks._tensor_power_commutator(V, X, d, t, dim_e)
+    got = checks._tensor_power_commutator(V, X, t)
     assert abs(got - _kron_commutator(V, X, t, dim_e)) < 1e-12
 
 

@@ -14,7 +14,6 @@ from pru_lab import (
     PermutationT,
     StateVector,
     all_permutations,
-    apply_to_registers,
     cli_main,
     distinct_projector,
     partial_trace,
@@ -336,15 +335,6 @@ def test_partial_trace_requires_registers():
         partial_trace(rho, [0])
 
 
-def test_apply_to_registers():
-    X = perm_op(PermutationT((1, 0)))
-    st = StateVector(np.kron([1, 0], [0, 1]).astype(complex), (2, 2))
-    out = apply_to_registers(X, st, [1])
-    assert np.allclose(out.amplitudes, np.kron([1, 0], [1, 0]))
-    both = apply_to_registers(np.kron(X.entries, X.entries), st, [0, 1])
-    assert np.allclose(both.amplitudes, np.kron([0, 1], [1, 0]))
-
-
 def test_state_and_density_validation():
     with pytest.raises(DomainError):
         StateVector(np.array([1.0, 1.0]))
@@ -354,6 +344,17 @@ def test_state_and_density_validation():
         DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not Hermitian
     rho = random_state(8, (8,), 3).to_density()
     rho.validate()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DensityMatrix(np.full((2, 2), np.nan)),
+    lambda: DensityMatrix([[0.5, np.inf], [np.inf, 0.5]]),
+    lambda: DensityMatrix([[np.nan, 0.0], [0.0, 0.5]]),
+    lambda: StateVector([np.nan, 1.0]),
+], ids=["nan-density", "inf-off-diagonal", "nan-diagonal", "nan-state"])
+def test_non_finite_entries_fail_validation(make):
+    with pytest.raises(DomainError):
+        make()
 
 
 def test_unitary_tag_and_ops():

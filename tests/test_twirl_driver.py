@@ -74,9 +74,17 @@ def _matrix(x):
     return np.asarray(x.entries)
 
 
-@pytest.mark.parametrize("ensemble", sorted(ENSEMBLES))
-@pytest.mark.parametrize("d,t,dim_e", [(2, 2, 1), (2, 3, 2), (4, 2, 2)])
-def test_driver_matches_kron_oracle(ensemble, d, t, dim_e):
+# d = 3 is not a qubit register, so it has no Clifford ensemble
+DRIVER_CASES = [
+    (d, t, dim_e, ensemble)
+    for d, t, dim_e in [(2, 2, 1), (2, 3, 2), (4, 2, 2), (3, 2, 3), (2, 4, 3), (4, 1, 2)]
+    for ensemble in sorted(ENSEMBLES)
+    if ensemble != "clifford" or d & (d - 1) == 0
+]
+
+
+@pytest.mark.parametrize("d,t,dim_e,ensemble", DRIVER_CASES)
+def test_driver_matches_kron_oracle(d, t, dim_e, ensemble):
     rng = np.random.default_rng(d * 100 + t * 10 + dim_e)
     # two uneven batches exercise the accumulation across batches
     batches = [ENSEMBLES[ensemble](d, 5, rng), ENSEMBLES[ensemble](d, 7, rng)]
