@@ -36,7 +36,6 @@ from .operators import (
     subsystem_perm_op,
     tensor_power,
     trace_distance,
-    transpose,
 )
 from .pru import PrpScheme, pru_average_state, sample_key
 from .schur_weyl import (
@@ -73,6 +72,7 @@ from .twirls import (
 DEFAULT_DS = (2, 4, 8)
 DEFAULT_TS = (2, 3)
 CONVERGENCE_REPS = 3  # Monte-Carlo repetitions averaged per sample count in the slope check
+BAND = 64  # rows or columns of X per band of the invariance commutator
 
 
 @dataclass
@@ -104,13 +104,24 @@ def _random_states(d: int, t: int, dim_e: int, count: int, seed,
 
 
 def _tensor_power_commutator(V: np.ndarray, X: np.ndarray, t: int) -> float:
-    """max |[V^{x t} x I, X]| entrywise.  Read as a square matrix, the layout
-    ``apply_tensor_power`` leaves a product A in is the transpose of A^T's,
-    and X (V^{x t} x I) = (((V^T)^{x t} x I) X^T)^T."""
-    n = len(X)
-    left = apply_tensor_power(V, X, t).reshape(n, n)
-    left -= transpose(apply_tensor_power(V.T, transpose(X), t).reshape(n, n))
-    return float(np.abs(left).max())
+    """max |[V^{x t} x I, X]| entrywise.  X (V^{x t} x I) = (((V^T)^{x t} x I) X^T)^T
+    is built from bands of BAND rows R and compared with (V^{x t} x I) X
+    taken BAND columns C at a time.  ``apply_tensor_power`` leaves each band
+    workspace-first, (dim_e, band, d^t); as (band, d^t, dim_e) it is rows R
+    of the first product, or columns C of the second as rows."""
+    N, n = len(X), V.shape[0] ** t
+
+    def band_rows(out):
+        return out.reshape(N // n, -1, n).transpose(1, 2, 0).reshape(-1, N)
+
+    right = np.empty_like(X)
+    for R in range(0, N, BAND):
+        right[R : R + BAND] = band_rows(apply_tensor_power(V.T, X[R : R + BAND].T, t))
+    worst = 0.0
+    for C in range(0, N, BAND):
+        left = band_rows(apply_tensor_power(V, X[:, C : C + BAND], t))
+        worst = np.maximum(worst, np.abs(left - right[:, C : C + BAND].T).max())  # NaN stays NaN
+    return float(worst)
 
 
 # --- registry ---------------------------------------------------------------

@@ -13,6 +13,7 @@ a failing check, or a verify run that measures nothing), 2 for usage errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -220,6 +221,10 @@ def cli_main(argv=None) -> int:
     try:
         if args.seed < 0:
             raise DomainError(f"the seed must be at least 0, got {args.seed}")
+        if args.out is not None:  # checked before the run, without creating or truncating the file
+            target = args.out if os.path.exists(args.out) else os.path.dirname(os.path.abspath(args.out))
+            if os.path.isdir(args.out) or not os.access(target, os.W_OK):
+                raise PruLabError(f"cannot write the report to {args.out}: not a writable file path")
         if args.command == "verify":
             return _cmd_verify(args)
         if args.command == "security":

@@ -73,12 +73,12 @@ def _tile_pairs(n: int) -> list[tuple[slice, slice]]:
     return [(slice(i, i + TILE), slice(j, j + TILE)) for i in starts for j in starts if i <= j]
 
 
-def transpose(a: np.ndarray) -> np.ndarray:
-    """A C-contiguous copy of ``a.T`` for a square ``a``, made one mirrored
-    pair of tiles at a time.  numpy's strided copy of ``a.T`` misses the
-    cache on almost every read when a row is a large power-of-two stride
-    (16 KiB at 1024 x 1024 complex) and takes about twice as long."""
-    out = np.empty(a.shape, dtype=a.dtype)
+def transpose(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """A C-contiguous copy of ``a.T`` for a square ``a``, into ``out`` if given,
+    made one mirrored pair of tiles at a time.  numpy's strided copy of ``a.T``
+    misses the cache on almost every read when a row is a large power-of-two
+    stride (16 KiB at 1024 x 1024 complex) and takes about twice as long."""
+    out = np.empty(a.shape, dtype=a.dtype) if out is None else out
     for I, J in _tile_pairs(len(a)):
         out[I, J] = a[J, I].T
         out[J, I] = a[I, J].T
@@ -140,6 +140,25 @@ class DenseOperator:
         return bool(np.abs(delta).max() <= tol)
 
 
+def _hermitian_part(arr: np.ndarray, out: np.ndarray, conj: bool = False) -> float:
+    """Write (A + A^dag)/2 for a square A, or its conjugate, into ``out`` and
+    return max |A - A^dag| (NaN for non-finite A).  Each mirrored pair of
+    tiles is read before either is written, so ``out`` may be A itself."""
+    residual = 0.0
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which the caller rejects
+        for I, J in _tile_pairs(len(arr)):
+            half = np.conjugate(arr[J, I].copy().T, order="C")  # copy by rows, turn in cache
+            residual = np.maximum(residual, np.abs(half - arr[I, J]).max())  # NaN stays NaN
+            half += arr[I, J]
+            half *= 0.5
+            if conj:
+                np.conjugate(half, out=half)
+            out[I, J] = half
+            if I != J:
+                out[J, I] = half.conj().T
+    return residual
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A density matrix: Hermitian, unit trace; positivity checked on demand.
@@ -147,7 +166,8 @@ class DensityMatrix:
     Input within 1e-10 of Hermitian is accepted and its exact Hermitian
     part (A + A^dag)/2 is stored, so ``entries`` equals its own conjugate
     transpose.  The Hermiticity residual and the Hermitian part come from
-    one pass over mirrored pairs of tiles.
+    one pass over mirrored pairs of tiles.  The constructor stores a copy;
+    ``_adopt`` stores it in a private buffer it takes over.
     """
 
     entries: np.ndarray
@@ -155,24 +175,30 @@ class DensityMatrix:
     meta: dict = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=complex)
+        self._store(np.asarray(self.entries, dtype=complex))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray, registers=None, meta=None) -> "DensityMatrix":
+        """The density matrix of ``arr``, a complex buffer no one else holds,
+        built in it.  A transposed view A of a C-contiguous buffer is taken
+        over too: the buffer gets conj(H(A^T)), which is H(A) in C order."""
+        rho = object.__new__(cls)
+        vars(rho).update(registers=registers, meta=meta)  # the frozen fields, as __init__ would set them
+        buffer = arr if arr.flags.c_contiguous else arr.T
+        rho._store(buffer, buffer, conj=buffer is not arr)
+        return rho
+
+    def _store(self, arr: np.ndarray, out: np.ndarray | None = None, conj: bool = False):
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DomainError(f"density entries must be square, got shape {arr.shape}")
         check_capacity(arr.shape[0])
-        herm = np.empty(arr.shape, dtype=complex)
-        residual = 0.0
-        for I, J in _tile_pairs(len(arr)):
-            for P, Q in ((I, J), (J, I))[: 1 + (I != J)]:
-                tile = np.conjugate(arr[Q, P].copy().T, order="C")  # copy by rows, turn in cache
-                residual = np.maximum(residual, np.abs(tile - arr[P, Q]).max())  # NaN stays NaN
-                tile += arr[P, Q]
-                tile *= 0.5
-                herm[P, Q] = tile
-        if not residual <= 1e-10:  # NaN fails too
+        out = np.empty(arr.shape, dtype=complex) if out is None else out
+        trace = np.trace(arr)  # read before ``out`` may overwrite ``arr``
+        if not _hermitian_part(arr, out, conj) <= 1e-10:  # NaN fails too
             raise DomainError("density matrix is not Hermitian within 1e-10")
-        if not abs(np.trace(arr) - 1.0) <= 1e-9:
-            raise DomainError(f"density matrix trace {np.trace(arr)} != 1 within 1e-9")
-        object.__setattr__(self, "entries", _freeze(herm))
+        if not abs(trace - 1.0) <= 1e-9:
+            raise DomainError(f"density matrix trace {trace} != 1 within 1e-9")
+        object.__setattr__(self, "entries", _freeze(out))
         object.__setattr__(self, "registers", _check_registers(arr.shape[0], self.registers))
 
     @property
@@ -209,7 +235,7 @@ class StateVector:
         return self.amplitudes.shape[0]
 
     def to_density(self) -> DensityMatrix:
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), self.registers)
+        return DensityMatrix._adopt(np.outer(self.amplitudes, self.amplitudes.conj()), self.registers)
 
 
 @dataclass(frozen=True)
@@ -456,9 +482,13 @@ def trace_norm(A: np.ndarray) -> float:
 
 
 def trace_distance(A, B) -> float:
-    """||A - B||_1, unnormalized (orthogonal pure states are at distance 2)."""
+    """||A - B||_1, unnormalized (orthogonal pure states are at distance 2).
+    Two ``DensityMatrix`` inputs skip the Hermiticity test: their difference
+    is exactly Hermitian, as IEEE subtraction acts on each part apart."""
     a = A.entries if hasattr(A, "entries") else np.asarray(A)
     b = B.entries if hasattr(B, "entries") else np.asarray(B)
     if a.shape != b.shape:
         raise DomainError(f"shape mismatch {a.shape} vs {b.shape}")
+    if isinstance(A, DensityMatrix) and isinstance(B, DensityMatrix):
+        return float(np.abs(hermitian_eigvalsh(a - b)).sum())
     return trace_norm(a - b)

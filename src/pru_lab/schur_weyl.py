@@ -297,31 +297,39 @@ def distinct_block(lam: Partition, decomp: IsotypicDecomposition) -> DenseOperat
 # Workspace-register-aware rotation helpers shared with the twirl channels.
 # ---------------------------------------------------------------------------
 
-def _conjugate_real(matrix: np.ndarray, decomp: IsotypicDecomposition, inverse: bool) -> np.ndarray:
+def _rotate_rows(arr: np.ndarray, decomp: IsotypicDecomposition, inverse: bool,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """(B^T x I) A, or (B x I) A when ``inverse``, for the real basis B on the
+    leading system axis of a C-contiguous complex matrix or ket A, into
+    ``out`` (not sharing memory with A) when given.  For ORBIT_CHUNK orbits
+    at a time, it gathers their rows of the interleaved float64 view,
+    applies their s x s blocks in one batched product and scatters them."""
+    workspace_dim(len(arr), decomp.d, decomp.t)  # d^t must divide the dimension
+    n = decomp.d**decomp.t
+    flat = arr.reshape(n, -1).view(np.float64)
+    res = np.empty_like(flat) if out is None else out.reshape(n, -1).view(np.float64)
+    for rows, cols, blocks in decomp.orbit_blocks:
+        src, dst, mats = (cols, rows, blocks) if inverse else (rows, cols, blocks.transpose(0, 2, 1))
+        for k in range(0, len(rows), ORBIT_CHUNK):
+            sl = slice(k, k + ORBIT_CHUNK)
+            res[dst[sl]] = mats[sl] @ flat[src[sl]]
+    return res.view(complex).reshape(arr.shape)
+
+
+def _conjugate_real(matrix: np.ndarray, decomp: IsotypicDecomposition, inverse: bool,
+                    overwrite: bool = False) -> np.ndarray:
     """(B^T x I) X (B x I) for the real basis B on the system factor of a
     complex X, or (B x I) X (B^T x I) when ``inverse``.
 
-    Each of the two passes multiplies B^T (or B) into the leading system axis
-    of the interleaved float64 view of a contiguous complex array by orbit-block
-    products: for ORBIT_CHUNK orbits at a time, it gathers their rows, applies
-    their s x s blocks in one batched product and scatters the result.  Between
-    the passes the tiled ``operators.transpose`` brings the other system axis
-    to the front; the second pass's result is returned as its transposed view.
+    Two ``_rotate_rows`` passes, with the tiled ``operators.transpose``
+    between them; the second pass's result is returned as its transposed
+    view.  With ``overwrite``, X is a contiguous buffer no one else holds and
+    takes the transpose, so two matrices are alive, not three.
     """
-    workspace_dim(matrix.shape[0], decomp.d, decomp.t)  # d^t must divide the dimension
-    n = decomp.d**decomp.t
-
-    def on_rows(arr):
-        flat = arr.reshape(n, -1).view(np.float64)
-        out = np.empty_like(flat)
-        for rows, cols, blocks in decomp.orbit_blocks:
-            src, dst, mats = (cols, rows, blocks) if inverse else (rows, cols, blocks.transpose(0, 2, 1))
-            for k in range(0, len(rows), ORBIT_CHUNK):
-                sl = slice(k, k + ORBIT_CHUNK)
-                out[dst[sl]] = mats[sl] @ flat[src[sl]]
-        return out.view(complex).reshape(arr.shape)
-
-    return on_rows(transpose(on_rows(np.ascontiguousarray(matrix, dtype=complex)))).T
+    matrix = np.ascontiguousarray(matrix, dtype=complex)
+    half = _rotate_rows(matrix, decomp, inverse)
+    turned = transpose(half, out=matrix if overwrite else None)
+    return _rotate_rows(turned, decomp, inverse, out=half).T
 
 
 def rotate_to_basis(matrix: np.ndarray, decomp: IsotypicDecomposition) -> np.ndarray:
@@ -339,13 +347,17 @@ def block_footprints(rotated: np.ndarray, decomp: IsotypicDecomposition):
     """For an operator already in the Schur-Weyl basis (``rotate_to_basis``),
     yield per block: the block, the slice of its rows (workspace included),
     and its footprint, the partial trace of the diagonal block over the
-    unitary-group factor, shaped (specht, workspace, specht, workspace)."""
+    unitary-group factor, shaped (specht, workspace, specht, workspace).
+    A 1-D ``rotated`` is a ket (B^T x I) psi, and stands for its projector."""
     dim_e = workspace_dim(rotated.shape[0], decomp.d, decomp.t)
     for sl, block in zip(decomp.block_slices(), decomp.blocks):
         w, v = block.weyl_dim, block.specht_dim
         rows = slice(sl.start * dim_e, sl.stop * dim_e)
-        sub = rotated[rows, rows].reshape(w, v, dim_e, w, v, dim_e)
-        yield block, rows, np.einsum("ijeikf->jekf", sub)
+        if rotated.ndim == 1:
+            ket = rotated[rows].reshape(w, v, dim_e)
+            yield block, rows, np.einsum("ije,ikf->jekf", ket, ket.conj())
+        else:
+            yield block, rows, np.einsum("ijeikf->jekf", rotated[rows, rows].reshape(w, v, dim_e, w, v, dim_e))
 
 
 def partial_trace_over_W(lam: Partition, rho, decomp: IsotypicDecomposition) -> DenseOperator:

@@ -64,8 +64,9 @@ from .operators import (
 )
 from .schur_weyl import (
     IsotypicDecomposition,
+    _conjugate_real,
+    _rotate_rows,
     block_footprints,
-    rotate_from_basis,
     rotate_to_basis,
 )
 from .symgroup import all_permutations
@@ -74,11 +75,11 @@ MC_CHUNK = 512  # fixed chunk size; seeds derive as (seed, chunk index)
 _SUB_BATCH_ELEMENTS = 1 << 16  # complex entries per conjugated sub-batch; bounds driver memory
 
 
-def _as_matrix(state) -> tuple[np.ndarray, bool]:
-    """Matrix payload plus a flag saying whether the input was a state."""
+def _payload(state) -> tuple[np.ndarray, bool]:
+    """The 1-D amplitudes of a ``StateVector`` (psi psi^dag is never formed)
+    or the matrix of anything else, plus whether the input was a state."""
     if isinstance(state, StateVector):
-        psi = state.amplitudes
-        return np.outer(psi, psi.conj()), True
+        return state.amplitudes, True
     if isinstance(state, DensityMatrix):
         return np.asarray(state.entries), True
     if isinstance(state, DenseOperator):
@@ -87,9 +88,10 @@ def _as_matrix(state) -> tuple[np.ndarray, bool]:
 
 
 def _wrap(matrix: np.ndarray, was_state: bool, d: int, t: int, meta: dict | None = None):
+    """Wrap the array a twirl has just built; a state result takes it over."""
     regs = (d**t, matrix.shape[0] // d**t)
     if was_state:
-        return DensityMatrix(matrix, regs, meta=meta)
+        return DensityMatrix._adopt(matrix, regs, meta=meta)
     return DenseOperator(matrix, regs, meta=meta)
 
 
@@ -197,22 +199,28 @@ def _project_onto_commutant(state, d: int, t: int, basis: _Commutant):
     """Orthogonal projection of the system factor onto the span of ``basis``:
     pairs the input with each operator by index gathers, solves with the
     Gram pseudo-inverse and scatters the coefficients back; the workspace
-    factor rides along as matrix-valued coefficients."""
-    matrix, was_state = _as_matrix(state)
-    check_capacity(matrix.shape[0])
-    dim_e = workspace_dim(matrix.shape[0], d, t)
-    n = d**t
-    arr = matrix.reshape(n, dim_e, n, dim_e)
-    pairings = np.concatenate([s * arr[r, :, c, :].sum(axis=1) for r, c, s in basis.terms])
+    factor rides along as matrix-valued coefficients.  A pure input is paired
+    from psi, as sum_i psi[r_i, :] (x) conj(psi[c_i, :]) per operator."""
+    payload, was_state = _payload(state)
+    total = len(payload)
+    check_capacity(total)
+    dim_e = workspace_dim(total, d, t)
+    if payload.ndim == 1:
+        psi = payload.reshape(d**t, dim_e)
+        pairs = [s * (psi[r].swapaxes(1, 2) @ psi[c].conj()) for r, c, s in basis.terms]
+    else:
+        arr = payload.reshape(d**t, dim_e, d**t, dim_e)
+        pairs = [s * arr[r, :, c, :].sum(axis=1) for r, c, s in basis.terms]
+    pairings = np.concatenate(pairs)
     blocks, m, _ = basis.gram_pinv.shape
     coeffs = (basis.gram_pinv @ pairings.reshape(blocks, m, -1)).reshape(pairings.shape)
-    out = np.zeros_like(arr)
+    out = np.zeros((d**t, dim_e, d**t, dim_e), dtype=complex)
     start = 0
     for r, c, s in basis.terms:
         out[r, :, c, :] += s * coeffs[start : start + len(r), None]
         start += len(r)
     meta = {"method": "exact"} | basis.meta
-    return _wrap(out.reshape(matrix.shape), was_state, d, t, meta=meta)
+    return _wrap(out.reshape(total, total), was_state, d, t, meta=meta)
 
 
 def haar_twirl_exact(state, d: int, t: int):
@@ -234,13 +242,16 @@ def pf_twirl(state, d: int, t: int):
 
 def _blockwise_twirl(state, decomp: IsotypicDecomposition, weyl_state):
     """Rebuild every Schur-Weyl block as weyl_state(block) (x) the input's
-    footprint on it; off-block parts are dropped."""
-    matrix, was_state = _as_matrix(state)
-    out = np.zeros(matrix.shape, dtype=complex)
-    for block, rows, footprint in block_footprints(rotate_to_basis(matrix, decomp), decomp):
+    footprint on it; off-block parts are dropped.  A pure input is rotated
+    one-sidedly, (B^T x I) psi, and its footprints are taken from that."""
+    payload, was_state = _payload(state)
+    rotated = _rotate_rows(payload, decomp, False) if payload.ndim == 1 else rotate_to_basis(payload, decomp)
+    out = np.zeros((len(rotated),) * 2, dtype=complex)
+    for block, rows, footprint in block_footprints(rotated, decomp):
         rebuilt = np.einsum("ab,jekf->ajebkf", weyl_state(block), footprint)
         out[rows, rows] = rebuilt.reshape(rows.stop - rows.start, -1)
-    return _wrap(rotate_from_basis(out, decomp), was_state, decomp.d, decomp.t)
+    del rotated  # freed before the inverse rotation allocates its second matrix
+    return _wrap(_conjugate_real(out, decomp, inverse=True, overwrite=True), was_state, decomp.d, decomp.t)
 
 
 def haar_twirl_schur_weyl(state, decomp: IsotypicDecomposition):
@@ -267,14 +278,16 @@ def pf_twirl_basis_element(x, y, d: int) -> DenseOperator:
 def pf_twirl_distinct_formula(state, decomp: IsotypicDecomposition):
     """Block formula for inputs supported on distinct tuples: the
     distinct-block mixed state replaces the maximally mixed one."""
-    matrix, was_state = _as_matrix(state)
     d, t = decomp.d, decomp.t
-    dim_e = workspace_dim(matrix.shape[0], d, t)
-    mask = distinct_mask(d, t).astype(float)
-    full_mask = np.repeat(mask, dim_e)
-    projected = full_mask[:, None] * matrix * full_mask[None, :]
-    # sqrt(dim) times the Frobenius norm bounds the trace norm of the leak
-    if np.sqrt(matrix.shape[0]) * np.linalg.norm(matrix - projected) > 1e-9:
+    x = _payload(state)[0]
+    mask = np.repeat(distinct_mask(d, t), workspace_dim(len(x), d, t)).astype(float)
+    # sqrt(dim) ||rho - P rho P||_F bounds the trace norm of the leak; for rho =
+    # psi psi^dag, u = psi - P psi, that is ||u|| sqrt(||psi||^2 + ||P psi||^2)
+    if x.ndim == 1:
+        leak = np.linalg.norm(x - mask * x) * np.hypot(np.linalg.norm(x), np.linalg.norm(mask * x))
+    else:
+        leak = np.linalg.norm(x - mask[:, None] * x * mask[None, :])
+    if np.sqrt(len(x)) * leak > 1e-9:
         raise DomainError("input is not supported on the distinct subspace")
     return _blockwise_twirl(
         state, decomp, lambda block: block.distinct_block / np.trace(block.distinct_block).real
@@ -298,10 +311,9 @@ def _factors(state):
     A state vector is its own one-column factor; anything else goes through
     an SVD with numerically zero singular values dropped.
     """
-    if isinstance(state, StateVector):
-        psi = state.amplitudes[:, None]
-        return psi, np.ones(1), psi, True
-    matrix, was_state = _as_matrix(state)
+    matrix, was_state = _payload(state)
+    if matrix.ndim == 1:
+        return matrix[:, None], np.ones(1), matrix[:, None], was_state
     u, s, vh = np.linalg.svd(matrix)
     keep = s > s[0] * matrix.shape[0] * np.finfo(float).eps
     return u[:, keep], s[keep], vh[keep].conj().T, was_state

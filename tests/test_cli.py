@@ -89,6 +89,27 @@ def test_csv_and_json_same_numbers(capsys, tmp_path):
         assert float(cells[5]) == check["bound"]
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_out_path_is_checked_before_the_run(capsys, monkeypatch, tmp_path, where):
+    path = tmp_path / "missing" / "r.json" if where == "missing directory" else tmp_path
+    monkeypatch.setattr("pru_lab.cli.run_lemma_suite", lambda *a, **k: pytest.fail("the run started first"))
+    code = cli_main(["verify", "--n", "1", "--t", "2", "--out", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(f"error: cannot write the report to {path}")
+    assert captured.out == ""
+    assert not (tmp_path / "missing").exists()
+
+
+def test_out_file_is_neither_created_nor_truncated_by_a_failed_run(capsys, tmp_path):
+    kept, fresh = tmp_path / "kept.json", tmp_path / "fresh.json"
+    kept.write_text("earlier report")
+    for path in (kept, fresh):
+        assert cli_main(["twirl", "--channel", "pf", "--n", "-1", "--t", "1", "--out", str(path)]) == 1
+    assert kept.read_text() == "earlier report"
+    assert not fresh.exists()
+
+
 def test_unwritable_out_path_is_an_error(capsys, tmp_path):
     path = tmp_path / "missing" / "r.json"
     code = cli_main(["twirl", "--channel", "haar", "--n", "1", "--t", "1", "--out", str(path)])
@@ -235,9 +256,10 @@ def _serve_altered_first_block(monkeypatch, alter):
 
 
 def _leave_clifford_layer_out(monkeypatch):
-    """Every Clifford twirl returns its input unchanged."""
+    """Every Clifford twirl returns its input unchanged, as a density matrix."""
     def unchanged(state, n, t, *args, **kwargs):
-        return twirls._wrap(*twirls._as_matrix(state), 2**n, t), None
+        rho = state.to_density() if isinstance(state, StateVector) else state
+        return twirls._wrap(np.array(rho.entries), True, 2**n, t), None  # _wrap takes over its array
 
     monkeypatch.setattr(twirls, "_clifford_average", unchanged)
 

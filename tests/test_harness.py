@@ -2,6 +2,7 @@
 
 import json
 import time
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -202,9 +203,12 @@ def _kron_commutator(V, X, t, dim_e):
     return float(np.abs(big @ X - X @ big).max())
 
 
-@pytest.mark.parametrize("d, t, dim_e", [(2, 3, 2), (4, 2, 3), (8, 2, 2), (3, 3, 1), (2, 1, 3)])
+@pytest.mark.parametrize(
+    "d, t, dim_e", [(2, 3, 2), (4, 2, 3), (8, 2, 2), (3, 3, 1), (2, 1, 3), (3, 4, 1), (5, 3, 1)]
+)
 def test_tensor_power_commutator_matches_dense_kronecker_products(d, t, dim_e):
-    """On a non-Hermitian X; at (8, 2, 2) the 128 rows cross a tile edge."""
+    """On a non-Hermitian X; at (8, 2, 2) the 128 rows fill two bands of 64,
+    and n = 81 and n = 125 end in a partial band."""
     rng = np.random.default_rng(d * t * dim_e)
     n = d**t * dim_e
     X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -332,3 +336,19 @@ def test_distinct_commutation_check_matches_dense_products(monkeypatch, broken):
         )
         assert c.measured == oracle == (1.0 if broken else 0.0)
         assert c.passed is not broken
+
+
+@pytest.mark.parametrize("name", ["pf_formula_vs_generic", "haar_commutant_vs_block", "haar_invariance"])
+def test_twirl_checks_hold_about_three_operators_at_d8_t3(name):
+    """At (d, t, dim_e) = (8, 3, 2) one dense operator is 16 MiB.  A pure
+    input is twirled from psi, twirl outputs are taken over rather than
+    copied and the commutator is banded, so each check peaks near three."""
+    run_lemma_suite(ds=(8,), ts=(3,), check_names=[name])  # builds the cached bases and commutants
+    tracemalloc.start()
+    try:
+        report = run_lemma_suite(ds=(8,), ts=(3,), check_names=[name])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak <= 52 * 2**20

@@ -24,7 +24,7 @@ from pru_lab import (
     tensor_power,
     trace_distance,
 )
-from pru_lab import operators
+from pru_lab import haar_twirl_exact, operators, pf_twirl
 from pru_lab.operators import (
     TILE,
     dim_cap,
@@ -320,6 +320,52 @@ def test_density_matrix_allocates_one_matrix_and_tile_scratch():
     assert peak <= 16 * n * n + 8 * 16 * TILE * TILE
 
 
+@pytest.mark.parametrize("n", [3, TILE + 1])
+def test_density_matrix_copies_and_adopt_takes_over(n):
+    """The public constructor leaves its input alone, in C or Fortran order;
+    ``_adopt`` stores the same Hermitian part in the buffer it is handed,
+    also when that is the transposed view of a C-contiguous buffer."""
+    rho = random_state(n, (n,), 6).to_density().entries
+    A = np.random.default_rng(7).standard_normal((n, n)) * (1 + 1j)
+    for given in (rho + 1e-12 * (A - A.conj().T), np.asfortranarray(rho + 1e-12 * (A - A.conj().T))):
+        before = given.copy(order="K")
+        copied = DensityMatrix(given).entries
+        assert np.array_equal(given, before) and given.flags.writeable
+        assert not np.shares_memory(copied, given)
+        buffer = given.copy(order="K")
+        adopted = DensityMatrix._adopt(buffer, (n,)).entries
+        assert np.shares_memory(adopted, buffer) and adopted.flags.c_contiguous
+        assert np.array_equal(adopted, copied)
+        assert np.array_equal(adopted, adopted.conj().T)
+
+
+@pytest.mark.parametrize("n", [3, TILE + 1])
+def test_trace_distance_of_density_matrices_skips_the_hermiticity_test(monkeypatch, n):
+    rng = np.random.default_rng(n)
+    a = random_state(n, (n,), 1).to_density()
+    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    b = DensityMatrix(G @ G.conj().T / np.trace(G @ G.conj().T).real)
+    expected = trace_norm(a.entries - b.entries)
+    monkeypatch.setattr(operators, "trace_norm", lambda A: pytest.fail("the Hermiticity test ran"))
+    assert trace_distance(a, b) == expected  # bit for bit
+
+
+def test_trace_distance_of_twirl_outputs_at_d3_equals_the_trace_norm(monkeypatch):
+    st = random_state(18, (9, 2), 2)
+    a, b = haar_twirl_exact(st, 3, 2), pf_twirl(st, 3, 2)
+    expected = trace_norm(a.entries - b.entries)
+    monkeypatch.setattr(operators, "trace_norm", lambda A: pytest.fail("the Hermiticity test ran"))
+    assert trace_distance(a, b) == expected > 0
+
+
+def test_trace_distance_of_a_non_hermitian_array_takes_the_svd(monkeypatch):
+    A = np.random.default_rng(3).standard_normal((5, 5)) + 0j
+    calls = []
+    monkeypatch.setattr(operators, "hermitian_eigvalsh", lambda M: calls.append(M) or np.linalg.eigvalsh(M))
+    assert trace_distance(A, np.zeros((5, 5))) == float(np.linalg.svd(A, compute_uv=False).sum())
+    assert not calls
+
+
 def test_partial_trace_entangled():
     d = 3
     psi = np.eye(d).reshape(-1) / np.sqrt(d)
@@ -352,6 +398,7 @@ def test_state_and_density_validation():
     lambda: DensityMatrix([[np.nan, 0.0], [0.0, 0.5]]),
     lambda: StateVector([np.nan, 1.0]),
 ], ids=["nan-density", "inf-off-diagonal", "nan-diagonal", "nan-state"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_entries_fail_validation(make):
     with pytest.raises(DomainError):
         make()

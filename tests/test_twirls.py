@@ -672,3 +672,41 @@ def test_mc_determinism():
     c = clifford_twirl(st, 2, 2, method="monte_carlo", samples=200, seed=8)
     d = clifford_twirl(st, 2, 2, method="monte_carlo", samples=200, seed=8)
     assert np.array_equal(c.entries, d.entries)
+
+
+# --- pure inputs are paired and rotated from psi --------------------------------
+
+@pytest.mark.parametrize("dim_e", [1, 3])
+@pytest.mark.parametrize("d, t", [(2, 1), (2, 4), (3, 1), (3, 4), (4, 2)])
+def test_pure_inputs_match_the_dense_branch(d, t, dim_e):
+    """Each exact twirl of a StateVector, which never forms psi psi^dag,
+    equals the same twirl of its to_density() through the dense branch."""
+    dec = schur_weyl_basis(d, t)
+    cases = [(random_state(d**t * dim_e, (d**t, dim_e), 7), [
+        lambda x: haar_twirl_exact(x, d, t),
+        lambda x: pf_twirl(x, d, t),
+        lambda x: haar_twirl_schur_weyl(x, dec),
+    ] + ([lambda x: clifford_twirl(x, d.bit_length() - 1, t)] if d in (2, 4) else []))]
+    if d >= t:
+        cases.append((random_distinct_state(d, t, dim_e, 8), [lambda x: pf_twirl_distinct_formula(x, dec)]))
+    for st, channels in cases:
+        for channel in channels:
+            pure, dense = channel(st), channel(st.to_density())
+            assert isinstance(pure, DensityMatrix) and pure.registers == dense.registers
+            assert np.abs(pure.entries - dense.entries).max() < 1e-13
+            assert np.array_equal(pure.entries, pure.entries.conj().T)
+
+
+@pytest.mark.parametrize("leak, raises", [(0.0, False), (1.0e-10, False), (1.04e-10, True), (1e-6, True)])
+def test_support_guard_reads_the_same_leak_through_both_paths(dec42, leak, raises):
+    """sqrt(dim) ||rho - P rho P||_F is sqrt(48) sqrt(2) leak = 9.80 leak
+    here, so the 1e-9 threshold falls 2 % from the two middle cases."""
+    v = random_distinct_state(4, 2, 3, 5).amplitudes.copy()
+    v[0] = leak  # |00> (x) |0> is a colliding tuple
+    st = StateVector(v / np.linalg.norm(v), (16, 3))
+    for x in (st, st.to_density()):
+        if raises:
+            with pytest.raises(DomainError, match="distinct subspace"):
+                pf_twirl_distinct_formula(x, dec42)
+        else:
+            pf_twirl_distinct_formula(x, dec42)
