@@ -31,10 +31,8 @@ from .operators import (
     DensityMatrix,
     StateVector,
     distinct_projector,
-    partial_trace,
     perm_op,
     phase_op,
-    sample_haar_unitary,
     subsystem_perm_op,
     tensor_power,
     trace_distance,
@@ -43,9 +41,7 @@ from .clifford import CliffordElement, enumerate_cliffords, sample_clifford
 from .schur_weyl import (
     IsotypicBlock,
     IsotypicDecomposition,
-    distinct_block,
     isotypic_projector,
-    partial_trace_over_W,
     ratio_report,
     schur_weyl_basis,
     verify_decomposition,

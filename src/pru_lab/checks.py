@@ -20,7 +20,7 @@ import numpy as np
 
 from .clifford import enumerate_cliffords
 from .errors import DomainError
-from .harness import BoundCheck, ExperimentReport, build_state, gentle_normalize
+from .harness import BoundCheck, ExperimentReport, build_state, draw_state, gentle_normalize
 from .operators import (
     DenseOperator,
     DensityMatrix,
@@ -88,19 +88,11 @@ class SuiteContext:
 
 def _random_states(d: int, t: int, dim_e: int, count: int, seed,
                    distinct: bool = False) -> list[StateVector]:
-    """Gaussian random pure states on (d^t, dim_e), supported on the distinct
-    system tuples when ``distinct``; the full support draws the same stream
-    as one complex normal vector per state."""
+    """``count`` Gaussian random pure states on (d^t, dim_e) from one generator,
+    supported on the distinct system tuples when ``distinct``."""
     rng = np.random.default_rng(seed)
-    support = distinct_mask(d, t) if distinct else np.ones(d**t, dtype=bool)
-    m = int(support.sum())
-    out = []
-    for _ in range(count):
-        v = np.zeros((d**t, dim_e), dtype=complex)
-        v[support] = rng.standard_normal((m, dim_e)) + 1j * rng.standard_normal((m, dim_e))
-        v = v.reshape(-1)
-        out.append(StateVector(v / np.linalg.norm(v), (d**t, dim_e)))
-    return out
+    family = "distinct_supported" if distinct else "random_pure"
+    return [draw_state(family, d, t, dim_e, rng) for _ in range(count)]
 
 
 def _tensor_power_commutator(V: np.ndarray, X: np.ndarray, t: int) -> float:
@@ -629,7 +621,7 @@ def _check_gentle(ctx: SuiteContext, d: int, t: int):
     if t < 2 or falling_factorial(d, t) == 0:
         return []
     nA = d**t
-    xi = DensityMatrix(np.eye(nA) / nA, (nA, 1))
+    xi = DensityMatrix(np.eye(nA) / nA)
     g = gentle_normalize(xi, d, t)
     bound = 2 * sqrt(1 - falling_factorial(d, t) / nA)
     return [

@@ -158,7 +158,7 @@ def _cmd_twirl(args) -> int:
     if args.dump_operator:
         quantities["operator"] = {
             "dim": out.dim,
-            "registers": list(out.registers) if out.registers else None,
+            "registers": [d**args.t, args.dim_e],
             "entries": [[float(z.real), float(z.imag)] for z in out.entries.reshape(-1)],
         }
     report = ExperimentReport(

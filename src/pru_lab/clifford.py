@@ -168,7 +168,7 @@ class CliffordElement:
         """Exact dense unitary realizing the tableau (global phase fixed
         by making the first nonzero amplitude of U|0..0> real positive)."""
         U = tableau_unitaries(self.n, self.symplectic[None], self.phase[None])[0]
-        return DenseOperator(U, (2,) * self.n)
+        return DenseOperator(U)
 
 
 # ---------------------------------------------------------------------------

@@ -194,15 +194,17 @@ def strip_timing_fields(obj):
 # ---------------------------------------------------------------------------
 
 def build_state(family: str, n: int, t: int, dim_e: int, seed) -> StateVector:
-    """A normalized input state on the t query registers plus workspace."""
+    """A normalized input state on t n-qubit query registers plus workspace."""
+    return draw_state(family, register_dim(n), t, dim_e, np.random.default_rng(seed))
+
+
+def draw_state(family: str, d: int, t: int, dim_e: int, rng: np.random.Generator) -> StateVector:
+    """A normalized input state on (C^d)^{x t} x C^{dim_e}, drawn from ``rng``."""
     if t < 1 or dim_e < 1:
         raise DomainError(f"t and dim_e must be at least 1, got t = {t}, dim_e = {dim_e}")
-    d = register_dim(n)
     nA = d**t
     total = nA * dim_e
     check_capacity(total)
-    regs = (d,) * t + (dim_e,)
-    rng = np.random.default_rng(seed)
     if family == "random_pure":
         v = rng.standard_normal(total) + 1j * rng.standard_normal(total)
     elif family == "distinct_supported":
@@ -236,7 +238,7 @@ def build_state(family: str, n: int, t: int, dim_e: int, seed) -> StateVector:
     else:
         raise DomainError(f"unknown state family {family!r}")
     v = np.asarray(v, dtype=complex)
-    return StateVector(v / np.linalg.norm(v), regs)
+    return StateVector(v / np.linalg.norm(v))
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +264,10 @@ def gentle_normalize(xi: DensityMatrix, d: int, t: int) -> GentleResult:
     if overlap < 1e-12:
         raise DegenerateInputError("state has no distinct-subspace support to normalize onto")
     masked = mask.astype(float)
-    projected = masked[:, None] * np.asarray(xi.entries) * masked[None, :]
-    phi = DensityMatrix(projected / overlap, xi.registers)
+    projected = masked[:, None] * xi.entries  # one private buffer; a 0/1 mask scales exactly
+    projected *= masked
+    projected /= overlap
+    phi = DensityMatrix._adopt(projected)
     delta = trace_distance(phi, xi)
     return GentleResult(phi=phi, delta=delta, overlap=overlap)
 

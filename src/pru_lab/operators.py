@@ -3,8 +3,8 @@ operators the experiments are built from: permutation operators on basis
 labels, binary phase operators, tensor-slot permutations, the
 distinct-tuple projector, and Haar-random unitaries.
 
-Everything is a dense complex-double matrix; a register shape tag records
-the tensor factorization where one is meaningful.  A global dimension cap
+Everything is a dense complex-double matrix, system slots first and any
+workspace factor last (``workspace_dim``).  A global dimension cap
 (env var PRU_LAB_DIM_CAP, default 2**14) makes oversized constructions
 fail early instead of exhausting memory.
 """
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from math import prod
 
 import numpy as np
 
@@ -85,25 +84,16 @@ def transpose(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _check_registers(dim: int, registers):
-    if registers is not None:
-        registers = tuple(int(r) for r in registers)
-        if prod(registers) != dim:
-            raise DomainError(f"register shape {registers} does not factor dimension {dim}")
-    return registers
-
-
 @dataclass(frozen=True)
 class DenseOperator:
-    """A square complex matrix, optionally tagged with its tensor factors.
+    """A square complex matrix.
 
     Instances are immutable: the wrapped array is made read-only on
     construction, so operators are safe to share across threads.
     """
 
     entries: np.ndarray
-    registers: tuple[int, ...] | None = None
-    meta: dict = field(default=None, compare=False, repr=False)
+    meta: dict = field(default=None, compare=False, repr=False, kw_only=True)
 
     def __post_init__(self):
         arr = np.asarray(self.entries, dtype=complex)
@@ -111,29 +101,10 @@ class DenseOperator:
             raise DomainError(f"operator entries must be square, got shape {arr.shape}")
         check_capacity(arr.shape[0])
         object.__setattr__(self, "entries", _freeze(arr))
-        object.__setattr__(self, "registers", _check_registers(arr.shape[0], self.registers))
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    def dag(self) -> "DenseOperator":
-        out = transpose(self.entries)
-        return DenseOperator(np.conjugate(out, out=out), self.registers)
-
-    def __matmul__(self, other: "DenseOperator") -> "DenseOperator":
-        if self.dim != other.dim:
-            raise DomainError(f"dimension mismatch {self.dim} vs {other.dim}")
-        return DenseOperator(self.entries @ other.entries, self.registers or other.registers)
-
-    def tensor(self, other: "DenseOperator") -> "DenseOperator":
-        regs = None
-        if self.registers is not None and other.registers is not None:
-            regs = self.registers + other.registers
-        return DenseOperator(np.kron(self.entries, other.entries), regs)
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.entries))
 
     def is_unitary(self, tol: float = 1e-10) -> bool:
         delta = self.entries.conj().T @ self.entries - np.eye(self.dim)
@@ -171,19 +142,18 @@ class DensityMatrix:
     """
 
     entries: np.ndarray
-    registers: tuple[int, ...] | None = None
-    meta: dict = field(default=None, compare=False, repr=False)
+    meta: dict = field(default=None, compare=False, repr=False, kw_only=True)
 
     def __post_init__(self):
         self._store(np.asarray(self.entries, dtype=complex))
 
     @classmethod
-    def _adopt(cls, arr: np.ndarray, registers=None, meta=None) -> "DensityMatrix":
+    def _adopt(cls, arr: np.ndarray, *, meta=None) -> "DensityMatrix":
         """The density matrix of ``arr``, a complex buffer no one else holds,
         built in it.  A transposed view A of a C-contiguous buffer is taken
         over too: the buffer gets conj(H(A^T)), which is H(A) in C order."""
         rho = object.__new__(cls)
-        vars(rho).update(registers=registers, meta=meta)  # the frozen fields, as __init__ would set them
+        vars(rho).update(meta=meta)  # the frozen field, as __init__ would set it
         buffer = arr if arr.flags.c_contiguous else arr.T
         rho._store(buffer, buffer, conj=buffer is not arr)
         return rho
@@ -199,7 +169,6 @@ class DensityMatrix:
         if not abs(trace - 1.0) <= 1e-9:
             raise DomainError(f"density matrix trace {trace} != 1 within 1e-9")
         object.__setattr__(self, "entries", _freeze(out))
-        object.__setattr__(self, "registers", _check_registers(arr.shape[0], self.registers))
 
     @property
     def dim(self) -> int:
@@ -217,10 +186,9 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class StateVector:
-    """A normalized pure state with an optional register shape tag."""
+    """A normalized pure state."""
 
     amplitudes: np.ndarray
-    registers: tuple[int, ...] | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
@@ -228,14 +196,13 @@ class StateVector:
         if not abs(np.linalg.norm(arr) - 1.0) <= 1e-10:  # NaN fails too
             raise DomainError("state vector is not normalized within 1e-10")
         object.__setattr__(self, "amplitudes", _freeze(arr))
-        object.__setattr__(self, "registers", _check_registers(arr.shape[0], self.registers))
 
     @property
     def dim(self) -> int:
         return self.amplitudes.shape[0]
 
     def to_density(self) -> DensityMatrix:
-        return DensityMatrix._adopt(np.outer(self.amplitudes, self.amplitudes.conj()), self.registers)
+        return DensityMatrix._adopt(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 @dataclass(frozen=True)
@@ -272,12 +239,13 @@ def perm_op(pi: PermutationT) -> DenseOperator:
     d = pi.t
     M = np.zeros((d, d), dtype=complex)
     M[np.asarray(pi.images), np.arange(d)] = 1.0
-    return DenseOperator(M, (d,))
+    return DenseOperator(M)
+
 
 def phase_op(f: BooleanFunction) -> DenseOperator:
     """The diagonal operator |x> -> (-1)^f(x) |x>."""
     signs = 1.0 - 2.0 * np.asarray(f.bits, dtype=float)
-    return DenseOperator(np.diag(signs.astype(complex)), (f.d,))
+    return DenseOperator(np.diag(signs.astype(complex)))
 
 
 def subsystem_perm_index_map(pi: PermutationT, d: int) -> np.ndarray:
@@ -297,7 +265,7 @@ def subsystem_perm_op(pi: PermutationT, d: int) -> DenseOperator:
     m = subsystem_perm_index_map(pi, d)
     M = np.zeros((n, n), dtype=complex)
     M[m, np.arange(n)] = 1.0
-    return DenseOperator(M, (d,) * pi.t)
+    return DenseOperator(M)
 
 
 def distinct_mask(d: int, t: int) -> np.ndarray:
@@ -321,7 +289,7 @@ def distinct_projector(d: int, t: int) -> DenseOperator:
     check_capacity(n)
     mask = distinct_mask(d, t)
     meta = {"empty": True} if t > d else None
-    return DenseOperator(np.diag(mask.astype(complex)), (d,) * t, meta=meta)
+    return DenseOperator(np.diag(mask.astype(complex)), meta=meta)
 
 
 def falling_factorial(d: int, t: int) -> int:
@@ -360,19 +328,12 @@ def haar_unitaries(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return q * (diag / np.abs(diag))[:, None, :]
 
 
-def sample_haar_unitary(d: int, seed) -> DenseOperator:
-    """One Haar-distributed unitary on C^d, deterministic per seed."""
-    rng = as_generator(seed)
-    return DenseOperator(haar_unitaries(d, 1, rng)[0], (d,))
-
-
 def tensor_power(U: DenseOperator, t: int) -> DenseOperator:
     check_capacity(U.dim**t)
     out = U.entries
     for _ in range(t - 1):
         out = np.kron(out, U.entries)
-    regs = U.registers * t if U.registers is not None else None
-    return DenseOperator(out, regs)
+    return DenseOperator(out)
 
 
 def apply_tensor_power(mats: np.ndarray, tensor: np.ndarray, t: int) -> np.ndarray:
@@ -390,30 +351,6 @@ def apply_tensor_power(mats: np.ndarray, tensor: np.ndarray, t: int) -> np.ndarr
     for _ in range(t):
         out = (np.swapaxes(out, -1, -2) @ mats_t).reshape(batch + (d, -1))
     return out.reshape(batch + (-1, d**t))
-
-
-def partial_trace(op: DenseOperator | DensityMatrix, keep: list[int]) -> DenseOperator:
-    """Trace out all registers not listed in ``keep`` (order preserved)."""
-    if op.registers is None:
-        raise DomainError("operator has no register shape tag")
-    regs = op.registers
-    k = len(regs)
-    keep = list(keep)
-    if any(i not in range(k) for i in keep) or len(set(keep)) != len(keep):
-        raise DomainError(f"invalid register selection {keep} for {regs}")
-    arr = op.entries.reshape(regs + regs)
-    m = k
-    for i in sorted(set(range(k)) - set(keep), reverse=True):
-        arr = np.trace(arr, axis1=i, axis2=i + m)
-        m -= 1
-    # axes are now the kept registers in ascending order, twice over
-    ascending = sorted(keep)
-    if ascending != keep:
-        order = [ascending.index(i) for i in keep]
-        arr = np.transpose(arr, order + [len(keep) + o for o in order])
-    out_regs = tuple(regs[i] for i in keep)
-    dim = prod(out_regs) if out_regs else 1
-    return DenseOperator(arr.reshape(dim, dim), out_regs)
 
 
 def _components(pattern: np.ndarray) -> np.ndarray:

@@ -168,7 +168,7 @@ def _keyed_unitaries(n: int, keys) -> np.ndarray:
 
 def pru_unitary(key: PruKey, n: int) -> DenseOperator:
     """Dense keyed unitary: permutation operator * phase operator * Clifford."""
-    return DenseOperator(_keyed_unitaries(n, [key])[0], (2,) * n)
+    return DenseOperator(_keyed_unitaries(n, [key])[0])
 
 
 def sample_keys(n: int, count: int, seed) -> list[PruKey]:
@@ -186,8 +186,7 @@ def pru_average_state_from_keys(psi: StateVector, t: int, n: int, keys) -> Densi
     batches = (_keyed_unitaries(n, keys[i : i + MC_CHUNK]) for i in range(0, len(keys), MC_CHUNK))
     avg = _average_conjugation(psi, 2**n, t, batches)
     meta = {"num_keys": len(keys), "std_error_fro": avg.std_error_fro}
-    nA = 2 ** (n * t)
-    return DensityMatrix(avg.mean, (nA, psi.dim // nA), meta=meta)
+    return DensityMatrix._adopt(avg.mean, meta=meta)
 
 
 def pru_average_state(psi: StateVector, t: int, n: int, num_keys: int, seed) -> DensityMatrix:

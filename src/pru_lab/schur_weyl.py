@@ -86,7 +86,7 @@ def isotypic_projector(lam: Partition, d: int, t: int) -> DenseOperator:
     check_capacity(d**t)
     scale = specht_dim(lam) / factorial(t)
     coeffs = {pi: scale * character(lam, pi) for pi in all_permutations(t)}
-    return DenseOperator(_char_weighted_perm_sum(coeffs, d, t), (d,) * t)
+    return DenseOperator(_char_weighted_perm_sum(coeffs, d, t))
 
 
 @dataclass(frozen=True)
@@ -284,15 +284,6 @@ def verify_decomposition(decomp: IsotypicDecomposition, seed: int = 7) -> dict:
     return residuals
 
 
-def distinct_block(lam: Partition, decomp: IsotypicDecomposition) -> DenseOperator:
-    """Restriction of the distinct-tuple projector to the unitary-group
-    factor of block ``lam`` (in the block's w-coordinates)."""
-    for b in decomp.blocks:
-        if b.partition == lam:
-            return DenseOperator(b.distinct_block)
-    raise DomainError(f"partition {lam} not present in decomposition (d={decomp.d})")
-
-
 # ---------------------------------------------------------------------------
 # Workspace-register-aware rotation helpers shared with the twirl channels.
 # ---------------------------------------------------------------------------
@@ -358,17 +349,6 @@ def block_footprints(rotated: np.ndarray, decomp: IsotypicDecomposition):
             yield block, rows, np.einsum("ije,ikf->jekf", ket, ket.conj())
         else:
             yield block, rows, np.einsum("ijeikf->jekf", rotated[rows, rows].reshape(w, v, dim_e, w, v, dim_e))
-
-
-def partial_trace_over_W(lam: Partition, rho, decomp: IsotypicDecomposition) -> DenseOperator:
-    """Tr over the unitary-group factor of 1_P rho 1_P for block ``lam``,
-    returning an operator on (Specht factor) x (workspace)."""
-    matrix = rho.entries if hasattr(rho, "entries") else np.asarray(rho)
-    for block, _, footprint in block_footprints(rotate_to_basis(matrix, decomp), decomp):
-        if block.partition == lam:
-            size = footprint.shape[0] * footprint.shape[1]
-            return DenseOperator(footprint.reshape(size, size), footprint.shape[:2])
-    raise DomainError(f"partition {lam} not present in decomposition (d={decomp.d})")
 
 
 # ---------------------------------------------------------------------------

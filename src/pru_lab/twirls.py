@@ -87,12 +87,11 @@ def _payload(state) -> tuple[np.ndarray, bool]:
     return np.asarray(state, dtype=complex), False
 
 
-def _wrap(matrix: np.ndarray, was_state: bool, d: int, t: int, meta: dict | None = None):
+def _wrap(matrix: np.ndarray, was_state: bool, meta: dict | None = None):
     """Wrap the array a twirl has just built; a state result takes it over."""
-    regs = (d**t, matrix.shape[0] // d**t)
     if was_state:
-        return DensityMatrix._adopt(matrix, regs, meta=meta)
-    return DenseOperator(matrix, regs, meta=meta)
+        return DensityMatrix._adopt(matrix, meta=meta)
+    return DenseOperator(matrix, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +219,7 @@ def _project_onto_commutant(state, d: int, t: int, basis: _Commutant):
         out[r, :, c, :] += s * coeffs[start : start + len(r), None]
         start += len(r)
     meta = {"method": "exact"} | basis.meta
-    return _wrap(out.reshape(total, total), was_state, d, t, meta=meta)
+    return _wrap(out.reshape(total, total), was_state, meta=meta)
 
 
 def haar_twirl_exact(state, d: int, t: int):
@@ -251,7 +250,7 @@ def _blockwise_twirl(state, decomp: IsotypicDecomposition, weyl_state):
         rebuilt = np.einsum("ab,jekf->ajebkf", weyl_state(block), footprint)
         out[rows, rows] = rebuilt.reshape(rows.stop - rows.start, -1)
     del rotated  # freed before the inverse rotation allocates its second matrix
-    return _wrap(_conjugate_real(out, decomp, inverse=True, overwrite=True), was_state, decomp.d, decomp.t)
+    return _wrap(_conjugate_real(out, decomp, inverse=True, overwrite=True), was_state)
 
 
 def haar_twirl_schur_weyl(state, decomp: IsotypicDecomposition):
@@ -272,7 +271,7 @@ def pf_twirl_basis_element(x, y, d: int) -> DenseOperator:
     check_capacity(n)
     unit = np.zeros((n, n), dtype=complex)
     unit[np.ravel_multi_index(x, (d,) * t), np.ravel_multi_index(y, (d,) * t)] = 1.0
-    return DenseOperator(pf_twirl(unit, d, t).entries, (d,) * t)
+    return pf_twirl(unit, d, t)
 
 
 def pf_twirl_distinct_formula(state, decomp: IsotypicDecomposition):
@@ -395,7 +394,7 @@ def _sampled_twirl(state, d: int, t: int, samples: int, seed, draw, weights=None
     avg = _average_conjugation(state, d, t, batches, weights)
     meta = {"method": "monte_carlo", **meta, "samples": samples, "seed": seed,
             "std_error_fro": avg.std_error_fro}
-    return _wrap(avg.mean, avg.was_state, d, t, meta=meta), avg.values
+    return _wrap(avg.mean, avg.was_state, meta=meta), avg.values
 
 
 def haar_twirl_mc(state, d: int, t: int, samples: int, seed):
@@ -423,7 +422,7 @@ def ensemble_twirl(state, ops, d: int, t: int):
     us = np.array([op.entries if isinstance(op, DenseOperator) else op for op in ops])
     batches = (us[i : i + MC_CHUNK] for i in range(0, len(us), MC_CHUNK))
     avg = _average_conjugation(state, d, t, batches)
-    return _wrap(avg.mean, avg.was_state, d, t, meta={"method": "exact", "samples": len(us)})
+    return _wrap(avg.mean, avg.was_state, meta={"method": "exact", "samples": len(us)})
 
 
 CLIFFORD_EXACT_T_CAP = 4  # the Clifford commutant is known here up to four copies

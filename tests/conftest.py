@@ -11,10 +11,10 @@ settings.register_profile("pru-lab", derandomize=True, deadline=None)
 settings.load_profile("pru-lab")
 
 
-def random_state(dim, regs, seed):
+def random_state(dim, seed):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return StateVector(v / np.linalg.norm(v), regs)
+    return StateVector(v / np.linalg.norm(v))
 
 
 def random_distinct_state(d, t, dim_e, seed):
@@ -24,7 +24,7 @@ def random_distinct_state(d, t, dim_e, seed):
     m = int(mask.sum())
     v[mask] = rng.standard_normal((m, dim_e)) + 1j * rng.standard_normal((m, dim_e))
     v = v.reshape(-1)
-    return StateVector(v / np.linalg.norm(v), (d**t, dim_e))
+    return StateVector(v / np.linalg.norm(v))
 
 
 @pytest.fixture

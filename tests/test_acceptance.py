@@ -126,7 +126,7 @@ def test_criterion_04_haar_oracle_triangle():
     dec = schur_weyl_basis(d, t)
     worst_pair = 0.0
     for seed in range(20):
-        st = random_state(d**t * dim_e, (d**t, dim_e), seed)
+        st = random_state(d**t * dim_e, seed)
         worst_pair = max(
             worst_pair,
             trace_distance(haar_twirl_exact(st, d, t), haar_twirl_schur_weyl(st, dec)),
@@ -136,7 +136,7 @@ def test_criterion_04_haar_oracle_triangle():
     N = 100000
     worst_mc = 0.0
     for seed in range(3):
-        st = random_state(d**t, (d**t, 1), 100 + seed)
+        st = random_state(d**t, 100 + seed)
         mc = haar_twirl_mc(st, d, t, N, [41, seed])
         worst_mc = max(worst_mc, trace_distance(mc, haar_twirl_exact(st, d, t)))
         worst_mc = max(worst_mc, trace_distance(mc, haar_twirl_schur_weyl(st, dec)))
@@ -247,12 +247,12 @@ def test_criterion_07_two_design():
     worst_exact = 0.0
     group = enumerate_cliffords(1)
     for seed in range(10):
-        st = random_state(8, (4, 2), seed)
+        st = random_state(8, seed)
         worst_exact = max(
             worst_exact,
             trace_distance(ensemble_twirl(st, group, 2, 2), haar_twirl_exact(st, 2, 2)),
         )
-    st = random_state(16, (16, 1), 77)
+    st = random_state(16, 77)
     mc = clifford_twirl(st, 2, 2, method="monte_carlo", samples=10000, seed=13)
     err = trace_distance(mc, haar_twirl_exact(st, 4, 2))
     envelope = 3 * sqrt(mc.dim) * mc.meta["std_error_fro"]
@@ -309,7 +309,7 @@ def test_criterion_09_end_to_end_chain():
 
 def test_criterion_10_monte_carlo_convergence():
     d, t = 4, 2
-    st = random_state(d**t, (d**t, 1), 3)
+    st = random_state(d**t, 3)
     Ns = (100, 1000, 10000, 100000)
     slopes = {}
     for label, mc_fn, exact in (

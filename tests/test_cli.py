@@ -137,6 +137,7 @@ def test_twirl_summary_and_dump(capsys):
     rep = json.loads(out)
     op = rep["quantities"]["operator"]
     assert op["dim"] == 4 and len(op["entries"]) == 16
+    assert op["registers"] == [4, 1]
 
 
 def test_sweep_grid(capsys):
@@ -259,7 +260,7 @@ def _leave_clifford_layer_out(monkeypatch):
     """Every Clifford twirl returns its input unchanged, as a density matrix."""
     def unchanged(state, n, t, *args, **kwargs):
         rho = state.to_density() if isinstance(state, StateVector) else state
-        return twirls._wrap(np.array(rho.entries), True, 2**n, t), None  # _wrap takes over its array
+        return twirls._wrap(np.array(rho.entries), True), None  # _wrap takes over its array
 
     monkeypatch.setattr(twirls, "_clifford_average", unchanged)
 
@@ -323,7 +324,7 @@ def test_security_reports_an_overlap_below_its_bound(capsys, monkeypatch):
     # sqrt(0.9) |0,0> + sqrt(0.1) |0,1>: distinct overlap 0.1, against the bound 0.6 at d = 4
     v = np.zeros(16, dtype=complex)
     v[0], v[1] = np.sqrt(0.9), np.sqrt(0.1)
-    monkeypatch.setattr(harness, "build_state", lambda *args: StateVector(v, (4, 4, 1)))
+    monkeypatch.setattr(harness, "build_state", lambda *args: StateVector(v))
     _leave_clifford_layer_out(monkeypatch)
     code, out = run_cli(capsys, "security", "--n", "2", "--t", "2")
     assert code == 1

@@ -213,7 +213,7 @@ def test_average_xx_matches_haar_two_twirl():
     # and against the commutant-projection channel directly
     from pru_lab import DenseOperator, haar_twirl_exact
 
-    twirled = haar_twirl_exact(DenseOperator(XX, (4, 1)), 2, 2)
+    twirled = haar_twirl_exact(DenseOperator(XX), 2, 2)
     assert np.abs(avg - twirled.entries).max() < 1e-9
 
 

@@ -29,7 +29,6 @@ from pru_lab.operators import distinct_mask, haar_unitaries, subsystem_perm_inde
 def test_families_are_normalized(family):
     st = build_state(family, 2, 2, 4, 7)
     assert abs(np.linalg.norm(st.amplitudes) - 1) < 1e-12
-    assert st.registers == (4, 4, 4)
 
 
 def test_distinct_supported_is_exactly_distinct():
@@ -63,7 +62,7 @@ def test_random_pure_reduced_rank():
 
 
 def test_gentle_normalize_maximally_mixed():
-    xi = DensityMatrix(np.eye(16) / 16, (16, 1))
+    xi = DensityMatrix(np.eye(16) / 16)
     g = gentle_normalize(xi, 4, 2)
     assert g.overlap == pytest.approx(12 / 16, abs=1e-12)
     assert g.delta == pytest.approx(0.5, abs=1e-12)

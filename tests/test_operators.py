@@ -9,6 +9,7 @@ import pytest
 from pru_lab import (
     BooleanFunction,
     CapacityError,
+    DenseOperator,
     DensityMatrix,
     DomainError,
     PermutationT,
@@ -16,10 +17,8 @@ from pru_lab import (
     all_permutations,
     cli_main,
     distinct_projector,
-    partial_trace,
     perm_op,
     phase_op,
-    sample_haar_unitary,
     subsystem_perm_op,
     tensor_power,
     trace_distance,
@@ -50,7 +49,7 @@ def test_perm_op_group_inverse():
     pi = PermutationT((2, 0, 3, 1))
     P = perm_op(pi)
     Pinv = perm_op(pi.inverse())
-    assert np.allclose((P @ Pinv).entries, np.eye(4))
+    assert np.allclose(P.entries @ Pinv.entries, np.eye(4))
 
 
 def test_phase_op_examples():
@@ -59,7 +58,7 @@ def test_phase_op_examples():
     assert np.allclose(Z.entries, [[1, 0], [0, -1]])
     f = BooleanFunction((1, 0, 1, 1))
     F = phase_op(f)
-    assert np.allclose((F @ F).entries, np.eye(4))
+    assert np.allclose(F.entries @ F.entries, np.eye(4))
 
 
 def test_subsystem_perm_swap_matrix():
@@ -102,10 +101,10 @@ def test_perm_tensor_power_commutes_with_slots():
     rng = np.random.default_rng(5)
     d, t = 3, 3
     P = perm_op(PermutationT(tuple(int(x) for x in rng.permutation(d))))
-    Pt = tensor_power(P, t)
+    Pt = tensor_power(P, t).entries
     for sigma in all_permutations(t):
-        R = subsystem_perm_op(sigma, d)
-        assert np.abs((Pt @ R).entries - (R @ Pt).entries).max() < 1e-12
+        R = subsystem_perm_op(sigma, d).entries
+        assert np.abs(Pt @ R - R @ Pt).max() < 1e-12
 
 
 def test_distinct_projector_trace_and_cases():
@@ -137,10 +136,10 @@ def test_distinct_commutes_with_slot_perms():
 
 
 def test_haar_unitary_basics():
-    U = sample_haar_unitary(5, 7)
-    assert U.is_unitary(1e-10)
-    assert not np.allclose(U.entries, sample_haar_unitary(5, 8).entries)
-    assert np.allclose(U.entries, sample_haar_unitary(5, 7).entries)
+    U = haar_unitaries(5, 1, np.random.default_rng(7))[0]
+    assert DenseOperator(U).is_unitary(1e-10)
+    assert not np.allclose(U, haar_unitaries(5, 1, np.random.default_rng(8))[0])
+    assert np.array_equal(U, haar_unitaries(5, 1, np.random.default_rng(7))[0])
 
 
 def test_haar_first_moment():
@@ -283,7 +282,7 @@ def test_trace_norm_tests_hermiticity_as_array_equal(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [16, *EDGE_SIZES])
 def test_density_matrix_stores_its_exact_hermitian_part(n):
-    rho = random_state(n, (n,), 4).to_density().entries
+    rho = random_state(n, 4).to_density().entries
     A = np.random.default_rng(5).standard_normal((n, n)) * (1 + 1j)
     given = rho + 1e-12 * (A - A.conj().T)  # anti-Hermitian perturbation
     before = given.copy()
@@ -325,7 +324,7 @@ def test_density_matrix_copies_and_adopt_takes_over(n):
     """The public constructor leaves its input alone, in C or Fortran order;
     ``_adopt`` stores the same Hermitian part in the buffer it is handed,
     also when that is the transposed view of a C-contiguous buffer."""
-    rho = random_state(n, (n,), 6).to_density().entries
+    rho = random_state(n, 6).to_density().entries
     A = np.random.default_rng(7).standard_normal((n, n)) * (1 + 1j)
     for given in (rho + 1e-12 * (A - A.conj().T), np.asfortranarray(rho + 1e-12 * (A - A.conj().T))):
         before = given.copy(order="K")
@@ -333,7 +332,7 @@ def test_density_matrix_copies_and_adopt_takes_over(n):
         assert np.array_equal(given, before) and given.flags.writeable
         assert not np.shares_memory(copied, given)
         buffer = given.copy(order="K")
-        adopted = DensityMatrix._adopt(buffer, (n,)).entries
+        adopted = DensityMatrix._adopt(buffer).entries
         assert np.shares_memory(adopted, buffer) and adopted.flags.c_contiguous
         assert np.array_equal(adopted, copied)
         assert np.array_equal(adopted, adopted.conj().T)
@@ -342,7 +341,7 @@ def test_density_matrix_copies_and_adopt_takes_over(n):
 @pytest.mark.parametrize("n", [3, TILE + 1])
 def test_trace_distance_of_density_matrices_skips_the_hermiticity_test(monkeypatch, n):
     rng = np.random.default_rng(n)
-    a = random_state(n, (n,), 1).to_density()
+    a = random_state(n, 1).to_density()
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     b = DensityMatrix(G @ G.conj().T / np.trace(G @ G.conj().T).real)
     expected = trace_norm(a.entries - b.entries)
@@ -351,7 +350,7 @@ def test_trace_distance_of_density_matrices_skips_the_hermiticity_test(monkeypat
 
 
 def test_trace_distance_of_twirl_outputs_at_d3_equals_the_trace_norm(monkeypatch):
-    st = random_state(18, (9, 2), 2)
+    st = random_state(18, 2)
     a, b = haar_twirl_exact(st, 3, 2), pf_twirl(st, 3, 2)
     expected = trace_norm(a.entries - b.entries)
     monkeypatch.setattr(operators, "trace_norm", lambda A: pytest.fail("the Hermiticity test ran"))
@@ -366,21 +365,6 @@ def test_trace_distance_of_a_non_hermitian_array_takes_the_svd(monkeypatch):
     assert not calls
 
 
-def test_partial_trace_entangled():
-    d = 3
-    psi = np.eye(d).reshape(-1) / np.sqrt(d)
-    rho = DensityMatrix(np.outer(psi, psi.conj()), (d, d))
-    red = partial_trace(rho, [0])
-    assert np.abs(red.entries - np.eye(d) / d).max() < 1e-10
-    assert abs(np.trace(red.entries) - 1) < 1e-10
-
-
-def test_partial_trace_requires_registers():
-    rho = DensityMatrix(np.eye(4) / 4)
-    with pytest.raises(DomainError):
-        partial_trace(rho, [0])
-
-
 def test_state_and_density_validation():
     with pytest.raises(DomainError):
         StateVector(np.array([1.0, 1.0]))
@@ -388,8 +372,19 @@ def test_state_and_density_validation():
         DensityMatrix(np.eye(2))  # trace 2
     with pytest.raises(DomainError):
         DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not Hermitian
-    rho = random_state(8, (8,), 3).to_density()
+    rho = random_state(8, 3).to_density()
     rho.validate()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DensityMatrix(np.eye(2) / 2, (2,)),
+    lambda: StateVector(np.array([1.0, 0.0]), (2,)),
+    lambda: DenseOperator(np.eye(2), (2,)),
+], ids=["density", "state", "operator"])
+def test_a_second_positional_argument_is_rejected(make):
+    """Only the entries are positional; ``meta`` is keyword-only."""
+    with pytest.raises(TypeError):
+        make()
 
 
 @pytest.mark.parametrize("make", [
@@ -402,13 +397,6 @@ def test_state_and_density_validation():
 def test_non_finite_entries_fail_validation(make):
     with pytest.raises(DomainError):
         make()
-
-
-def test_unitary_tag_and_ops():
-    U = sample_haar_unitary(3, 0)
-    assert (U @ U.dag()).is_unitary(1e-10)
-    T = U.tensor(U)
-    assert T.dim == 9 and T.registers == (3, 3)
 
 
 def test_capacity_cap(monkeypatch):

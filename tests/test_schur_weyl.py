@@ -16,10 +16,8 @@ from pru_lab import (
     Partition,
     PermutationT,
     all_permutations,
-    distinct_block,
     distinct_projector,
     isotypic_projector,
-    partial_trace_over_W,
     partitions,
     ratio_report,
     schur_weyl_basis,
@@ -30,7 +28,7 @@ from pru_lab import (
     young_orthogonal_rep,
 )
 from pru_lab.operators import haar_unitaries
-from pru_lab.schur_weyl import rotate_from_basis, rotate_to_basis
+from pru_lab.schur_weyl import block_footprints, rotate_from_basis, rotate_to_basis
 from pru_lab.twirls import haar_twirl_schur_weyl, pf_twirl_distinct_formula
 
 from conftest import random_distinct_state, random_state
@@ -38,6 +36,13 @@ from conftest import random_distinct_state, random_state
 
 def projector_rank(M, tol=0.5):
     return int((np.linalg.eigvalsh(M) > tol).sum())
+
+
+def footprint_traces(rho, dec):
+    """Tr of each block's footprint, the partial trace over its unitary-group
+    factor, keyed by partition."""
+    rotated = rotate_to_basis(rho.entries, dec)
+    return {b.partition: float(np.einsum("jeje->", fp).real) for b, _, fp in block_footprints(rotated, dec)}
 
 
 def test_symmetric_projector_closed_form():
@@ -129,7 +134,7 @@ def test_blockwise_twirls_vanish_exactly_between_orbits():
     dec = schur_weyl_basis(d, t)
     orbit = np.repeat(np.unique(_orbit_labels(d, t), axis=0, return_inverse=True)[1], dim_e)
     between = orbit[:, None] != orbit[None, :]
-    state = random_state(d**t * dim_e, (d**t, dim_e), 43)
+    state = random_state(d**t * dim_e, 43)
     distinct = random_distinct_state(d, t, dim_e, 43)
     for out in (haar_twirl_schur_weyl(state, dec), pf_twirl_distinct_formula(distinct, dec)):
         assert np.all(out.entries[between] == 0)
@@ -165,10 +170,6 @@ def test_distinct_blocks_d4t2():
     sym, anti = dec.blocks
     assert np.abs(anti.distinct_block - np.eye(6)).max() < 1e-9
     assert abs(np.trace(sym.distinct_block).real - 6) < 1e-9
-    got = distinct_block(Partition((2,)), dec)
-    assert np.abs(got.entries - sym.distinct_block).max() == 0
-    with pytest.raises(DomainError):
-        distinct_block(Partition((3,)), dec)
 
 
 def test_distinct_block_identity_at_t1():
@@ -206,31 +207,29 @@ def test_distinct_reconstruction():
 def test_partial_trace_over_w_completeness():
     d, t, dim_e = 4, 2, 4
     dec = schur_weyl_basis(d, t)
-    rho = random_state(d**t * dim_e, (d**t, dim_e), 5).to_density()
-    total = sum(
-        float(np.trace(partial_trace_over_W(b.partition, rho, dec).entries).real)
-        for b in dec.blocks
-    )
-    assert abs(total - 1) < 1e-9
+    rho = random_state(d**t * dim_e, 5).to_density()
+    traces = footprint_traces(rho, dec)
+    assert set(traces) == {b.partition for b in dec.blocks}
+    assert abs(sum(traces.values()) - 1) < 1e-9
 
 
 def test_partial_trace_over_w_maximally_mixed():
     d, t = 4, 2
     dec = schur_weyl_basis(d, t)
-    rho = DensityMatrix(np.eye(d**t) / d**t, (d**t, 1))
+    rho = DensityMatrix(np.eye(d**t) / d**t)
+    traces = footprint_traces(rho, dec)
     for b in dec.blocks:
-        out = partial_trace_over_W(b.partition, rho, dec)
         expect_trace = b.weyl_dim * b.specht_dim / d**t
-        assert abs(float(np.trace(out.entries).real) - expect_trace) < 1e-10
+        assert abs(traces[b.partition] - expect_trace) < 1e-10
 
 
 def test_partial_trace_over_w_symmetric_product():
     dec = schur_weyl_basis(2, 2)
     e00 = np.zeros(4, dtype=complex)
     e00[0] = 1
-    rho = DensityMatrix(np.outer(e00, e00), (4, 1))
-    tr_sym = float(np.trace(partial_trace_over_W(Partition((2,)), rho, dec).entries).real)
-    tr_anti = float(np.trace(partial_trace_over_W(Partition((1, 1)), rho, dec).entries).real)
+    rho = DensityMatrix(np.outer(e00, e00))
+    traces = footprint_traces(rho, dec)
+    tr_sym, tr_anti = traces[Partition((2,))], traces[Partition((1, 1))]
     assert abs(tr_sym - 1) < 1e-12 and abs(tr_anti) < 1e-12
 
 

@@ -56,15 +56,14 @@ ENSEMBLES = {"haar": haar_unitaries, "pf": twirls._pf_unitaries, "clifford": _cl
 def _inputs(d, t, dim_e, seed):
     """Pure, rank-1 density, full-rank Hermitian and non-Hermitian inputs."""
     total = d**t * dim_e
-    regs = (d**t, dim_e)
-    psi = random_state(total, regs, seed)
+    psi = random_state(total, seed)
     rng = np.random.default_rng(seed + 1)
     A = rng.standard_normal((total, total)) + 1j * rng.standard_normal((total, total))
     return {
         "pure": psi,
         "rank1_density": psi.to_density(),
-        "full_rank_hermitian": DenseOperator(A + A.conj().T, regs),
-        "non_hermitian": DenseOperator(A, regs),
+        "full_rank_hermitian": DenseOperator(A + A.conj().T),
+        "non_hermitian": DenseOperator(A),
     }
 
 
@@ -120,7 +119,7 @@ def test_driver_sub_batches_match_whole_batches(monkeypatch):
 def test_per_sample_overlaps_match_direct_projection():
     n, t, dim_e = 2, 2, 3
     d = 2**n
-    psi = random_state(d**t * dim_e, (d**t, dim_e), 12)
+    psi = random_state(d**t * dim_e, 12)
     samples, seed = 40, 6
     info = twirls.distinct_overlap_after_clifford(
         psi, n, t, method="monte_carlo", samples=samples, seed=seed
@@ -156,7 +155,7 @@ def test_monte_carlo_twirls_seed_each_chunk_as_documented(ensemble):
     """Three chunks, the last of one sample, so a wrong chunk seed, a wrong
     per-sample seed or a dropped remainder moves the mean by about 1e-3."""
     d, t, samples, seed = 2, 2, 2 * MC_CHUNK + 1, 17
-    psi = random_state(d**t, (d**t, 1), 5)
+    psi = random_state(d**t, 5)
     twirl = {
         "haar": lambda: haar_twirl_mc(psi, d, t, samples, seed),
         "pf": lambda: pf_twirl_mc(psi, d, t, samples, seed),
@@ -223,7 +222,7 @@ def test_exact_security_run_at_four_copies_needs_no_enumeration(monkeypatch, dim
 def test_twirls_keep_non_hermitian_operators():
     X = np.zeros((4, 4), dtype=complex)
     X[1, 2] = 1j  # i|01><10| on two qubit registers
-    op = DenseOperator(X, (4, 1))
+    op = DenseOperator(X)
     haar = haar_twirl_exact(op, 2, 2).entries
     pf = pf_twirl(op, 2, 2).entries
     assert np.abs(haar).max() == pytest.approx(1 / 3)
