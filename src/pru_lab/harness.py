@@ -293,7 +293,7 @@ def run_security_experiment(config: ExperimentConfig) -> ExperimentReport:
             psi, config.n, t, method=config.clifford_method, samples=config.clifford_samples,
             seed=[config.seed, 1],
         )
-        xi = overlap_info["state"]
+        xi = overlap_info.pop("state")
         mc_slack = config.mc_sigma * overlap_info["std_error"]
     if config.clifford_method == "exact" and clifford_exact_is_haar(t):
         rho_hr = xi  # the same projection onto span{R_pi}
@@ -301,8 +301,15 @@ def run_security_experiment(config: ExperimentConfig) -> ExperimentReport:
         rho_hr = haar_twirl_exact(psi, d, t)
     rho_fr = pf_twirl(xi, d, t)
     distance = trace_distance(rho_fr, rho_hr)
+    del rho_hr
+    if config.num_keys > 0:  # taken here so rho_fr is freed before the gentle step
+        rho_keyed = pru_average_state(psi, t, config.n, config.num_keys, [config.seed, 2])
+        keyed_dist, keyed_se = trace_distance(rho_keyed, rho_fr), rho_keyed.meta["std_error_fro"]
+        del rho_keyed
+    del rho_fr
 
     gentle = gentle_normalize(xi, d, t)
+    del xi
     pf_phi = pf_twirl(gentle.phi, d, t)
     haar_phi = haar_twirl_exact(gentle.phi, d, t)
     step_phi = trace_distance(pf_phi, haar_phi)
@@ -365,12 +372,9 @@ def run_security_experiment(config: ExperimentConfig) -> ExperimentReport:
         )
 
     if config.num_keys > 0:
-        rho_keyed = pru_average_state(psi, t, config.n, config.num_keys, [config.seed, 2])
-        keyed_dist = trace_distance(rho_keyed, rho_fr)
-        se = rho_keyed.meta["std_error_fro"]
-        envelope = config.mc_sigma * sqrt(rho_keyed.dim) * se
+        envelope = config.mc_sigma * sqrt(psi.dim) * keyed_se
         quantities["keyed_vs_fully_random"] = keyed_dist
-        quantities["keyed_std_error_fro"] = se
+        quantities["keyed_std_error_fro"] = keyed_se
         checks.append(
             BoundCheck.make(
                 "keyed_vs_fully_random", params, keyed_dist, envelope, "le", config.tol_abs,

@@ -8,9 +8,9 @@ Every exact twirl is one routine: the orthogonal projection onto the
 commutant of the group's t-fold action, paired with the input by index
 gathers and solved with the pseudo-inverse of the spanning operators' Gram
 matrix.  The Haar commutant is spanned by the tensor-slot permutations
-(Gram matrix d^{#cycles}, singular when d < t).  The Clifford group is a
-unitary 3-design, so for t <= 3 its commutant is the same; at t = 4 it adds
-the permutations times the Pauli projector Q = d^-2 sum_P P^{x4}.  The
+(Gram matrix d^{#cycles}, singular when d < t).  The Clifford commutant is
+spanned by one operator per stochastic Lagrangian subspace of F_2^{2t}; for
+t <= 3 these are the permutation graphs alone (a unitary 3-design).  The
 permutation-phase commutant is spanned by the indicators of the even
 pattern classes: basis pairs (x, y) whose 2t digits have the same equality
 pattern, with every value occurring an even number of times.  Each class
@@ -111,10 +111,10 @@ class _Commutant(NamedTuple):
 
 def _freeze_commutant(terms: list, gram: np.ndarray) -> _Commutant:
     """Pseudo-invert each block of the (blocks, m, m) ``gram`` and freeze the
-    cached record.  Null eigenvalues are round-off of about eps * max (0.9
-    eps * max at d = 8 with Q, a fifth of pinv's default cutoff), so each
-    block is cut at matrix_rank's m * eps.  The metadata carries the rank
-    and the condition number over the kept spectrum."""
+    cached record.  Null eigenvalues are round-off of at most 2.3 eps * max and
+    kept ones at least 0.018 max (permutations and Lagrangian subspaces, d = 2,
+    4, 8, t <= 5), so each block is cut at matrix_rank's m * eps.  The metadata
+    carries the rank and the condition number over the kept spectrum."""
     values, vectors = np.linalg.eigh(gram)
     kept = np.abs(values) > gram.shape[-1] * np.finfo(float).eps * np.abs(values).max(-1, keepdims=True)
     gram_pinv = (vectors / np.where(kept, values, np.inf)[..., None, :]) @ vectors.swapaxes(-1, -2)
@@ -125,32 +125,58 @@ def _freeze_commutant(terms: list, gram: np.ndarray) -> _Commutant:
 
 
 @lru_cache(maxsize=8)
-def _commutant(d: int, t: int, pauli: bool) -> _Commutant:
-    """The slot permutations R_pi, plus R_pi Q when ``pauli`` (t = 4, d = 2^n).
+def _lagrangian_subspaces(t: int) -> np.ndarray:
+    """The stochastic Lagrangian subspaces T of F_2^{2t} (t-dimensional, 1_{2t}
+    in T, |x| - |y| = 0 mod 4 on every element x 2^t + y), one row of sorted
+    elements each, prod_{k < t-1} (2^k + 1) in all.  Each grows from span{1}
+    by vectors with |x| - |y| = 0 mod 4, even overlap with the basis so far
+    (so the condition holds on the span: |v ^ w| = |v| + |w| - 2|v & w|) and
+    smallest in their coset; ``np.unique`` drops repeats."""
+    size = 4**t
+    weight = np.array([bin(i).count("1") for i in range(size)])
+    null = np.flatnonzero((weight[np.arange(size) >> t] - weight[np.arange(size) % 2**t]) % 4 == 0)[1:]
+    spaces, basis = np.array([[0, size - 1]]), np.array([[size - 1]])
+    for _ in range(t - 1):
+        s, c = np.nonzero(~(weight[null[None, :, None] & basis[:, None, :]] % 2).any(2))
+        cosets = null[c, None] ^ spaces[s]
+        first = cosets.min(1) == null[c]
+        grown = np.sort(np.concatenate([spaces[s[first]], cosets[first]], axis=1), axis=1)
+        spaces, index = np.unique(grown, axis=0, return_index=True)
+        basis = np.concatenate([basis[s], null[c, None]], axis=1)[first][index]
+    spaces.setflags(write=False)
+    return spaces
 
-    Q = d^-2 sum_P P^{x4} = d^-1 (sum_a X_a^{x4}) diag(1[x1^x2^x3^x4 = 0]), so
-    R_pi Q is d masked index maps, and since Q is a projector commuting with
-    every R_pi, each Gram entry is Tr[R_tau] = d^{#cycles(tau)} or Tr[R_tau Q]
-    for tau = sigma^-1 pi.  The operators overlap, so each is its own term
-    and the Gram matrix is one block, singular when d < t and always with Q.
+
+@lru_cache(maxsize=8)
+def _commutant(d: int, t: int, clifford: bool) -> _Commutant:
+    """R(T) = r(T)^{x n} with r(T) = sum_{(x, y) in T} |x><y| on t qubits, for
+    the permutation graphs T_pi = {(pi y, y)}, whose R(T_pi) = R_pi at any d,
+    and with ``clifford`` (d = 2^n) the other stochastic Lagrangian
+    subspaces: a spanning set of the commutant of C^{x t} (Gross, Nezami
+    and Walter, arXiv:1712.08628, Thm. 4.3).  R(T) is d^t ones, one per
+    element (x_q, y_q) of T for each qubit q, with x_q[j] (y_q[j]) as bit q
+    of slot j's row (column) digit.  The operators overlap, so each is its
+    own term; the one Gram block is Tr[R(T)^dag R(T')] = d^{dim(T n T')}.
     """
-    n = d**t
+    labels = np.arange(system_dim(d, t))
     perms = all_permutations(t)
-    maps = [subsystem_perm_index_map(pi, d) for pi in perms]
-    labels = np.arange(n)
-    terms = [(m[None], labels[None], 1.0) for m in maps]
-    if pauli:
-        even = labels[np.bitwise_xor.reduce(np.unravel_index(labels, (d,) * t)) == 0]
-        shifted = (even[None, :] ^ (np.arange(d) * sum(d**k for k in range(t)))[:, None]).ravel()
-        cols = np.tile(even, (1, d))
-        terms += [(m[None, shifted], cols, 1.0 / d) for m in maps]
-    traces = np.array([np.count_nonzero(r == c) * s for r, c, s in terms])
-    index = {pi: i for i, pi in enumerate(perms)}
-    tau = np.array([[index[sigma.inverse().compose(pi)] for pi in perms] for sigma in perms])
-    gram = traces[tau]
-    if pauli:
-        with_q = traces[tau + len(perms)]
-        gram = np.block([[gram, with_q], [with_q, with_q]])
+    terms = [(subsystem_perm_index_map(pi, d)[None], labels[None], 1.0) for pi in perms]
+    spaces = np.array([subsystem_perm_index_map(pi, 2) << t | np.arange(2**t) for pi in perms])
+    if clifford:
+        spaces = np.concatenate([spaces, _lagrangian_subspaces(t)])
+    member = np.zeros((len(spaces), 4**t), dtype=np.float32)
+    member[np.arange(len(spaces))[:, None], spaces] = 1.0
+    shared = member @ member.T  # |T n T'|, exact in float32
+    if clifford:  # the Lagrangian subspaces that are not permutation graphs
+        keep = np.r_[np.ones(len(perms), bool), shared[: len(perms), len(perms) :].max(0) < 2**t]
+        shared, others = shared[np.ix_(keep, keep)], spaces[keep][len(perms) :]
+        n, halves = d.bit_length() - 1, np.stack([others >> t, others % 2**t])  # x and y
+        # bit t-1-j of a t-bit label (slot j) moves to the top bit of slot j's digit
+        qubit = places = sum((halves >> k & 1) << n * k for k in range(t))
+        for _ in range(n - 1):  # each further qubit one bit below the last, in every slot
+            places = (places[..., None] << 1 | qubit[:, :, None]).reshape(2, len(others), places.shape[2] * 2**t)
+        terms += [(r[None], c[None], 1.0) for r, c in zip(*places)]
+    gram = np.power(d, np.log2(shared).astype(int)).astype(float)
     return _freeze_commutant(terms, gram[None])
 
 
@@ -425,7 +451,7 @@ def ensemble_twirl(state, ops, d: int, t: int):
     return _wrap(avg.mean, avg.was_state, meta={"method": "exact", "samples": len(us)})
 
 
-CLIFFORD_EXACT_T_CAP = 4  # the Clifford commutant is known here up to four copies
+CLIFFORD_EXACT_T_CAP = 5  # t = 6 has 4,590 Lagrangian subspaces, so a 4,590^2 Gram matrix
 
 
 def clifford_exact_is_haar(t: int) -> bool:
@@ -462,10 +488,10 @@ def _clifford_average(state, n: int, t: int, method: str, samples: int, seed, we
 def clifford_twirl(state, n: int, t: int, method: str = "exact", samples: int = 0, seed: int = 0):
     """Average conjugation by C^{x t} over the Clifford group.
 
-    The exact twirl is the projection onto the commutant of C^{x t}: the
-    slot permutations for t <= 3, where the Clifford group is a unitary
-    3-design, and the slot permutations times the Pauli projector Q for
-    t = 4.  It runs at every n under the dimension cap; t >= 5 raises.
+    The exact twirl is the projection onto the commutant of C^{x t}, spanned
+    by the operators of the stochastic Lagrangian subspaces (the slot
+    permutations alone for t <= 3).  It runs at every n under the dimension
+    cap, for t <= CLIFFORD_EXACT_T_CAP.
     Monte-Carlo averaging samples and converts ``samples`` tableaus one
     MC_CHUNK batch at a time, sample i drawn from the seed (seed,
     i // MC_CHUNK, i % MC_CHUNK), and attaches the Frobenius standard error

@@ -140,6 +140,12 @@ def test_twirl_summary_and_dump(capsys):
     assert op["registers"] == [4, 1]
 
 
+def test_exact_clifford_twirl_at_five_copies(capsys):
+    code, out = run_cli(capsys, "twirl", "--channel", "clifford", "--n", "1", "--t", "5")
+    assert code == 0
+    assert json.loads(out)["quantities"]["meta"]["gram_rank"] == 51
+
+
 def test_sweep_grid(capsys):
     code, out = run_cli(
         capsys, "sweep", "--n", "1", "--n", "2", "--t", "1", "--t", "2",

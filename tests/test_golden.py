@@ -33,6 +33,18 @@ CASES = {
             num_keys=16,
         )
     ),
+    "security_n2_t4_e2_exact": lambda: run_security_experiment(
+        ExperimentConfig(n=2, t=4, dim_e=2, seed=7, clifford_method="exact")
+    ),
+    "verify_d2_d4_t4": lambda: run_lemma_suite(
+        ds=(2, 4), ts=(4,), seed=7,
+        check_names=[
+            "haar_invariance",
+            "pf_idempotence",
+            "twirl_outputs_are_density",
+            "clifford_distinct_overlap",
+        ],
+    ),
     "verify_d2_d4_t2": lambda: run_lemma_suite(
         ds=(2, 4), ts=(2,), seed=6, samples_clifford=200, samples_unitary=2000, num_keys=16,
         check_names=[

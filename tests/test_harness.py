@@ -294,12 +294,12 @@ def test_permutation_checks_match_dense_products(monkeypatch, broken):
         assert c.passed is not broken
 
 
-def test_clifford_checks_past_four_copies_use_monte_carlo():
-    """The exact Clifford twirl stops at t = 4: past it the density check
+def test_clifford_checks_past_five_copies_use_monte_carlo():
+    """The exact Clifford twirl stops at t = 5: past it the density check
     keeps its Haar and permutation-phase outputs and the overlap check
     samples."""
     names = ["twirl_outputs_are_density", "clifford_distinct_overlap"]
-    report = run_lemma_suite(ds=(2,), ts=(5,), samples_clifford=200, check_names=names)
+    report = run_lemma_suite(ds=(2,), ts=(6,), samples_clifford=200, check_names=names)
     ids = [c.check_id for c in report.checks]
     assert ids == ["twirl_output_psd", "twirl_output_trace", "clifford_distinct_overlap"]
     assert report.checks[-1].params["method"] == "monte_carlo"

@@ -188,8 +188,9 @@ def test_security_run_samples_each_clifford_once(monkeypatch):
 
 @pytest.mark.parametrize("dim_e, distance", [(1, 0.061328), (2, 0.066929)])
 def test_exact_security_run_at_four_copies_needs_no_enumeration(monkeypatch, dim_e, distance):
-    """At t = 4 the Clifford layer is not a design, so the Pauli terms of the
-    projection matter; every quantity must match the enumerated group."""
+    """At t = 4 the Clifford layer is not a design, so the non-permutation
+    terms of the projection matter; every quantity must match the
+    enumerated group."""
     n, t, d, seed = 2, 4, 4, 7
     group = enumerate_cliffords(n)
 

@@ -40,7 +40,8 @@ from pru_lab import (
     weyl_dim,
 )
 from pru_lab import twirls
-from pru_lab.operators import haar_unitaries
+from pru_lab.clifford import sample_clifford_unitaries
+from pru_lab.operators import apply_tensor_power, haar_unitaries
 
 from conftest import random_distinct_state, random_state
 
@@ -559,12 +560,15 @@ def test_clifford_exact_single_qubit_is_haar_two_design():
         ) < 1e-9
 
 
-@pytest.mark.parametrize("dim_e", [1, 2])
-@pytest.mark.parametrize("t", [1, 2, 3, 4])
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize(
+    "n, t, dim_e",
+    [(n, t, e) for n in (1, 2) for t in (1, 2, 3, 4) for e in (1, 2)] + [(1, 5, 1), (1, 5, 2), (2, 5, 1)],
+)
 def test_ensemble_twirl_matches_clifford_exact(n, t, dim_e):
     """The commutant projection against the average over the enumerated
-    group, on a random state and on the non-Hermitian i|01..><10..|."""
+    group, on a random state and on the non-Hermitian i|01..><10..|.
+    (2, 5, 2) is left out: its group average alone takes several times
+    as long as (2, 5, 1)."""
     d = 2**n
     X = np.zeros((d**t * dim_e,) * 2, dtype=complex)
     a = np.ravel_multi_index(([0, 1] + [0] * t)[:t], (d,) * t)
@@ -584,10 +588,74 @@ def test_clifford_exact_matches_monte_carlo_at_three_qubits():
     assert trace_distance(mc, exact) < 3 * np.sqrt(mc.dim) * mc.meta["std_error_fro"]
 
 
-def test_clifford_exact_stops_at_four_copies():
-    st = random_state(32, 0)
+def test_clifford_exact_stops_at_five_copies():
+    st = random_state(64, 0)
     with pytest.raises(DomainError, match="monte_carlo"):
-        clifford_twirl(st, 1, 5, method="exact")
+        clifford_twirl(st, 1, 6, method="exact")
+
+
+def _brute_force_lagrangian_subspaces(t):
+    """Every span of 1_{2t} and t - 1 vectors with |x| - |y| = 0 mod 4 that
+    has 2^t elements, all with |x| - |y| = 0 mod 4."""
+    def q(v):
+        return (bin(v >> t).count("1") - bin(v % 2**t).count("1")) % 4
+
+    null = [v for v in range(1, 4**t) if q(v) == 0]
+    found = set()
+    for extra in itertools.combinations(null, t - 1):
+        span = {0}
+        for v in (4**t - 1, *extra):
+            span |= {v ^ w for w in span}
+        if len(span) == 2**t and all(q(v) == 0 for v in span):
+            found.add(tuple(sorted(span)))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_lagrangian_subspaces_match_a_brute_force_search(t):
+    assert twirls._lagrangian_subspaces(t).tolist() == [list(s) for s in _brute_force_lagrangian_subspaces(t)]
+
+
+def test_lagrangian_subspace_counts():
+    """prod_{k=0}^{t-2} (2^k + 1) stochastic Lagrangian subspaces."""
+    assert [len(twirls._lagrangian_subspaces(t)) for t in range(1, 6)] == [1, 2, 6, 30, 270]
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n, ranks", [(1, [1, 2, 5, 15, 51]), (2, [1, 2, 6, 29, 219])])
+def test_clifford_gram_rank_is_the_frame_potential(n, ranks, t):
+    """The commutant's dimension is the frame potential (1/|G|) sum_g |Tr g|^{2t}
+    over the enumerated group."""
+    traces = np.abs(np.trace(enumerate_cliffords(n), axis1=1, axis2=2))
+    potential = np.mean(traces ** (2 * t))
+    assert abs(potential - ranks[t - 1]) < 1e-6
+    assert twirls._commutant(2**n, t, True).meta["gram_rank"] == ranks[t - 1]
+
+
+def test_lagrangian_operators_commute_with_three_qubit_cliffords():
+    """At (n, t) = (3, 4), where the group cannot be enumerated, each of the
+    30 spanning operators commutes with C^{x4} for sampled Cliffords; the
+    products are taken on random vectors, never as dense 4096^2 matrices."""
+    d, t = 8, 4
+    basis = twirls._commutant(d, t, True)
+    assert len(basis.terms) == 30 and basis.meta["gram_rank"] == 30
+    us = sample_clifford_unitaries(3, [[13, j] for j in range(3)])
+    rng = np.random.default_rng(13)
+    vecs = rng.normal(size=(d**t, 2)) + 1j * rng.normal(size=(d**t, 2))
+
+    def apply(term, v):  # sum_i |rows[0, i]><cols[0, i]| on the columns of v
+        rows, cols, scale = term
+        out = np.zeros(v.shape, dtype=complex)
+        np.add.at(out, rows[0], scale * v[cols[0]])
+        return out
+
+    def clifford_power(v):  # (count, d^t, 2): C^{x4} on each column
+        return apply_tensor_power(us, v, t).swapaxes(1, 2)
+
+    for term in basis.terms:
+        after = clifford_power(apply(term, vecs))
+        before = np.stack([apply(term, w) for w in clifford_power(vecs)])
+        assert np.abs(after - before).max() < 1e-10
 
 
 def test_clifford_fixed_point():
