@@ -39,6 +39,7 @@ from .operators import (
 )
 from .pru import PrpScheme, pru_average_state, sample_key
 from .schur_weyl import (
+    isotypic_projector,
     ratio_report,
     rotate_from_basis,
     rotate_to_basis,
@@ -233,19 +234,19 @@ def _check_completeness(ctx: SuiteContext, d: int, t: int):
     decomp = schur_weyl_basis(d, t)
     n = d**t
     params = {"d": d, "t": t, "n": _n_of(d)}
-    total = sum(b.projector.entries for b in decomp.blocks)
-    res_complete = float(np.abs(total - np.eye(n)).max())
+    projectors = [isotypic_projector(b.partition, d, t).entries for b in decomp.blocks]
+    res_complete = float(np.abs(sum(projectors) - np.eye(n)).max())
     res_orth = 0.0
-    for i, a in enumerate(decomp.blocks):
-        for b in decomp.blocks[i + 1 :]:
-            res_orth = max(res_orth, float(np.abs(a.projector.entries @ b.projector.entries).max()))
+    for i, a in enumerate(projectors):
+        for b in projectors[i + 1 :]:
+            res_orth = max(res_orth, float(np.abs(a @ b).max()))
     res_trace = max(
-        abs(float(np.trace(b.projector.entries).real) - b.weyl_dim * b.specht_dim)
-        for b in decomp.blocks
+        abs(float(np.trace(p).real) - b.weyl_dim * b.specht_dim)
+        for p, b in zip(projectors, decomp.blocks)
     )
     rank_dev = 0
-    for b in decomp.blocks:
-        evals = hermitian_eigvalsh(b.projector.entries)
+    for p, b in zip(projectors, decomp.blocks):
+        evals = hermitian_eigvalsh(p)
         rank_dev = max(rank_dev, abs(int((evals > 0.5).sum()) - b.weyl_dim * b.specht_dim))
     return [
         BoundCheck.make("isotypic_completeness", params, res_complete, 0, "eq", 1e-8,

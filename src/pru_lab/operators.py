@@ -72,12 +72,12 @@ def _tile_pairs(n: int) -> list[tuple[slice, slice]]:
     return [(slice(i, i + TILE), slice(j, j + TILE)) for i in starts for j in starts if i <= j]
 
 
-def transpose(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """A C-contiguous copy of ``a.T`` for a square ``a``, into ``out`` if given,
-    made one mirrored pair of tiles at a time.  numpy's strided copy of ``a.T``
-    misses the cache on almost every read when a row is a large power-of-two
-    stride (16 KiB at 1024 x 1024 complex) and takes about twice as long."""
-    out = np.empty(a.shape, dtype=a.dtype) if out is None else out
+def transpose(a: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of ``a.T`` for a square ``a``, made one mirrored
+    pair of tiles at a time.  numpy's strided copy of ``a.T`` misses the
+    cache on almost every read when a row is a large power-of-two stride
+    (16 KiB at 1024 x 1024 complex) and takes about twice as long."""
+    out = np.empty(a.shape, dtype=a.dtype)
     for I, J in _tile_pairs(len(a)):
         out[I, J] = a[J, I].T
         out[J, I] = a[I, J].T
@@ -175,7 +175,7 @@ class DensityMatrix:
         return self.entries.shape[0]
 
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.entries)
+        return np.sort(hermitian_eigvalsh(self.entries))  # ascending, so [0] is the minimum
 
     def validate(self, psd_tol: float = 1e-9):
         lo = self.eigenvalues()[0]
@@ -372,32 +372,34 @@ def _components(pattern: np.ndarray) -> np.ndarray:
         label = hooked
 
 
-def hermitian_eigvalsh(A: np.ndarray) -> np.ndarray:
-    """The eigenvalues of a Hermitian matrix, component by component.
+def hermitian_eigvalsh(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
+    """The eigenvalues of a Hermitian matrix A, or of A - B without forming it.
 
-    The connected components of the nonzero pattern (``-0.0`` counts as
-    zero, and no entry is ever thresholded) are exact invariant subspaces,
-    so their eigenvalues are those of A.  Components of equal size share
-    one batched ``eigvalsh``, an all-zero row adds one zero, and the result
-    is grouped by component, not sorted.  When A is one component it is
-    ``np.linalg.eigvalsh(A)`` itself.  As in ``eigvalsh``, only the values
-    of the lower triangle are used; the pattern is made symmetric, so a
-    nonzero entry in either triangle joins its row and column.
+    The connected components of the nonzero pattern (of A and B together;
+    ``-0.0`` counts as zero, and no entry is ever thresholded) are exact
+    invariant subspaces, so their eigenvalues are those of the whole.  Each
+    is gathered as A[idx] - B[idx]; components of equal size share one
+    batched ``eigvalsh``, an all-zero row adds one zero, and the result is
+    grouped by component, not sorted.  One component takes ``eigvalsh`` of
+    A (or A - B) itself.  As in ``eigvalsh``, only the lower triangle is
+    read; the pattern is made symmetric, so a nonzero entry in either
+    triangle joins its row and column.
     """
     A = np.asarray(A)
-    pattern = A != 0
+    pattern = (A != 0) if B is None else (A != 0) | (B != 0)
     pattern |= transpose(pattern)
     label = _components(pattern)
     nonzero = pattern.any(axis=1)
     if nonzero.all() and not label.any():
-        return np.linalg.eigvalsh(A)
+        return np.linalg.eigvalsh(A if B is None else A - B)
     order = np.argsort(label, kind="stable")
     order = order[nonzero[order]]  # each component contiguous, zero rows dropped
     size = np.bincount(label)[label[order]]
     parts = [np.zeros(len(A) - len(order))]
     for s in sorted(set(size.tolist())):
         idx = order[size == s].reshape(-1, s)
-        parts.append(np.linalg.eigvalsh(A[idx[:, :, None], idx[:, None, :]]).ravel())
+        ix = idx[:, :, None], idx[:, None, :]
+        parts.append(np.linalg.eigvalsh(A[ix] if B is None else A[ix] - B[ix]).ravel())
     return np.concatenate(parts)
 
 
@@ -420,12 +422,13 @@ def trace_norm(A: np.ndarray) -> float:
 
 def trace_distance(A, B) -> float:
     """||A - B||_1, unnormalized (orthogonal pure states are at distance 2).
-    Two ``DensityMatrix`` inputs skip the Hermiticity test: their difference
-    is exactly Hermitian, as IEEE subtraction acts on each part apart."""
+    Two ``DensityMatrix`` inputs skip the Hermiticity test, as their
+    difference is exactly Hermitian (IEEE subtraction acts on each part
+    apart), and ``hermitian_eigvalsh`` gathers it one component at a time."""
     a = A.entries if hasattr(A, "entries") else np.asarray(A)
     b = B.entries if hasattr(B, "entries") else np.asarray(B)
     if a.shape != b.shape:
         raise DomainError(f"shape mismatch {a.shape} vs {b.shape}")
     if isinstance(A, DensityMatrix) and isinstance(B, DensityMatrix):
-        return float(np.abs(hermitian_eigvalsh(a - b)).sum())
+        return float(np.abs(hermitian_eigvalsh(a, b)).sum())
     return trace_norm(a - b)

@@ -1,10 +1,11 @@
 """Schur-Weyl structure of (C^d)^{x t}.
 
-Builds, per partition, the isotypic projector (from exact characters), an
-explicit orthonormal basis in which both U^{x t} and the tensor-slot
-permutations are block diagonal, and the restriction of the distinct-tuple
-projector to each unitary-group block.  Dimension and trace identities are
-kept in exact integer/rational arithmetic; matrices are the only floats.
+Builds, per partition, an explicit orthonormal basis in which both U^{x t}
+and the tensor-slot permutations are block diagonal, and the restriction
+of the distinct-tuple projector to each unitary-group block.  The isotypic
+projectors (exact characters) are built on demand, not kept.  Dimension
+and trace identities are kept in exact integer/rational arithmetic;
+matrices are the only floats.
 
 The basis is real: it is built from eigenvectors of real combinations of
 permutation matrices and Young's orthogonal (real) irrep matrices, and is
@@ -18,7 +19,8 @@ orbit.  So the basis is a set of s x s orbit blocks, and every product with
 it is a rotation that applies them in batched real products on the
 interleaved real view of the complex operator.  The blockwise twirl outputs
 and the distinct blocks have exact zeros between orbits, which
-``operators.trace_norm`` splits on.
+``operators.trace_norm`` splits on and ``_unrotate_orbit_blocks`` uses to
+rotate them back one orbit block at a time.
 
 ``schur_weyl_basis`` is cached per (d, t) and its arrays are read-only.
 It does not check itself: ``verify_decomposition`` and ``ratio_report``
@@ -92,7 +94,6 @@ def isotypic_projector(lam: Partition, d: int, t: int) -> DenseOperator:
 @dataclass(frozen=True)
 class IsotypicBlock:
     partition: Partition
-    projector: DenseOperator
     weyl_dim: int
     specht_dim: int
     basis: np.ndarray  # real (d^t, weyl_dim * specht_dim), columns |w_i>|v_j>, j fastest
@@ -212,7 +213,6 @@ def schur_weyl_basis(d: int, t: int) -> IsotypicDecomposition:
                 cols = unit_j0 @ w_vecs
             basis[:, j::vdim] = cols
 
-        proj = isotypic_projector(lam, d, t)
         conj = basis.T @ (mask[:, None] * basis)
         conj = conj.reshape(wdim, vdim, wdim, vdim)
         dist_block = np.einsum("ajbj->ab", conj) / vdim
@@ -222,7 +222,6 @@ def schur_weyl_basis(d: int, t: int) -> IsotypicDecomposition:
         blocks.append(
             IsotypicBlock(
                 partition=lam,
-                projector=proj,
                 weyl_dim=wdim,
                 specht_dim=vdim,
                 basis=basis,
@@ -245,11 +244,10 @@ def verify_decomposition(decomp: IsotypicDecomposition, seed: int = 7) -> dict:
     B = decomp.basis_matrix
     if B.shape != (n, n):
         raise ConsistencyError(f"basis is not square: {B.shape}")
+    projectors = (isotypic_projector(b.partition, d, t).entries for b in decomp.blocks)
     residuals = {
         "orthonormality": float(np.abs(B.T @ B - np.eye(n)).max()),
-        "completeness": float(
-            np.abs(sum(b.projector.entries for b in decomp.blocks) - np.eye(n)).max()
-        ),
+        "completeness": float(np.abs(sum(projectors) - np.eye(n)).max()),
     }
 
     U = DenseOperator(haar_unitaries(d, 1, np.random.default_rng(seed))[0])
@@ -307,20 +305,40 @@ def _rotate_rows(arr: np.ndarray, decomp: IsotypicDecomposition, inverse: bool,
     return res.view(complex).reshape(arr.shape)
 
 
-def _conjugate_real(matrix: np.ndarray, decomp: IsotypicDecomposition, inverse: bool,
-                    overwrite: bool = False) -> np.ndarray:
+def _conjugate_real(matrix: np.ndarray, decomp: IsotypicDecomposition, inverse: bool) -> np.ndarray:
     """(B^T x I) X (B x I) for the real basis B on the system factor of a
     complex X, or (B x I) X (B^T x I) when ``inverse``.
 
     Two ``_rotate_rows`` passes, with the tiled ``operators.transpose``
     between them; the second pass's result is returned as its transposed
-    view.  With ``overwrite``, X is a contiguous buffer no one else holds and
-    takes the transpose, so two matrices are alive, not three.
+    view.
     """
     matrix = np.ascontiguousarray(matrix, dtype=complex)
     half = _rotate_rows(matrix, decomp, inverse)
-    turned = transpose(half, out=matrix if overwrite else None)
-    return _rotate_rows(turned, decomp, inverse, out=half).T
+    return _rotate_rows(transpose(half), decomp, inverse, out=half).T
+
+
+def _unrotate_orbit_blocks(matrix: np.ndarray, decomp: IsotypicDecomposition) -> np.ndarray:
+    """(B x I) X (B^T x I) in place for a C-contiguous X in the Schur-Weyl
+    basis, one orbit's (s dim_e)^2 block X_O at a time, each made as
+    ``_conjugate_real`` makes it.  An exact nonzero count of the gathered
+    blocks shows that nothing lies between orbits (``ConsistencyError`` if
+    something does) before X is zeroed and each (B_O x I) X_O (B_O^T x I)
+    is scattered back onto the orbit's tuples."""
+    span = np.arange(workspace_dim(len(matrix), decomp.d, decomp.t))
+    gathered = []
+    for rows, cols, blocks in decomp.orbit_blocks:
+        src, dst = ((idx[:, :, None] * len(span) + span).reshape(len(idx), -1) for idx in (cols, rows))
+        gathered.append((dst, blocks, matrix[src[:, :, None], src[:, None, :]]))
+    if sum(np.count_nonzero(x) for _, _, x in gathered) != np.count_nonzero(matrix):
+        raise ConsistencyError("a Schur-Weyl-basis entry lies between two orbits")
+    matrix[...] = 0
+    for dst, blocks, x in gathered:
+        for _ in range(2):
+            flat = x.reshape(len(x), blocks.shape[1], -1).view(np.float64)
+            x = np.ascontiguousarray((blocks @ flat).view(complex).reshape(x.shape).swapaxes(1, 2))
+        matrix[dst[:, :, None], dst[:, None, :]] = x
+    return matrix
 
 
 def rotate_to_basis(matrix: np.ndarray, decomp: IsotypicDecomposition) -> np.ndarray:

@@ -64,8 +64,8 @@ from .operators import (
 )
 from .schur_weyl import (
     IsotypicDecomposition,
-    _conjugate_real,
     _rotate_rows,
+    _unrotate_orbit_blocks,
     block_footprints,
     rotate_to_basis,
 )
@@ -268,15 +268,15 @@ def pf_twirl(state, d: int, t: int):
 def _blockwise_twirl(state, decomp: IsotypicDecomposition, weyl_state):
     """Rebuild every Schur-Weyl block as weyl_state(block) (x) the input's
     footprint on it; off-block parts are dropped.  A pure input is rotated
-    one-sidedly, (B^T x I) psi, and its footprints are taken from that."""
+    one-sidedly, (B^T x I) psi, and its footprints are taken from that.  The
+    output is rotated back one orbit block at a time, in its own buffer."""
     payload, was_state = _payload(state)
     rotated = _rotate_rows(payload, decomp, False) if payload.ndim == 1 else rotate_to_basis(payload, decomp)
     out = np.zeros((len(rotated),) * 2, dtype=complex)
     for block, rows, footprint in block_footprints(rotated, decomp):
         rebuilt = np.einsum("ab,jekf->ajebkf", weyl_state(block), footprint)
         out[rows, rows] = rebuilt.reshape(rows.stop - rows.start, -1)
-    del rotated  # freed before the inverse rotation allocates its second matrix
-    return _wrap(_conjugate_real(out, decomp, inverse=True, overwrite=True), was_state)
+    return _wrap(_unrotate_orbit_blocks(out, decomp), was_state)
 
 
 def haar_twirl_schur_weyl(state, decomp: IsotypicDecomposition):

@@ -25,6 +25,7 @@ from pru_lab import (
     haar_twirl_exact,
     haar_twirl_mc,
     haar_twirl_schur_weyl,
+    isotypic_projector,
     partitions,
     pf_twirl,
     pf_twirl_basis_element,
@@ -57,15 +58,13 @@ def test_criterion_01_schur_weyl_completeness():
         for t in (2, 3):
             dec = schur_weyl_basis(d, t)
             n = d**t
-            total = sum(b.projector.entries for b in dec.blocks)
-            worst_complete = max(worst_complete, float(np.abs(total - np.eye(n)).max()))
-            for i, a in enumerate(dec.blocks):
-                for b in dec.blocks[i + 1 :]:
-                    worst_orth = max(
-                        worst_orth, float(np.abs(a.projector.entries @ b.projector.entries).max())
-                    )
-            for b in dec.blocks:
-                tr = float(np.trace(b.projector.entries).real)
+            projectors = [isotypic_projector(b.partition, d, t).entries for b in dec.blocks]
+            worst_complete = max(worst_complete, float(np.abs(sum(projectors) - np.eye(n)).max()))
+            for i, a in enumerate(projectors):
+                for b in projectors[i + 1 :]:
+                    worst_orth = max(worst_orth, float(np.abs(a @ b).max()))
+            for p, b in zip(projectors, dec.blocks):
+                tr = float(np.trace(p).real)
                 assert round(tr) == b.weyl_dim * b.specht_dim
                 worst_trace = max(worst_trace, abs(tr - round(tr)))
     elapsed = time.perf_counter() - t0

@@ -45,6 +45,18 @@ CASES = {
             "clifford_distinct_overlap",
         ],
     ),
+    "verify_d8_t3_structure": lambda: run_lemma_suite(
+        ds=(8,), ts=(3,), seed=7,
+        check_names=[
+            "haar_commutant_vs_block",
+            "pf_formula_vs_generic",
+            "pf_idempotence",
+            "isotypic_completeness",
+            "basis_block_action",
+            "distinct_reconstruction",
+            "haar_invariance",
+        ],
+    ),
     "verify_d2_d4_t2": lambda: run_lemma_suite(
         ds=(2, 4), ts=(2,), seed=6, samples_clifford=200, samples_unitary=2000, num_keys=16,
         check_names=[

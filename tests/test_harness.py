@@ -351,3 +351,22 @@ def test_twirl_checks_hold_about_three_operators_at_d8_t3(name):
         tracemalloc.stop()
     assert report.passed
     assert peak <= 52 * 2**20
+
+
+@pytest.mark.parametrize("name, ceiling_mib", [
+    ("haar_commutant_vs_block", 42), ("pf_formula_vs_generic", 42), ("pf_idempotence", 36),
+])
+def test_twirl_comparisons_hold_two_operators_at_d8_t3(name, ceiling_mib):
+    """Each check compares two 16 MiB twirl outputs at (d, t, dim_e) = (8, 3, 2),
+    and nothing else of that size is alive: the blockwise twirls rotate back
+    one orbit block at a time in their own buffer, and ``trace_distance``
+    gathers A - B one component at a time instead of forming it."""
+    run_lemma_suite(ds=(8,), ts=(3,), check_names=[name])  # builds the cached bases and commutants
+    tracemalloc.start()
+    try:
+        report = run_lemma_suite(ds=(8,), ts=(3,), check_names=[name])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak <= ceiling_mib * 2**20

@@ -365,6 +365,54 @@ def test_trace_distance_of_a_non_hermitian_array_takes_the_svd(monkeypatch):
     assert not calls
 
 
+def _density_pairs(d, t, dim_e, seed):
+    """Pairs of density matrices on d^t dim_e whose difference splits into
+    components: PF and Haar twirl outputs of one state (different supports);
+    two block-sparse operators equal on one block and on the diagonal, where
+    the second also joins two blocks the first keeps apart; and two dense
+    operators, one component."""
+    n = d**t * dim_e
+    rng = np.random.default_rng(seed)
+    st = random_state(n, seed)
+    pairs = [(haar_twirl_exact(st, d, t), pf_twirl(st, d, t))]
+
+    def hermitian():
+        X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return (X + X.conj().T) * (0.01 / n)
+
+    H, K = hermitian(), hermitian()
+    group = rng.integers(0, 3, n)
+    same = group[:, None] == group[None, :]
+    joined = (group[:, None] == 1) & (group[None, :] == 2)
+    a = np.where(same, H, 0)
+    b = np.where(same & (group[:, None] == 0), H, np.where(same | joined | joined.T, K, 0))
+    dense_a, dense_b = H.copy(), K.copy()
+    for m in (a, b, dense_a, dense_b):
+        np.fill_diagonal(m, 1 / n)
+    pairs += [(DensityMatrix(a), DensityMatrix(b)), (DensityMatrix(dense_a), DensityMatrix(dense_b))]
+    return pairs
+
+
+@pytest.mark.parametrize("dim_e", [1, 2])
+@pytest.mark.parametrize("t", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_trace_distance_of_density_matrices_matches_the_dense_oracle(d, t, dim_e):
+    """Without forming A - B, ``trace_distance`` equals the sum of the
+    absolute eigenvalues of the dense difference."""
+    for a, b in _density_pairs(d, t, dim_e, 10 * d + t):
+        oracle = np.abs(np.linalg.eigvalsh(a.entries - b.entries)).sum()
+        assert abs(trace_distance(a, b) - oracle) <= 1e-12
+
+
+def test_density_eigenvalues_are_sorted_and_complete():
+    st = random_state(64 * 2, 9)
+    for rho in (pf_twirl(st, 4, 3), haar_twirl_exact(st, 4, 3)):
+        evals = rho.eigenvalues()
+        assert np.all(np.diff(evals) >= 0)
+        assert np.abs(evals - np.linalg.eigvalsh(rho.entries)).max() < 1e-15
+        assert rho.validate() is rho
+
+
 def test_state_and_density_validation():
     with pytest.raises(DomainError):
         StateVector(np.array([1.0, 1.0]))

@@ -27,6 +27,7 @@ from pru_lab import (
     weyl_dim,
     young_orthogonal_rep,
 )
+from pru_lab import twirls
 from pru_lab.operators import haar_unitaries
 from pru_lab.schur_weyl import block_footprints, rotate_from_basis, rotate_to_basis
 from pru_lab.twirls import haar_twirl_schur_weyl, pf_twirl_distinct_formula
@@ -107,7 +108,7 @@ def test_basis_is_cached_and_read_only():
         dec.basis_matrix[0, 0] = 1.0
     for block, sl in zip(dec.blocks, dec.block_slices()):
         assert np.array_equal(block.basis, dec.basis_matrix[:, sl])
-        for arr in (block.basis, block.distinct_block, block.projector.entries):
+        for arr in (block.basis, block.distinct_block):
             with pytest.raises(ValueError):
                 arr[0, 0] = 1.0
 
@@ -139,6 +140,60 @@ def test_blockwise_twirls_vanish_exactly_between_orbits():
     for out in (haar_twirl_schur_weyl(state, dec), pf_twirl_distinct_formula(distinct, dec)):
         assert np.all(out.entries[between] == 0)
         assert np.count_nonzero(out.entries[~between]) > 0
+
+
+def _rebuilt_in_basis(state, dec, weyl_state):
+    """The Schur-Weyl-basis matrix of a blockwise twirl: weyl_state(block) (x)
+    the input's footprint on every block, zero off the blocks."""
+    x = state.amplitudes if hasattr(state, "amplitudes") else state.entries
+    dim_e = len(x) // dec.d**dec.t
+    K = np.kron(dec.basis_matrix, np.eye(dim_e))
+    rotated = K.T @ x if x.ndim == 1 else K.T @ x @ K
+    out = np.zeros((len(x),) * 2, dtype=complex)
+    for block, rows, footprint in block_footprints(rotated, dec):
+        rebuilt = np.einsum("ab,jekf->ajebkf", weyl_state(block), footprint)
+        out[rows, rows] = rebuilt.reshape(rows.stop - rows.start, -1)
+    return out
+
+
+@pytest.mark.parametrize("d, t, dim_e", [(2, 2, 3), (3, 3, 1), (4, 3, 2), (8, 3, 2)])
+def test_blockwise_twirls_match_the_dense_inverse_rotation(d, t, dim_e):
+    """The orbit-block inverse rotation of both blockwise twirls equals
+    ``rotate_from_basis`` of the same Schur-Weyl-basis matrix, for a pure and
+    a mixed input."""
+    dec = schur_weyl_basis(d, t)
+    mixed = random_state(d**t * dim_e, 7).to_density()
+    distinct = random_distinct_state(d, t, dim_e, 8)
+    cases = [(haar_twirl_schur_weyl, lambda b: np.eye(b.weyl_dim) / b.weyl_dim, st)
+             for st in (random_state(d**t * dim_e, 6), mixed)]
+    if d >= t:
+        distinct_mixed = DensityMatrix(np.outer(distinct.amplitudes, distinct.amplitudes.conj()))
+        cases += [(pf_twirl_distinct_formula, lambda b: b.distinct_block / np.trace(b.distinct_block), st)
+                  for st in (distinct, distinct_mixed)]
+    for twirl, weyl_state, st in cases:
+        oracle = rotate_from_basis(_rebuilt_in_basis(st, dec, weyl_state), dec)
+        assert np.abs(twirl(st, dec).entries - oracle).max() <= 1e-13
+
+
+def test_a_weyl_state_joining_two_orbits_is_refused():
+    """A Weyl-factor state with an entry between Weyl vectors on two orbits
+    puts an entry between orbits in the Schur-Weyl basis, which the
+    orbit-block inverse rotation refuses."""
+    d, t = 4, 2
+    dec = schur_weyl_basis(d, t)
+    block = dec.blocks[0]
+    orbit = np.unique(_orbit_labels(d, t), axis=0, return_inverse=True)[1]
+    weyl_orbit = orbit[np.abs(block.basis[:, :: block.specht_dim]).argmax(axis=0)]
+    i, j = 0, int(np.flatnonzero(weyl_orbit != weyl_orbit[0])[0])
+
+    def joining(b):
+        state = np.eye(b.weyl_dim) / b.weyl_dim
+        if b is block:
+            state[i, j] = state[j, i] = 0.01
+        return state
+
+    with pytest.raises(ConsistencyError, match="between two orbits"):
+        twirls._blockwise_twirl(random_state(d**t, 3), dec, joining)
 
 
 def test_unitary_matrix_elements_vanish_off_block():
