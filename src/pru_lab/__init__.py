@@ -30,6 +30,8 @@ from .operators import (
     DenseOperator,
     DensityMatrix,
     StateVector,
+    SupportDensity,
+    SupportOperator,
     distinct_projector,
     perm_op,
     phase_op,

@@ -25,6 +25,8 @@ from .operators import (
     DenseOperator,
     DensityMatrix,
     StateVector,
+    SupportOperator,
+    _operand,
     apply_tensor_power,
     distinct_mask,
     distinct_projector,
@@ -57,6 +59,7 @@ from .symgroup import (
 )
 from .twirls import (
     CLIFFORD_EXACT_T_CAP,
+    clifford_exact_is_haar,
     clifford_twirl,
     default_clifford_method,
     distinct_overlap_after_clifford,
@@ -73,7 +76,6 @@ from .twirls import (
 DEFAULT_DS = (2, 4, 8)
 DEFAULT_TS = (2, 3)
 CONVERGENCE_REPS = 3  # Monte-Carlo repetitions averaged per sample count in the slope check
-BAND = 64  # rows or columns of X per band of the invariance commutator
 
 
 @dataclass
@@ -96,24 +98,38 @@ def _random_states(d: int, t: int, dim_e: int, count: int, seed,
     return [draw_state(family, d, t, dim_e, rng) for _ in range(count)]
 
 
-def _tensor_power_commutator(V: np.ndarray, X: np.ndarray, t: int) -> float:
-    """max |[V^{x t} x I, X]| entrywise.  X (V^{x t} x I) = (((V^T)^{x t} x I) X^T)^T
-    is built from bands of BAND rows R and compared with (V^{x t} x I) X
-    taken BAND columns C at a time.  ``apply_tensor_power`` leaves each band
-    workspace-first, (dim_e, band, d^t); as (band, d^t, dim_e) it is rows R
-    of the first product, or columns C of the second as rows."""
-    N, n = len(X), V.shape[0] ** t
+def _tensor_power_commutator(V: np.ndarray, X, t: int) -> float:
+    """max |[V^{x t} x I, X]| entrywise, for X held on its support (a dense X
+    is put on its support first), one slab of rows at a time: the slab X_a
+    holds the rows whose first slot digit is a, and is built from the
+    support when needed.  Row slab a of (V^{x t} x I) X is (V^{x t-1} x I)
+    applied to sum_b V[a, b] X_b, and that of X (V^{x t} x I) is
+    (((V^T)^{x t} x I) X_a^T)^T.  ``apply_tensor_power`` leaves each product
+    tail-first: (row workspace, column, row slots) and (column workspace,
+    row, column slots), compared through a transposed view of the second."""
+    X = _operand(X)
+    if not isinstance(X, SupportOperator):
+        flat = np.flatnonzero(X)
+        X = SupportOperator(flat, X.reshape(-1)[flat], len(X))
+    N, d = X.dim, V.shape[0]
+    rows, dim_e = N // d, N // d**t  # rows per slab
+    bounds = np.searchsorted(X.positions, np.arange(d + 1) * rows * N)
+    slabs = [(X.positions[lo:hi] - b * rows * N, X.values[lo:hi])
+             for b, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
 
-    def band_rows(out):
-        return out.reshape(N // n, -1, n).transpose(1, 2, 0).reshape(-1, N)
+    def combine(coeffs, transposed=False):  # sum_b coeffs[b] X_b, (rows, N), or its (N, rows) transpose
+        out = np.zeros(rows * N, dtype=complex)
+        for c, (local, values) in zip(coeffs, slabs):
+            if c != 0:
+                out[local % N * rows + local // N if transposed else local] += c * values
+        return out.reshape((N, rows) if transposed else (rows, N))
 
-    right = np.empty_like(X)
-    for R in range(0, N, BAND):
-        right[R : R + BAND] = band_rows(apply_tensor_power(V.T, X[R : R + BAND].T, t))
     worst = 0.0
-    for C in range(0, N, BAND):
-        left = band_rows(apply_tensor_power(V, X[:, C : C + BAND], t))
-        worst = np.maximum(worst, np.abs(left - right[:, C : C + BAND].T).max())  # NaN stays NaN
+    for a in range(d):
+        left = apply_tensor_power(V, combine(V[a]), t - 1).reshape(dim_e, d**t, dim_e, -1)
+        right = apply_tensor_power(V.T, combine(np.eye(d)[a], transposed=True), t)
+        right = right.reshape(dim_e, -1, dim_e, d**t).transpose(2, 3, 0, 1)
+        worst = np.maximum(worst, np.abs(left - right).max())  # NaN stays NaN
     return float(worst)
 
 
@@ -403,7 +419,7 @@ def _check_haar_invariance(ctx: SuiteContext, d: int, t: int):
     dim_e = 2
     seeds = ctx.check_seed("haar_invariance", d, t)
     st = _random_states(d, t, dim_e, 1, seeds)[0]
-    out = haar_twirl_exact(st, d, t).entries
+    out = haar_twirl_exact(st, d, t)
     rng = np.random.default_rng(seeds)
     worst = 0.0
     for _ in range(10):
@@ -517,10 +533,10 @@ def _check_density_outputs(ctx: SuiteContext, d: int, t: int):
     st = _random_states(d, t, dim_e, 1, ctx.check_seed("twirl_outputs_are_density", d, t))[0]
     outputs = [haar_twirl_exact(st, d, t), pf_twirl(st, d, t)]
     n = _n_of(d)
-    if n is not None and t <= CLIFFORD_EXACT_T_CAP:
-        outputs.append(clifford_twirl(st, n, t, method="exact"))
+    if n is not None and t <= CLIFFORD_EXACT_T_CAP:  # the Haar output itself at t <= 3
+        outputs.append(outputs[0] if clifford_exact_is_haar(t) else clifford_twirl(st, n, t, method="exact"))
     min_eig = min(float(out.eigenvalues()[0]) for out in outputs)
-    trace_dev = max(abs(float(np.trace(out.entries).real) - 1) for out in outputs)
+    trace_dev = max(abs(float(out.diagonal().sum().real) - 1) for out in outputs)
     params = {"d": d, "t": t, "n": n, "dim_e": dim_e}
     return [
         BoundCheck.make("twirl_output_psd", params, min_eig, 0, "ge", 1e-9,

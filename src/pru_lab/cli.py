@@ -145,9 +145,10 @@ def _cmd_twirl(args) -> int:
         out = clifford_twirl(psi, args.n, args.t, method=args.method, samples=args.samples, seed=args.seed)
 
     haar_ref = haar_twirl_exact(psi, d, args.t)
+    entries = out.entries  # built once: an exact twirl's output is held on its support
     quantities = {
-        "trace": float(np.trace(out.entries).real),
-        "purity": float(np.trace(out.entries @ out.entries).real),
+        "trace": float(np.trace(entries).real),
+        "purity": float(np.trace(entries @ entries).real),
         "distance_to_haar_twirl": trace_distance(out, haar_ref),
         "block_deficits": [
             {"partition": list(r.partition.parts), "deficit": float(r.deficit)}
@@ -159,7 +160,7 @@ def _cmd_twirl(args) -> int:
         quantities["operator"] = {
             "dim": out.dim,
             "registers": [d**args.t, args.dim_e],
-            "entries": [[float(z.real), float(z.imag)] for z in out.entries.reshape(-1)],
+            "entries": [[float(z.real), float(z.imag)] for z in entries.reshape(-1)],
         }
     report = ExperimentReport(
         kind="twirl",

@@ -27,6 +27,8 @@ from .errors import DegenerateInputError, DomainError
 from .operators import (
     DensityMatrix,
     StateVector,
+    SupportDensity,
+    SupportOperator,
     check_capacity,
     distinct_mask,
     register_dim,
@@ -260,14 +262,19 @@ def gentle_normalize(xi: DensityMatrix, d: int, t: int) -> GentleResult:
     """
     dim_e = workspace_dim(xi.dim, d, t)
     mask = np.repeat(distinct_mask(d, t), dim_e)
-    overlap = float(np.real(np.diagonal(xi.entries))[mask].sum())
+    overlap = float(np.real(xi.diagonal())[mask].sum())
     if overlap < 1e-12:
         raise DegenerateInputError("state has no distinct-subspace support to normalize onto")
-    masked = mask.astype(float)
-    projected = masked[:, None] * xi.entries  # one private buffer; a 0/1 mask scales exactly
-    projected *= masked
-    projected /= overlap
-    phi = DensityMatrix._adopt(projected)
+    if isinstance(xi, SupportOperator):  # keep the entries whose row and column are both distinct
+        rows, cols = np.divmod(xi.positions, xi.dim)
+        keep = mask[rows] & mask[cols]
+        phi = SupportDensity(xi.positions[keep], xi.values[keep] / overlap, xi.dim)
+    else:
+        masked = mask.astype(float)
+        projected = masked[:, None] * xi.entries  # one private buffer; a 0/1 mask scales exactly
+        projected *= masked
+        projected /= overlap
+        phi = DensityMatrix._adopt(projected)
     delta = trace_distance(phi, xi)
     return GentleResult(phi=phi, delta=delta, overlap=overlap)
 

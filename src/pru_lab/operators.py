@@ -3,10 +3,14 @@ operators the experiments are built from: permutation operators on basis
 labels, binary phase operators, tensor-slot permutations, the
 distinct-tuple projector, and Haar-random unitaries.
 
-Everything is a dense complex-double matrix, system slots first and any
-workspace factor last (``workspace_dim``).  A global dimension cap
-(env var PRU_LAB_DIM_CAP, default 2**14) makes oversized constructions
-fail early instead of exhausting memory.
+Operators are complex-double matrices, system slots first and any
+workspace factor last (``workspace_dim``): dense arrays, or
+``SupportOperator``s that hold only the nonzero entries, as sorted flat
+positions and values.  Exact twirls return the latter, because their
+outputs live on a small known support, and ``hermitian_eigvalsh``,
+``trace_distance`` and the twirls read them without building the dense
+matrix.  A global dimension cap (env var PRU_LAB_DIM_CAP, default 2**14)
+makes oversized constructions fail early instead of exhausting memory.
 """
 
 from __future__ import annotations
@@ -177,11 +181,136 @@ class DensityMatrix:
     def eigenvalues(self) -> np.ndarray:
         return np.sort(hermitian_eigvalsh(self.entries))  # ascending, so [0] is the minimum
 
+    def diagonal(self) -> np.ndarray:
+        return np.diagonal(self.entries)
+
     def validate(self, psd_tol: float = 1e-9):
         lo = self.eigenvalues()[0]
         if lo < -psd_tol:
             raise DomainError(f"density matrix has eigenvalue {lo} < -{psd_tol}")
         return self
+
+
+def _transposed(positions: np.ndarray, dim: int) -> np.ndarray:
+    """The flat positions c * dim + r of the entries at r * dim + c."""
+    return positions % dim * dim + positions // dim
+
+
+def _sorted_union(*keys: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of the ``keys`` arrays together."""
+    out = np.sort(np.concatenate(keys))
+    return out[np.r_[True, out[1:] != out[:-1]]] if len(out) else out
+
+
+def _find(positions: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of the flat positions ``query`` sits in the sorted
+    ``positions``, and whether it is there."""
+    index = np.searchsorted(positions, query)
+    hit = index < len(positions)
+    hit[hit] = positions[index[hit]] == query[hit]
+    return index, hit
+
+
+def _canonical(positions, values, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct flat positions of a dim x dim matrix, with the values
+    at repeated positions summed in the order given."""
+    check_capacity(dim)
+    positions = np.asarray(positions, dtype=np.int64).reshape(-1)
+    values = np.asarray(values, dtype=complex).reshape(-1)
+    if np.any(positions[1:] <= positions[:-1]):
+        positions, index = np.unique(positions, return_inverse=True)
+        summed = np.empty(len(positions), dtype=complex)
+        summed.real = np.bincount(index, values.real, len(positions))
+        summed.imag = np.bincount(index, values.imag, len(positions))
+        values = summed
+    if len(positions) and not 0 <= positions[0] <= positions[-1] < dim * dim:
+        raise DomainError(f"support positions must lie in [0, {dim * dim})")
+    return positions, values
+
+
+class SupportOperator:
+    """A square matrix held on its support: the sorted flat positions
+    r * dim + c of its nonzero entries and their values.
+
+    Exact zeros (``-0.0`` too) are dropped, so the support is the dense
+    matrix's ``!= 0`` pattern, and repeated positions are summed in the order
+    given, as scattering them one after another into zeros would.
+    ``entries`` builds the dense matrix on each access and keeps nothing;
+    ``shape``, ``ndim``, ``take`` and ``diagonal`` read as they do on it.
+    """
+
+    ndim = 2
+
+    def __init__(self, positions, values, dim: int, *, meta=None):
+        self._hold(*_canonical(positions, values, dim), dim, meta)
+
+    def _hold(self, positions: np.ndarray, values: np.ndarray, dim: int, meta):
+        keep = values != 0
+        if not keep.all():
+            positions, values = positions[keep], values[keep]
+        vars(self).update(positions=_freeze(positions), values=_freeze(values), _dim=dim, meta=meta)
+
+    @property
+    def dim(self) -> int:
+        return self._dim
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self._dim, self._dim
+
+    @property
+    def entries(self) -> np.ndarray:
+        out = np.zeros(self._dim * self._dim, dtype=complex)
+        out[self.positions] = self.values
+        return _freeze(out.reshape(self.shape))
+
+    def take(self, positions: np.ndarray) -> np.ndarray:
+        """The entries at flat ``positions`` (any shape), 0 where off the
+        support, as ``entries.take(positions)`` reads them."""
+        index, hit = _find(self.positions, positions)
+        out = np.zeros(np.shape(positions), dtype=complex)
+        out[hit] = self.values[index[hit]]
+        return out
+
+    def diagonal(self) -> np.ndarray:
+        on = self.positions % (self._dim + 1) == 0
+        out = np.zeros(self._dim, dtype=complex)
+        out[self.positions[on] // (self._dim + 1)] = self.values[on]
+        return out
+
+    def __repr__(self) -> str:  # the dataclass repr of a DensityMatrix would build ``entries``
+        return f"{type(self).__name__}(dim={self._dim}, nonzeros={len(self.positions)})"
+
+
+class SupportDensity(SupportOperator, DensityMatrix):
+    """A ``DensityMatrix`` held on its support.  As the dense one does, it
+    accepts input whose entries are each within 1e-10 of the conjugate of
+    their mirrored entry (0 off the support) and whose trace is within 1e-9
+    of 1, and stores the exact Hermitian part, made as ``_hermitian_part``
+    makes it; the support grows by any mirrored position it lacks."""
+
+    def __init__(self, positions, values, dim: int, *, meta=None):
+        positions, values = _canonical(positions, values, dim)
+        index, hit = _find(positions, _transposed(positions, dim))
+        if hit.all():
+            half = np.conjugate(values[index])
+        else:  # grow the support by the mirrored positions it lacks
+            given = SupportOperator(positions, values, dim)
+            positions = _sorted_union(positions, _transposed(positions, dim))
+            values, half = given.take(positions), np.conjugate(given.take(_transposed(positions, dim)))
+        trace = values[positions % (dim + 1) == 0].sum()
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails below
+            residual = np.abs(half - values).max(initial=0.0)
+        if not residual <= 1e-10:
+            raise DomainError("density matrix is not Hermitian within 1e-10")
+        if not abs(trace - 1.0) <= 1e-9:
+            raise DomainError(f"density matrix trace {trace} != 1 within 1e-9")
+        half += values
+        half *= 0.5
+        self._hold(positions, half, dim, meta)
+
+    def eigenvalues(self) -> np.ndarray:
+        return np.sort(hermitian_eigvalsh(self))
 
 
 @dataclass(frozen=True)
@@ -353,15 +482,15 @@ def apply_tensor_power(mats: np.ndarray, tensor: np.ndarray, t: int) -> np.ndarr
     return out.reshape(batch + (-1, d**t))
 
 
-def _components(pattern: np.ndarray) -> np.ndarray:
-    """Component label of each vertex of the graph with the symmetric
-    boolean adjacency ``pattern``: the smallest vertex index in its
-    component.  Min-label propagation along the edges, each round followed
-    by pointer jumping until every label is its own label's label."""
-    rows, cols = np.nonzero(pattern)  # row-major, so each row's edges are contiguous
-    active = np.flatnonzero(np.bincount(rows, minlength=len(pattern)))
+def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Component label of each of the n vertices of the graph with the
+    symmetric edge list (``rows``, ``cols``), sorted by row: the smallest
+    vertex index in its component.  Min-label propagation along the edges,
+    each round followed by pointer jumping until every label is its own
+    label's label."""
+    active = np.flatnonzero(np.bincount(rows, minlength=n))
     starts = np.searchsorted(rows, active)
-    label = np.arange(len(pattern))
+    label = np.arange(n)
     while True:
         hooked = label.copy()
         hooked[active] = np.minimum(label[active], np.minimum.reduceat(label[cols], starts))
@@ -372,34 +501,67 @@ def _components(pattern: np.ndarray) -> np.ndarray:
         label = hooked
 
 
-def hermitian_eigvalsh(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
-    """The eigenvalues of a Hermitian matrix A, or of A - B without forming it.
+def _symmetric_pattern(ops: list, n: int) -> np.ndarray:
+    """The sorted flat positions of the nonzero pattern of the operands
+    together, made symmetric: a dense operand's ``!= 0`` entries, a
+    ``SupportOperator``'s support.  With a dense operand the supports are
+    marked in its boolean pattern; without one they are merged by sorting."""
+    dense = [op != 0 for op in ops if isinstance(op, np.ndarray)]
+    keys = [op.positions for op in ops if isinstance(op, SupportOperator)]
+    if not dense:
+        keys = np.concatenate(keys)
+        return _sorted_union(keys, _transposed(keys, n))
+    pattern = dense[0] if len(dense) == 1 else dense[0] | dense[1]
+    for support in keys:
+        pattern.reshape(-1)[support] = True
+    pattern |= transpose(pattern)
+    return np.flatnonzero(pattern)
+
+
+def _dense(op) -> np.ndarray:
+    return op.entries if isinstance(op, SupportOperator) else op
+
+
+def _operand(X):
+    """A ``SupportOperator`` as it is; the entries of another operator, or X as an array."""
+    if isinstance(X, SupportOperator):
+        return X
+    return np.asarray(X.entries if hasattr(X, "entries") else X)
+
+
+def hermitian_eigvalsh(A, B=None) -> np.ndarray:
+    """The eigenvalues of a Hermitian matrix A, or of A - B without forming
+    it; each operand is a dense array or a ``SupportOperator``.
 
     The connected components of the nonzero pattern (of A and B together;
     ``-0.0`` counts as zero, and no entry is ever thresholded) are exact
     invariant subspaces, so their eigenvalues are those of the whole.  Each
-    is gathered as A[idx] - B[idx]; components of equal size share one
-    batched ``eigvalsh``, an all-zero row adds one zero, and the result is
-    grouped by component, not sorted.  One component takes ``eigvalsh`` of
+    is gathered as A[idx] - B[idx], all of them in one flat ``take`` per
+    operand; components of equal size share one batched ``eigvalsh``, an
+    all-zero row adds one zero, and the result is grouped by component, not
+    sorted.  One component takes ``eigvalsh`` of
     A (or A - B) itself.  As in ``eigvalsh``, only the lower triangle is
     read; the pattern is made symmetric, so a nonzero entry in either
     triangle joins its row and column.
     """
-    A = np.asarray(A)
-    pattern = (A != 0) if B is None else (A != 0) | (B != 0)
-    pattern |= transpose(pattern)
-    label = _components(pattern)
-    nonzero = pattern.any(axis=1)
+    ops = [_operand(op) for op in (A, B) if op is not None]
+    n = ops[0].shape[0]
+    rows, cols = np.divmod(_symmetric_pattern(ops, n), n)
+    label = _components(rows, cols, n)
+    nonzero = np.bincount(rows, minlength=n) > 0
     if nonzero.all() and not label.any():
-        return np.linalg.eigvalsh(A if B is None else A - B)
+        return np.linalg.eigvalsh(_dense(ops[0]) if B is None else _dense(ops[0]) - _dense(ops[1]))
     order = np.argsort(label, kind="stable")
     order = order[nonzero[order]]  # each component contiguous, zero rows dropped
     size = np.bincount(label)[label[order]]
-    parts = [np.zeros(len(A) - len(order))]
-    for s in sorted(set(size.tolist())):
-        idx = order[size == s].reshape(-1, s)
-        ix = idx[:, :, None], idx[:, None, :]
-        parts.append(np.linalg.eigvalsh(A[ix] if B is None else A[ix] - B[ix]).ravel())
+    groups = [order[size == s].reshape(-1, s) for s in sorted(set(size.tolist()))]
+    flat = np.concatenate([np.empty(0, dtype=np.int64)]
+                          + [(idx[:, :, None] * n + idx[:, None, :]).ravel() for idx in groups])
+    blocks = ops[0].take(flat) if B is None else ops[0].take(flat) - ops[1].take(flat)
+    parts, start = [np.zeros(n - len(order))], 0
+    for count, s in (idx.shape for idx in groups):
+        parts.append(np.linalg.eigvalsh(blocks[start : start + count * s * s].reshape(count, s, s)).ravel())
+        start += count * s * s
     return np.concatenate(parts)
 
 
@@ -424,11 +586,11 @@ def trace_distance(A, B) -> float:
     """||A - B||_1, unnormalized (orthogonal pure states are at distance 2).
     Two ``DensityMatrix`` inputs skip the Hermiticity test, as their
     difference is exactly Hermitian (IEEE subtraction acts on each part
-    apart), and ``hermitian_eigvalsh`` gathers it one component at a time."""
-    a = A.entries if hasattr(A, "entries") else np.asarray(A)
-    b = B.entries if hasattr(B, "entries") else np.asarray(B)
+    apart), and ``hermitian_eigvalsh`` gathers it one component at a time,
+    from the support of a ``SupportDensity``."""
+    a, b = _operand(A), _operand(B)
     if a.shape != b.shape:
         raise DomainError(f"shape mismatch {a.shape} vs {b.shape}")
     if isinstance(A, DensityMatrix) and isinstance(B, DensityMatrix):
         return float(np.abs(hermitian_eigvalsh(a, b)).sum())
-    return trace_norm(a - b)
+    return trace_norm(_dense(a) - _dense(b))

@@ -20,7 +20,8 @@ it is a rotation that applies them in batched real products on the
 interleaved real view of the complex operator.  The blockwise twirl outputs
 and the distinct blocks have exact zeros between orbits, which
 ``operators.trace_norm`` splits on and ``_unrotate_orbit_blocks`` uses to
-rotate them back one orbit block at a time.
+rotate them back one orbit block at a time, onto the orbit blocks as
+their support.
 
 ``schur_weyl_basis`` is cached per (d, t) and its arrays are read-only.
 It does not check itself: ``verify_decomposition`` and ``ratio_report``
@@ -45,7 +46,6 @@ from .operators import (
     falling_factorial,
     haar_unitaries,
     subsystem_perm_index_map,
-    subsystem_perm_op,
     system_dim,
     tensor_power,
     transpose,
@@ -244,15 +244,15 @@ def verify_decomposition(decomp: IsotypicDecomposition, seed: int = 7) -> dict:
     B = decomp.basis_matrix
     if B.shape != (n, n):
         raise ConsistencyError(f"basis is not square: {B.shape}")
-    projectors = (isotypic_projector(b.partition, d, t).entries for b in decomp.blocks)
-    residuals = {
-        "orthonormality": float(np.abs(B.T @ B - np.eye(n)).max()),
-        "completeness": float(np.abs(sum(projectors) - np.eye(n)).max()),
-    }
+    residuals = {"orthonormality": float(np.abs(B.T @ B - np.eye(n)).max())}
+    completeness = -np.eye(n, dtype=complex)
+    for b in decomp.blocks:
+        completeness += isotypic_projector(b.partition, d, t).entries
+    residuals["completeness"] = float(np.abs(completeness).max())
+    del completeness
 
     U = DenseOperator(haar_unitaries(d, 1, np.random.default_rng(seed))[0])
-    Ut = tensor_power(U, t).entries
-    rotated = rotate_to_basis(Ut, decomp)
+    rotated = rotate_to_basis(tensor_power(U, t).entries, decomp)
     slices = decomp.block_slices()
     mask = np.ones((n, n), dtype=bool)
     for sl in slices:
@@ -266,9 +266,11 @@ def verify_decomposition(decomp: IsotypicDecomposition, seed: int = 7) -> dict:
     residuals["unitary_block_action"] = specht_res
     residuals["unitary_off_block"] = float(np.abs(rotated[mask]).max(initial=0.0))
 
+    del rotated
     perm_res = off_res = 0.0
     for pi in all_permutations(t):
-        rotated = rotate_to_basis(subsystem_perm_op(pi, d).entries, decomp)
+        # R_pi B is B with its rows gathered: row m(a) of it is row a of B
+        rotated = B.T @ B[np.argsort(subsystem_perm_index_map(pi, d))]
         for sl, block in zip(slices, decomp.blocks):
             expected = np.kron(np.eye(block.weyl_dim), young_orthogonal_rep(block.partition)[pi])
             perm_res = max(perm_res, float(np.abs(rotated[sl, sl] - expected).max()))
@@ -318,13 +320,14 @@ def _conjugate_real(matrix: np.ndarray, decomp: IsotypicDecomposition, inverse: 
     return _rotate_rows(transpose(half), decomp, inverse, out=half).T
 
 
-def _unrotate_orbit_blocks(matrix: np.ndarray, decomp: IsotypicDecomposition) -> np.ndarray:
-    """(B x I) X (B^T x I) in place for a C-contiguous X in the Schur-Weyl
-    basis, one orbit's (s dim_e)^2 block X_O at a time, each made as
-    ``_conjugate_real`` makes it.  An exact nonzero count of the gathered
-    blocks shows that nothing lies between orbits (``ConsistencyError`` if
-    something does) before X is zeroed and each (B_O x I) X_O (B_O^T x I)
-    is scattered back onto the orbit's tuples."""
+def _unrotate_orbit_blocks(matrix: np.ndarray, decomp: IsotypicDecomposition
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """(B x I) X (B^T x I) for an X in the Schur-Weyl basis, as the flat
+    positions and values of its orbit blocks: each orbit's (s dim_e)^2 block
+    X_O is gathered, and (B_O x I) X_O (B_O^T x I), made as
+    ``_conjugate_real`` makes it, lands on the orbit's tuples.  An exact
+    nonzero count of the gathered blocks first shows that nothing lies
+    between orbits (``ConsistencyError`` if something does)."""
     span = np.arange(workspace_dim(len(matrix), decomp.d, decomp.t))
     gathered = []
     for rows, cols, blocks in decomp.orbit_blocks:
@@ -332,13 +335,14 @@ def _unrotate_orbit_blocks(matrix: np.ndarray, decomp: IsotypicDecomposition) ->
         gathered.append((dst, blocks, matrix[src[:, :, None], src[:, None, :]]))
     if sum(np.count_nonzero(x) for _, _, x in gathered) != np.count_nonzero(matrix):
         raise ConsistencyError("a Schur-Weyl-basis entry lies between two orbits")
-    matrix[...] = 0
+    positions, values = [], []
     for dst, blocks, x in gathered:
         for _ in range(2):
             flat = x.reshape(len(x), blocks.shape[1], -1).view(np.float64)
             x = np.ascontiguousarray((blocks @ flat).view(complex).reshape(x.shape).swapaxes(1, 2))
-        matrix[dst[:, :, None], dst[:, None, :]] = x
-    return matrix
+        positions.append((dst[:, :, None] * len(matrix) + dst[:, None, :]).ravel())
+        values.append(x.ravel())
+    return np.concatenate(positions), np.concatenate(values)
 
 
 def rotate_to_basis(matrix: np.ndarray, decomp: IsotypicDecomposition) -> np.ndarray:

@@ -7,10 +7,12 @@ operator that may carry an entangled workspace register.
 Every exact twirl is one routine: the orthogonal projection onto the
 commutant of the group's t-fold action, paired with the input by index
 gathers and solved with the pseudo-inverse of the spanning operators' Gram
-matrix.  The Haar commutant is spanned by the tensor-slot permutations
-(Gram matrix d^{#cycles}, singular when d < t).  The Clifford commutant is
-spanned by one operator per stochastic Lagrangian subspace of F_2^{2t}; for
-t <= 3 these are the permutation graphs alone (a unitary 3-design).  The
+matrix, and returned on its support (``operators.SupportDensity``, or
+``SupportOperator`` for a non-state input).  The Haar commutant is spanned
+by the tensor-slot permutations (Gram matrix d^{#cycles}, singular when
+d < t).  The Clifford commutant is spanned by one operator per stochastic
+Lagrangian subspace of F_2^{2t}; for t <= 3 these are the permutation
+graphs alone (a unitary 3-design).  The
 permutation-phase commutant is spanned by the indicators of the even
 pattern classes: basis pairs (x, y) whose 2t digits have the same equality
 pattern, with every value occurring an even number of times.  Each class
@@ -18,13 +20,13 @@ is enumerated as its even pattern times the injective relabelings of the
 pattern's values, so only kept pairs are built.  Each spanning set is
 built once per (d, t).  The blockwise Schur-Weyl formulas
 for the Haar and permutation-phase twirls share one footprint loop in
-``schur_weyl``.
+``schur_weyl`` and are returned on their orbit blocks.
 
 Every ensemble average -- the Monte-Carlo Haar, permutation-phase and
 Clifford twirls, ``ensemble_twirl`` and the keyed average in ``pru`` --
-goes through one driver, ``_average_conjugation``, which conjugates thin
-factors of the input by batches of single-register unitaries, one system
-slot at a time through ``operators.apply_tensor_power``.
+goes through one driver, ``_average_conjugation``, and stays dense.  It
+conjugates thin factors of the input by batches of single-register
+unitaries, one system slot at a time through ``operators.apply_tensor_power``.
 ``distinct_overlap_after_clifford`` takes its per-sample overlaps from the
 same pass and also returns the twirled state, so one Clifford pass serves
 both.  It returns the overlap next to its bound and does not judge them:
@@ -41,6 +43,7 @@ generator with (seed, c, j).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from typing import NamedTuple
@@ -53,6 +56,8 @@ from .operators import (
     DenseOperator,
     DensityMatrix,
     StateVector,
+    SupportDensity,
+    SupportOperator,
     apply_tensor_power,
     check_capacity,
     derive_seed,
@@ -82,7 +87,7 @@ def _payload(state) -> tuple[np.ndarray, bool]:
         return state.amplitudes, True
     if isinstance(state, DensityMatrix):
         return np.asarray(state.entries), True
-    if isinstance(state, DenseOperator):
+    if isinstance(state, (DenseOperator, SupportOperator)):
         return np.asarray(state.entries), False
     return np.asarray(state, dtype=complex), False
 
@@ -94,11 +99,17 @@ def _wrap(matrix: np.ndarray, was_state: bool, meta: dict | None = None):
     return DenseOperator(matrix, meta=meta)
 
 
+def _wrap_support(positions: np.ndarray, values: np.ndarray, dim: int, was_state: bool, meta=None):
+    """Wrap the entries a twirl has just built on its support."""
+    return (SupportDensity if was_state else SupportOperator)(positions, values, dim, meta=meta)
+
+
 # ---------------------------------------------------------------------------
 # Exact twirls as commutant projections, and the Schur-Weyl block formulas.
 # ---------------------------------------------------------------------------
 
-class _Commutant(NamedTuple):
+@dataclass(frozen=True, eq=False)  # hashed by identity, so ``_support_layout`` can cache per record
+class _Commutant:
     """Operators spanning a commutant, as terms (rows, cols, scale) that each
     stack operators scale * sum_i |rows[j, i]><cols[j, i]| with disjoint
     supports, and the pseudo-inverse of their block-diagonal Gram matrix
@@ -220,32 +231,63 @@ def _pf_commutant(d: int, t: int) -> _Commutant:
     return _freeze_commutant(terms, np.array(sizes, dtype=float)[:, None, None])
 
 
+@lru_cache(maxsize=16)  # as many as the two commutant caches hold
+def _support_layout(basis: _Commutant, n: int, dim_e: int) -> tuple:
+    """Where a projection onto ``basis`` reads and writes on C^n (x) C^dim_e:
+    the (k, m, dim_e, dim_e) shape of each term's entries; the sorted
+    distinct flat positions of all of them; for every entry, all terms in
+    order, its index among those and the flat index of its coefficient in
+    the (operators, dim_e, dim_e) stack; and each operator's scale."""
+    total, span = n * dim_e, np.arange(dim_e)
+    places, owners, first = [], [], 0
+    for r, c, _ in basis.terms:
+        places.append(((r[..., None] * dim_e + span) * total)[..., :, None]
+                      + (c[..., None] * dim_e + span)[..., None, :])
+        operator = np.arange(first, first + len(r))[:, None, None, None]
+        coefficient = (operator * dim_e + span[:, None]) * dim_e + span  # (operator, a, b), flat
+        owners.append(np.broadcast_to(coefficient, places[-1].shape).ravel())
+        first += len(r)
+    positions, inverse = np.unique(np.concatenate([p.ravel() for p in places]), return_inverse=True)
+    scale = np.repeat([s for _, _, s in basis.terms], [len(r) for r, _, _ in basis.terms])
+    layout = (tuple(p.shape for p in places), positions, inverse, np.concatenate(owners), scale)
+    for array in layout[1:]:
+        array.setflags(write=False)
+    return layout
+
+
 def _project_onto_commutant(state, d: int, t: int, basis: _Commutant):
-    """Orthogonal projection of the system factor onto the span of ``basis``:
-    pairs the input with each operator by index gathers, solves with the
-    Gram pseudo-inverse and scatters the coefficients back; the workspace
-    factor rides along as matrix-valued coefficients.  A pure input is paired
-    from psi, as sum_i psi[r_i, :] (x) conj(psi[c_i, :]) per operator."""
-    payload, was_state = _payload(state)
-    total = len(payload)
+    """Orthogonal projection of the system factor onto the span of ``basis``,
+    returned on its support: pairs the input with each operator by index
+    gathers, solves with the Gram pseudo-inverse and puts each coefficient
+    on its operator's entries, summing where operators overlap; the
+    workspace factor rides along as matrix-valued coefficients.  A pure
+    input is paired from psi, as sum_i psi[r_i, :] (x) conj(psi[c_i, :]) per
+    operator; a matrix, dense or on its support, by flat ``take``s."""
+    if isinstance(state, SupportOperator):
+        payload, was_state = state, isinstance(state, DensityMatrix)
+    else:
+        payload, was_state = _payload(state)
+    total = payload.shape[0]
     check_capacity(total)
     dim_e = workspace_dim(total, d, t)
+    shapes, positions, inverse, owner, scale = _support_layout(basis, d**t, dim_e)
     if payload.ndim == 1:
         psi = payload.reshape(d**t, dim_e)
         pairs = [s * (psi[r].swapaxes(1, 2) @ psi[c].conj()) for r, c, s in basis.terms]
     else:
-        arr = payload.reshape(d**t, dim_e, d**t, dim_e)
-        pairs = [s * arr[r, :, c, :].sum(axis=1) for r, c, s in basis.terms]
+        entries = payload.take(positions)[inverse]  # every term's entries, in term order
+        gathered = np.split(entries, np.cumsum([np.prod(shape) for shape in shapes[:-1]]))
+        pairs = [s * g.reshape(shape).sum(axis=1)
+                 for g, shape, (_, _, s) in zip(gathered, shapes, basis.terms)]
     pairings = np.concatenate(pairs)
     blocks, m, _ = basis.gram_pinv.shape
     coeffs = (basis.gram_pinv @ pairings.reshape(blocks, m, -1)).reshape(pairings.shape)
-    out = np.zeros((d**t, dim_e, d**t, dim_e), dtype=complex)
-    start = 0
-    for r, c, s in basis.terms:
-        out[r, :, c, :] += s * coeffs[start : start + len(r), None]
-        start += len(r)
+    entries = (coeffs * scale[:, None, None]).reshape(-1)[owner]  # in term order
+    values = np.empty(len(positions), dtype=complex)  # summed in term order where operators overlap
+    values.real = np.bincount(inverse, entries.real, len(positions))
+    values.imag = np.bincount(inverse, entries.imag, len(positions))
     meta = {"method": "exact"} | basis.meta
-    return _wrap(out.reshape(total, total), was_state, meta=meta)
+    return _wrap_support(positions, values, total, was_state, meta=meta)
 
 
 def haar_twirl_exact(state, d: int, t: int):
@@ -269,14 +311,16 @@ def _blockwise_twirl(state, decomp: IsotypicDecomposition, weyl_state):
     """Rebuild every Schur-Weyl block as weyl_state(block) (x) the input's
     footprint on it; off-block parts are dropped.  A pure input is rotated
     one-sidedly, (B^T x I) psi, and its footprints are taken from that.  The
-    output is rotated back one orbit block at a time, in its own buffer."""
+    output is rotated back one orbit block at a time and returned on the
+    orbit blocks' support."""
     payload, was_state = _payload(state)
     rotated = _rotate_rows(payload, decomp, False) if payload.ndim == 1 else rotate_to_basis(payload, decomp)
     out = np.zeros((len(rotated),) * 2, dtype=complex)
     for block, rows, footprint in block_footprints(rotated, decomp):
-        rebuilt = np.einsum("ab,jekf->ajebkf", weyl_state(block), footprint)
-        out[rows, rows] = rebuilt.reshape(rows.stop - rows.start, -1)
-    return _wrap(_unrotate_orbit_blocks(out, decomp), was_state)
+        w, (v, e) = block.weyl_dim, footprint.shape[:2]
+        target = out[rows, rows].reshape(w, v, e, w, v, e)  # splits axes only, so a view: written in place
+        np.einsum("ab,jekf->ajebkf", weyl_state(block), footprint, out=target)
+    return _wrap_support(*_unrotate_orbit_blocks(out, decomp), len(out), was_state)
 
 
 def haar_twirl_schur_weyl(state, decomp: IsotypicDecomposition):
@@ -519,7 +563,7 @@ def distinct_overlap_after_clifford(
     mask = distinct_mask(d, t)
     twirled, values = _clifford_average(state, n, t, method, samples, seed, weights=mask)
     if values is None:
-        diag = np.real(np.diagonal(twirled.entries)).reshape(d**t, -1)
+        diag = np.real(twirled.diagonal()).reshape(d**t, -1)
         overlap, se = float(diag[mask].sum()), 0.0
     else:
         overlap = float(values.real.mean())

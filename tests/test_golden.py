@@ -36,6 +36,15 @@ CASES = {
     "security_n2_t4_e2_exact": lambda: run_security_experiment(
         ExperimentConfig(n=2, t=4, dim_e=2, seed=7, clifford_method="exact")
     ),
+    "security_n3_t3_e2_exact": lambda: run_security_experiment(
+        ExperimentConfig(n=3, t=3, dim_e=2, seed=7, state_family="random_pure", clifford_method="exact")
+    ),
+    "security_n2_t4_e2_mc": lambda: run_security_experiment(
+        ExperimentConfig(
+            n=2, t=4, dim_e=2, seed=7, clifford_method="monte_carlo", clifford_samples=2000,
+            num_keys=256,
+        )
+    ),
     "verify_d2_d4_t4": lambda: run_lemma_suite(
         ds=(2, 4), ts=(4,), seed=7,
         check_names=[

@@ -22,7 +22,8 @@ from pru_lab import (
 )
 from pru_lab import PermutationT, all_permutations, checks, perm_op, subsystem_perm_op, tensor_power
 from pru_lab.harness import STATE_FAMILIES
-from pru_lab.operators import distinct_mask, haar_unitaries, subsystem_perm_index_map
+from pru_lab.operators import SupportOperator, distinct_mask, haar_unitaries, subsystem_perm_index_map
+from pru_lab.twirls import haar_twirl_exact
 
 
 @pytest.mark.parametrize("family", STATE_FAMILIES)
@@ -354,13 +355,15 @@ def test_twirl_checks_hold_about_three_operators_at_d8_t3(name):
 
 
 @pytest.mark.parametrize("name, ceiling_mib", [
-    ("haar_commutant_vs_block", 42), ("pf_formula_vs_generic", 42), ("pf_idempotence", 36),
+    ("haar_commutant_vs_block", 19), ("pf_formula_vs_generic", 19), ("pf_idempotence", 5),
+    ("haar_invariance", 12), ("basis_block_action", 14),
 ])
-def test_twirl_comparisons_hold_two_operators_at_d8_t3(name, ceiling_mib):
-    """Each check compares two 16 MiB twirl outputs at (d, t, dim_e) = (8, 3, 2),
-    and nothing else of that size is alive: the blockwise twirls rotate back
-    one orbit block at a time in their own buffer, and ``trace_distance``
-    gathers A - B one component at a time instead of forming it."""
+def test_verify_checks_hold_one_operator_at_d8_t3(name, ceiling_mib):
+    """At (d, t, dim_e) = (8, 3, 2) one dense operator is 16 MiB.  Exact
+    twirls are held on their support, so each check holds at most the one
+    dense Schur-Weyl-basis matrix of a blockwise twirl; the invariance
+    commutator works in row slabs of 2 MiB, and ``verify_decomposition``
+    gathers the rows of B for each R_pi B instead of building R_pi."""
     run_lemma_suite(ds=(8,), ts=(3,), check_names=[name])  # builds the cached bases and commutants
     tracemalloc.start()
     try:
@@ -370,3 +373,42 @@ def test_twirl_comparisons_hold_two_operators_at_d8_t3(name, ceiling_mib):
         tracemalloc.stop()
     assert report.passed
     assert peak <= ceiling_mib * 2**20
+
+
+def _sparse_operator(n, seed, density=0.2):
+    rng = np.random.default_rng(seed)
+    X = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * (rng.random((n, n)) < density)
+    flat = np.flatnonzero(X)
+    return X, SupportOperator(flat, X.reshape(-1)[flat], n)
+
+
+@pytest.mark.parametrize("d, t, dim_e", [(2, 2, 1), (4, 2, 2), (2, 3, 2)])
+def test_tensor_power_commutator_on_the_support_matches_dense_kronecker_products(d, t, dim_e):
+    """The row-slab commutator of an operator held on its support: 0 up to
+    rounding for a Haar output, and the explicit commutator's value for a
+    sparse non-Hermitian X that commutes with nothing."""
+    rng = np.random.default_rng(10 * d + t)
+    n = d**t * dim_e
+    haar = haar_twirl_exact(build_state("random_pure", d.bit_length() - 1, t, dim_e, 3), d, t)
+    X, support = _sparse_operator(n, d + t)
+    for V in haar_unitaries(d, 3, rng):
+        assert checks._tensor_power_commutator(V, haar, t) < 1e-14
+        oracle = _kron_commutator(V, X, t, dim_e)
+        assert oracle > 0.1
+        assert abs(checks._tensor_power_commutator(V, support, t) - oracle) < 1e-12
+        assert abs(checks._tensor_power_commutator(V, X, t) - oracle) < 1e-12
+
+
+def test_density_check_reuses_the_haar_output_up_to_three_copies(monkeypatch):
+    """The exact Clifford twirl is the Haar twirl for t <= 3, so the check
+    projects twice there and three times at t = 4."""
+    calls = []
+
+    def clifford_twirl(state, n, t, **kwargs):
+        calls.append(t)
+        return haar_twirl_exact(state, 2**n, t)
+
+    monkeypatch.setattr(checks, "clifford_twirl", clifford_twirl)
+    report = run_lemma_suite(ds=(2, 4), ts=(2, 3, 4), check_names=["twirl_outputs_are_density"])
+    assert report.passed
+    assert calls == [4, 4]

@@ -14,8 +14,12 @@ from pru_lab import (
     DomainError,
     PermutationT,
     StateVector,
+    SupportDensity,
+    SupportOperator,
     all_permutations,
     cli_main,
+    clifford_twirl,
+    gentle_normalize,
     distinct_projector,
     perm_op,
     phase_op,
@@ -23,7 +27,7 @@ from pru_lab import (
     tensor_power,
     trace_distance,
 )
-from pru_lab import haar_twirl_exact, operators, pf_twirl
+from pru_lab import haar_twirl_exact, haar_twirl_mc, operators, pf_twirl
 from pru_lab.operators import (
     TILE,
     dim_cap,
@@ -467,3 +471,130 @@ def test_distinct_mask_matches_projector():
     d, t = 3, 2
     mask = distinct_mask(d, t)
     assert np.allclose(np.diag(mask.astype(float)), distinct_projector(d, t).entries.real)
+
+
+# --- operators held on their support --------------------------------------------
+
+def test_support_operator_sums_repeats_in_order_and_drops_exact_zeros():
+    """Repeated positions add up in the order given, as scattering them one
+    after another into zeros does; exact zeros, -0.0 too, are dropped, so
+    the support is the dense ``!= 0`` pattern."""
+    positions = np.array([7, 2, 7, 5, 2, 0])
+    values = np.array([1e16, 1.0, 1.0, -0.0, -1.0, 3 - 1j])
+    op = SupportOperator(positions, values, 3)
+    dense = np.zeros(9, dtype=complex)
+    for p, v in zip(positions, values):
+        dense[p] += v
+    assert op.positions.tolist() == [0, 7]
+    assert np.array_equal(op.entries.reshape(-1), dense)
+    assert np.array_equal(op.positions, np.flatnonzero(op.entries))
+    assert not op.positions.flags.writeable and not op.values.flags.writeable
+    query = np.array([[0, 1], [7, 8]])
+    assert np.array_equal(op.take(query), op.entries.take(query))
+    assert np.array_equal(op.diagonal(), np.diagonal(op.entries))
+    with pytest.raises(DomainError, match="support positions"):
+        SupportOperator([9], [1.0], 3)
+
+
+def _support_of(matrix, cls=SupportDensity):
+    flat = np.flatnonzero(matrix)
+    return cls(flat, matrix.reshape(-1)[flat], len(matrix))
+
+
+@pytest.mark.parametrize("n", [3, 17])
+def test_support_density_stores_the_dense_hermitian_part(n):
+    """On the support, as in ``DensityMatrix``: a perturbation of 1e-12 from
+    Hermitian is accepted and the exact Hermitian part is stored, bit for bit
+    the same."""
+    rho = random_state(n, 4).to_density().entries
+    A = np.random.default_rng(5).standard_normal((n, n)) * (1 + 1j)
+    given = np.where(np.random.default_rng(6).random((n, n)) < 0.5, 0, rho + 1e-12 * (A - A.conj().T))
+    given = given + given.conj().T - np.diag(np.diagonal(given).conj())  # mirror-closed support
+    given /= np.trace(given)
+    got = _support_of(given)
+    assert isinstance(got, DensityMatrix)
+    want = DensityMatrix(given).entries
+    assert np.array_equal(got.entries.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("entry, accepted", [(2e-10, False), (5e-11, True), (1e-3, False)])
+def test_support_density_checks_each_entry_against_its_mirror(entry, accepted):
+    """An entry whose mirrored position is off the support is compared with
+    0: refused beyond 1e-10, and otherwise split over both positions as the
+    dense constructor splits it."""
+    given = np.eye(5, dtype=complex) / 5
+    given[4, 0] = entry
+    if not accepted:
+        with pytest.raises(DomainError, match="not Hermitian"):
+            _support_of(given)
+        return
+    got = _support_of(given)
+    assert got.positions.tolist() == [0, 4, 6, 12, 18, 20, 24]
+    assert np.array_equal(got.entries, DensityMatrix(given).entries)
+    assert got.entries[4, 0] == got.entries[0, 4] == entry / 2
+
+
+def test_support_density_checks_its_trace():
+    with pytest.raises(DomainError, match="trace"):
+        _support_of(np.eye(4, dtype=complex) / 2)
+    with pytest.raises(DomainError, match="not Hermitian"):
+        _support_of(np.diag([np.nan, 1.0]).astype(complex))
+
+
+def _support_pairs(d, t, dim_e, seed):
+    """Support-support and support-dense pairs on d^t dim_e: PF and Haar
+    outputs of one state, a PF output against a dense mixed state and a
+    Haar output against a Monte-Carlo twirl (dense, one component), and two
+    block-sparse states on their supports, the second joining two blocks
+    that the first keeps apart."""
+    n = d**t * dim_e
+    st = random_state(n, seed)
+    haar, pf = haar_twirl_exact(st, d, t), pf_twirl(st, d, t)
+    _, sparse, (dense, _) = _density_pairs(d, t, dim_e, seed)
+    a, b = (_support_of(x.entries) for x in sparse)
+    return [(haar, pf), (pf, dense), (haar, haar_twirl_mc(st, d, t, 50, seed)), (a, b), (b, sparse[0])]
+
+
+@pytest.mark.parametrize("dim_e", [1, 2])
+@pytest.mark.parametrize("t", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_support_trace_distances_match_the_dense_oracle(d, t, dim_e):
+    """``trace_distance`` and ``hermitian_eigvalsh`` on operands held on
+    their support, alone or against a dense one, against the eigenvalues of
+    the dense difference."""
+    for a, b in _support_pairs(d, t, dim_e, 10 * d + t):
+        assert isinstance(a, SupportDensity)
+        diff = a.entries - b.entries
+        oracle = np.abs(np.linalg.eigvalsh(diff)).sum()
+        assert abs(trace_distance(a, b) - oracle) <= 1e-12
+        assert abs(trace_distance(b, a) - oracle) <= 1e-12
+        got = np.sort(hermitian_eigvalsh(a, b if isinstance(b, SupportOperator) else b.entries))
+        assert np.abs(got - np.linalg.eigvalsh(diff)).max() <= 1e-12
+        assert np.abs(a.eigenvalues() - np.linalg.eigvalsh(a.entries)).max() <= 1e-12
+
+
+def test_support_operations_allocate_no_dense_operator_at_d16_t3():
+    """At (d, t) = (16, 3) an operator has 4096^2 entries and a Haar output
+    22,336 nonzero ones.  On inputs held on their support, no exact twirl,
+    ``trace_distance`` or ``gentle_normalize`` allocates even a boolean array
+    of 4096^2 entries."""
+    d, t, dim_e = 16, 3, 1
+    st = random_state(d**t * dim_e, 12)
+    xi = haar_twirl_exact(st, d, t)
+    fr = pf_twirl(xi, d, t)  # builds the cached commutants
+    calls = [
+        lambda: haar_twirl_exact(fr, d, t),
+        lambda: pf_twirl(xi, d, t),
+        lambda: clifford_twirl(fr, 4, t, method="exact"),
+        lambda: trace_distance(fr, xi),
+        lambda: gentle_normalize(xi, d, t),
+    ]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            out = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (d**t * dim_e) ** 2
+        assert not isinstance(out, np.ndarray)

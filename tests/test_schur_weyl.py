@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from pru_lab import (
+    SupportDensity,
     ConsistencyError,
     DensityMatrix,
     DomainError,
@@ -370,3 +371,28 @@ def test_a_rotation_allocates_no_more_than_the_dense_product():
     finally:
         tracemalloc.stop()
     assert peak <= DENSE_ROTATION_PEAK_BYTES
+
+
+@pytest.mark.parametrize("d, t, dim_e", [(2, 2, 3), (3, 3, 1), (4, 3, 2)])
+def test_blockwise_twirls_are_held_on_their_orbit_blocks(d, t, dim_e):
+    """Both blockwise twirls return a ``SupportDensity`` whose support lies
+    in the orbit blocks, and the dense inverse rotation of the same
+    Schur-Weyl-basis matrix vanishes off that support."""
+    dec = schur_weyl_basis(d, t)
+    orbit = np.repeat(np.unique(_orbit_labels(d, t), axis=0, return_inverse=True)[1], dim_e)
+    def uniform(block):
+        return np.eye(block.weyl_dim) / block.weyl_dim
+
+    cases = [(haar_twirl_schur_weyl, uniform, random_state(d**t * dim_e, 6))]
+    if d >= t:
+        cases.append((pf_twirl_distinct_formula, lambda b: b.distinct_block / np.trace(b.distinct_block),
+                      random_distinct_state(d, t, dim_e, 8)))
+    for twirl, weyl_state, st in cases:
+        out = twirl(st, dec)
+        assert isinstance(out, SupportDensity)
+        rows, cols = np.divmod(out.positions, out.dim)
+        assert np.array_equal(orbit[rows], orbit[cols])
+        oracle = rotate_from_basis(_rebuilt_in_basis(st, dec, weyl_state), dec).reshape(-1)
+        assert np.abs(out.values - oracle[out.positions]).max() <= 1e-13
+        oracle[out.positions] = 0
+        assert np.abs(oracle).max() <= 1e-13

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from pru_lab import (
+    SupportDensity,
+    SupportOperator,
     CapacityError,
     DenseOperator,
     DensityMatrix,
@@ -777,3 +779,68 @@ def test_support_guard_reads_the_same_leak_through_both_paths(dec42, leak, raise
                 pf_twirl_distinct_formula(x, dec42)
         else:
             pf_twirl_distinct_formula(x, dec42)
+
+
+# --- exact twirls held on their support -----------------------------------------
+
+def _support_inputs(d, t, dim_e, seed):
+    """A pure state, a mixed state held on its support (a Haar output) and a
+    dense non-Hermitian operator."""
+    st = random_state(d**t * dim_e, seed)
+    mixed = haar_twirl_exact(random_state(d**t * dim_e, seed + 1), d, t)
+    return [st, mixed, _random_operator(d, t, dim_e, seed)]
+
+
+@pytest.mark.parametrize("d, t, dim_e", [(2, 2, 2), (2, 3, 1), (3, 2, 2), (3, 3, 1), (4, 2, 1), (4, 3, 2)])
+def test_support_outputs_match_explicit_pf_group_means(d, t, dim_e):
+    """Each output on its support against the mean over every label
+    permutation and sign pattern, formed with dense Kronecker products;
+    a state gives a ``SupportDensity``, an operator a ``SupportOperator``."""
+    group = _signed_permutations(d)
+    for x in _support_inputs(d, t, dim_e, 3 * d + t):
+        X = x.to_density().entries if isinstance(x, StateVector) else getattr(x, "entries", x)
+        oracle = sum(_local(g, t, dim_e) @ X @ _local(g, t, dim_e).T for g in group) / len(group)
+        out = pf_twirl(x, d, t)
+        assert isinstance(out, SupportDensity if not isinstance(x, np.ndarray) else SupportOperator)
+        assert np.abs(out.entries - oracle).max() < 1e-12
+        off = np.ones(oracle.size, dtype=bool)
+        off[out.positions] = False
+        assert np.abs(oracle.reshape(-1)[off]).max(initial=0.0) < 1e-12
+
+
+@pytest.mark.parametrize("n, t, dim_e", [(1, 2, 2), (1, 3, 1), (1, 4, 2), (2, 2, 2), (2, 3, 1), (2, 4, 1)])
+def test_support_outputs_match_the_enumerated_clifford_group(n, t, dim_e):
+    """The exact Clifford and Haar twirls of inputs held on their support
+    against averages over the enumerated Clifford group (a unitary 3-design,
+    so the Haar twirl at t <= 3): a basis projector and i|a><b| for two
+    tuples a, b that differ by a swap, and at n = 1 a mixed state.  Their
+    rank is 1 at n = 2, where the group has 11,520 elements."""
+    d = 2**n
+    dim = d**t * dim_e
+    a = np.ravel_multi_index(([0, 1] + [0] * t)[:t], (d,) * t) * dim_e
+    b = np.ravel_multi_index(([1, 0] + [0] * t)[:t], (d,) * t) * dim_e
+    inputs = [SupportDensity([a * dim + a], [1.0], dim), SupportOperator([a * dim + b], [1j], dim)]
+    if n == 1:
+        inputs.append(haar_twirl_exact(random_state(dim, 5 * n + t), d, t))
+    group = enumerate_cliffords(n)
+    for x in inputs:
+        want = ensemble_twirl(x, group, d, t).entries
+        got = clifford_twirl(x, n, t, method="exact")
+        assert type(got) is type(x)
+        assert np.abs(got.entries - want).max() < 1e-12
+        if t <= 3:
+            assert np.abs(haar_twirl_exact(x, d, t).entries - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("d, t, dim_e", [(2, 3, 2), (3, 2, 1), (4, 3, 2)])
+def test_twirls_of_a_support_input_equal_those_of_its_dense_copy(d, t, dim_e):
+    """An input held on its support is paired by lookup, with 0 off the
+    support; the outputs equal, bit for bit, those of the dense copy."""
+    state = pf_twirl(random_state(d**t * dim_e, 2), d, t)
+    op = pf_twirl(_random_operator(d, t, dim_e, 3), d, t)
+    for x, dense in ((state, DensityMatrix(state.entries)), (op, DenseOperator(op.entries))):
+        for twirl in (lambda y: pf_twirl(y, d, t), lambda y: haar_twirl_exact(y, d, t)):
+            got, want = twirl(x), twirl(dense)
+            assert type(got) is type(want)
+            assert np.array_equal(got.positions, want.positions)
+            assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
