@@ -76,18 +76,6 @@ def _tile_pairs(n: int) -> list[tuple[slice, slice]]:
     return [(slice(i, i + TILE), slice(j, j + TILE)) for i in starts for j in starts if i <= j]
 
 
-def transpose(a: np.ndarray) -> np.ndarray:
-    """A C-contiguous copy of ``a.T`` for a square ``a``, made one mirrored
-    pair of tiles at a time.  numpy's strided copy of ``a.T`` misses the
-    cache on almost every read when a row is a large power-of-two stride
-    (16 KiB at 1024 x 1024 complex) and takes about twice as long."""
-    out = np.empty(a.shape, dtype=a.dtype)
-    for I, J in _tile_pairs(len(a)):
-        out[I, J] = a[J, I].T
-        out[J, I] = a[I, J].T
-    return out
-
-
 @dataclass(frozen=True)
 class DenseOperator:
     """A square complex matrix.
@@ -115,10 +103,10 @@ class DenseOperator:
         return bool(np.abs(delta).max() <= tol)
 
 
-def _hermitian_part(arr: np.ndarray, out: np.ndarray, conj: bool = False) -> float:
-    """Write (A + A^dag)/2 for a square A, or its conjugate, into ``out`` and
-    return max |A - A^dag| (NaN for non-finite A).  Each mirrored pair of
-    tiles is read before either is written, so ``out`` may be A itself."""
+def _hermitian_part(arr: np.ndarray) -> float:
+    """Overwrite a square A with (A + A^dag)/2 and return max |A - A^dag|
+    (NaN for non-finite A).  Each mirrored pair of tiles is read before
+    either is written."""
     residual = 0.0
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which the caller rejects
         for I, J in _tile_pairs(len(arr)):
@@ -126,11 +114,9 @@ def _hermitian_part(arr: np.ndarray, out: np.ndarray, conj: bool = False) -> flo
             residual = np.maximum(residual, np.abs(half - arr[I, J]).max())  # NaN stays NaN
             half += arr[I, J]
             half *= 0.5
-            if conj:
-                np.conjugate(half, out=half)
-            out[I, J] = half
+            arr[I, J] = half
             if I != J:
-                out[J, I] = half.conj().T
+                arr[J, I] = half.conj().T
     return residual
 
 
@@ -141,45 +127,42 @@ class DensityMatrix:
     Input within 1e-10 of Hermitian is accepted and its exact Hermitian
     part (A + A^dag)/2 is stored, so ``entries`` equals its own conjugate
     transpose.  The Hermiticity residual and the Hermitian part come from
-    one pass over mirrored pairs of tiles.  The constructor stores a copy;
-    ``_adopt`` stores it in a private buffer it takes over.
+    one pass over mirrored pairs of tiles, in place: the constructor in a
+    C-order copy of its input, ``_adopt`` in a private buffer it takes over.
     """
 
     entries: np.ndarray
     meta: dict = field(default=None, compare=False, repr=False, kw_only=True)
 
     def __post_init__(self):
-        self._store(np.asarray(self.entries, dtype=complex))
+        self._store(np.array(self.entries, dtype=complex, order="C"))
 
     @classmethod
     def _adopt(cls, arr: np.ndarray, *, meta=None) -> "DensityMatrix":
-        """The density matrix of ``arr``, a complex buffer no one else holds,
-        built in it.  A transposed view A of a C-contiguous buffer is taken
-        over too: the buffer gets conj(H(A^T)), which is H(A) in C order."""
+        """The density matrix of ``arr``, a C-contiguous complex buffer no one
+        else holds, built in it."""
         rho = object.__new__(cls)
         vars(rho).update(meta=meta)  # the frozen field, as __init__ would set it
-        buffer = arr if arr.flags.c_contiguous else arr.T
-        rho._store(buffer, buffer, conj=buffer is not arr)
+        rho._store(arr)
         return rho
 
-    def _store(self, arr: np.ndarray, out: np.ndarray | None = None, conj: bool = False):
+    def _store(self, arr: np.ndarray):
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DomainError(f"density entries must be square, got shape {arr.shape}")
         check_capacity(arr.shape[0])
-        out = np.empty(arr.shape, dtype=complex) if out is None else out
-        trace = np.trace(arr)  # read before ``out`` may overwrite ``arr``
-        if not _hermitian_part(arr, out, conj) <= 1e-10:  # NaN fails too
+        trace = np.trace(arr)  # read before the Hermitian part overwrites ``arr``
+        if not _hermitian_part(arr) <= 1e-10:  # NaN fails too
             raise DomainError("density matrix is not Hermitian within 1e-10")
         if not abs(trace - 1.0) <= 1e-9:
             raise DomainError(f"density matrix trace {trace} != 1 within 1e-9")
-        object.__setattr__(self, "entries", _freeze(out))
+        object.__setattr__(self, "entries", _freeze(arr))
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
 
     def eigenvalues(self) -> np.ndarray:
-        return np.sort(hermitian_eigvalsh(self.entries))  # ascending, so [0] is the minimum
+        return np.sort(hermitian_eigvalsh(self))  # ascending, so [0] is the minimum
 
     def diagonal(self) -> np.ndarray:
         return np.diagonal(self.entries)
@@ -215,8 +198,12 @@ def _canonical(positions, values, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct flat positions of a dim x dim matrix, with the values
     at repeated positions summed in the order given."""
     check_capacity(dim)
-    positions = np.asarray(positions, dtype=np.int64).reshape(-1)
+    positions = np.asarray(positions).reshape(-1)
     values = np.asarray(values, dtype=complex).reshape(-1)
+    if len(positions) != len(values) or len(positions) and not np.issubdtype(positions.dtype, np.integer):
+        raise DomainError(f"support positions must be integers, one per value: got {len(positions)} "
+                          f"{positions.dtype} for {len(values)} values")
+    positions = positions.astype(np.int64, copy=False)
     if np.any(positions[1:] <= positions[:-1]):
         positions, index = np.unique(positions, return_inverse=True)
         summed = np.empty(len(positions), dtype=complex)
@@ -308,9 +295,6 @@ class SupportDensity(SupportOperator, DensityMatrix):
         half += values
         half *= 0.5
         self._hold(positions, half, dim, meta)
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.sort(hermitian_eigvalsh(self))
 
 
 @dataclass(frozen=True)
@@ -514,7 +498,7 @@ def _symmetric_pattern(ops: list, n: int) -> np.ndarray:
     pattern = dense[0] if len(dense) == 1 else dense[0] | dense[1]
     for support in keys:
         pattern.reshape(-1)[support] = True
-    pattern |= transpose(pattern)
+    pattern |= np.ascontiguousarray(pattern.T)
     return np.flatnonzero(pattern)
 
 

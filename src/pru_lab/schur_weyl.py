@@ -18,10 +18,10 @@ one orbit block at a time, and every basis vector is supported on a single
 orbit.  So the basis is a set of s x s orbit blocks, and every product with
 it is a rotation that applies them in batched real products on the
 interleaved real view of the complex operator.  The blockwise twirl outputs
-and the distinct blocks have exact zeros between orbits, which
-``operators.trace_norm`` splits on and ``_unrotate_orbit_blocks`` uses to
+have exact zeros between orbits, which ``_unrotate_orbit_blocks`` uses to
 rotate them back one orbit block at a time, onto the orbit blocks as
-their support.
+their support; ``operators.trace_distance`` hands them on that support to
+``hermitian_eigvalsh``, which splits them into its connected components.
 
 ``schur_weyl_basis`` is cached per (d, t) and its arrays are read-only.
 It does not check itself: ``verify_decomposition`` and ``ratio_report``
@@ -48,7 +48,6 @@ from .operators import (
     subsystem_perm_index_map,
     system_dim,
     tensor_power,
-    transpose,
     workspace_dim,
 )
 from .symgroup import (
@@ -311,13 +310,13 @@ def _conjugate_real(matrix: np.ndarray, decomp: IsotypicDecomposition, inverse: 
     """(B^T x I) X (B x I) for the real basis B on the system factor of a
     complex X, or (B x I) X (B^T x I) when ``inverse``.
 
-    Two ``_rotate_rows`` passes, with the tiled ``operators.transpose``
+    Two ``_rotate_rows`` passes, with a C-order copy of the transpose
     between them; the second pass's result is returned as its transposed
     view.
     """
     matrix = np.ascontiguousarray(matrix, dtype=complex)
     half = _rotate_rows(matrix, decomp, inverse)
-    return _rotate_rows(transpose(half), decomp, inverse, out=half).T
+    return _rotate_rows(np.ascontiguousarray(half.T), decomp, inverse, out=half).T
 
 
 def _unrotate_orbit_blocks(matrix: np.ndarray, decomp: IsotypicDecomposition

@@ -58,6 +58,7 @@ from .operators import (
     StateVector,
     SupportDensity,
     SupportOperator,
+    _dense,
     apply_tensor_power,
     check_capacity,
     derive_seed,
@@ -80,16 +81,15 @@ MC_CHUNK = 512  # fixed chunk size; seeds derive as (seed, chunk index)
 _SUB_BATCH_ELEMENTS = 1 << 16  # complex entries per conjugated sub-batch; bounds driver memory
 
 
-def _payload(state) -> tuple[np.ndarray, bool]:
-    """The 1-D amplitudes of a ``StateVector`` (psi psi^dag is never formed)
-    or the matrix of anything else, plus whether the input was a state."""
+def _payload(state) -> tuple:
+    """The 1-D amplitudes of a ``StateVector`` (psi psi^dag is never formed),
+    a ``SupportOperator`` as it is, or the matrix of anything else, plus
+    whether the input was a state."""
     if isinstance(state, StateVector):
         return state.amplitudes, True
-    if isinstance(state, DensityMatrix):
-        return np.asarray(state.entries), True
-    if isinstance(state, (DenseOperator, SupportOperator)):
-        return np.asarray(state.entries), False
-    return np.asarray(state, dtype=complex), False
+    if isinstance(state, SupportOperator):
+        return state, isinstance(state, DensityMatrix)
+    return np.asarray(getattr(state, "entries", state), dtype=complex), isinstance(state, DensityMatrix)
 
 
 def _wrap(matrix: np.ndarray, was_state: bool, meta: dict | None = None):
@@ -110,10 +110,10 @@ def _wrap_support(positions: np.ndarray, values: np.ndarray, dim: int, was_state
 
 @dataclass(frozen=True, eq=False)  # hashed by identity, so ``_support_layout`` can cache per record
 class _Commutant:
-    """Operators spanning a commutant, as terms (rows, cols, scale) that each
-    stack operators scale * sum_i |rows[j, i]><cols[j, i]| with disjoint
-    supports, and the pseudo-inverse of their block-diagonal Gram matrix
-    Tr[B_j^dag B_k] as a (blocks, m, m) stack, operators in term order."""
+    """Operators spanning a commutant, as terms (rows, cols) that each stack
+    operators sum_i |rows[j, i]><cols[j, i]| with disjoint supports, and the
+    pseudo-inverse of their block-diagonal Gram matrix Tr[B_j^dag B_k] as a
+    (blocks, m, m) stack, operators in term order."""
 
     terms: tuple
     gram_pinv: np.ndarray
@@ -130,7 +130,7 @@ def _freeze_commutant(terms: list, gram: np.ndarray) -> _Commutant:
     kept = np.abs(values) > gram.shape[-1] * np.finfo(float).eps * np.abs(values).max(-1, keepdims=True)
     gram_pinv = (vectors / np.where(kept, values, np.inf)[..., None, :]) @ vectors.swapaxes(-1, -2)
     meta = {"gram_rank": int(kept.sum()), "gram_condition": float(values[kept].max() / values[kept].min())}
-    for array in (gram_pinv, *(a for r, c, _ in terms for a in (r, c))):
+    for array in (gram_pinv, *(a for term in terms for a in term)):
         array.setflags(write=False)
     return _Commutant(tuple(terms), gram_pinv, meta)
 
@@ -171,7 +171,7 @@ def _commutant(d: int, t: int, clifford: bool) -> _Commutant:
     """
     labels = np.arange(system_dim(d, t))
     perms = all_permutations(t)
-    terms = [(subsystem_perm_index_map(pi, d)[None], labels[None], 1.0) for pi in perms]
+    terms = [(subsystem_perm_index_map(pi, d)[None], labels[None]) for pi in perms]
     spaces = np.array([subsystem_perm_index_map(pi, 2) << t | np.arange(2**t) for pi in perms])
     if clifford:
         spaces = np.concatenate([spaces, _lagrangian_subspaces(t)])
@@ -186,7 +186,7 @@ def _commutant(d: int, t: int, clifford: bool) -> _Commutant:
         qubit = places = sum((halves >> k & 1) << n * k for k in range(t))
         for _ in range(n - 1):  # each further qubit one bit below the last, in every slot
             places = (places[..., None] << 1 | qubit[:, :, None]).reshape(2, len(others), places.shape[2] * 2**t)
-        terms += [(r[None], c[None], 1.0) for r, c in zip(*places)]
+        terms += [(r[None], c[None]) for r, c in zip(*places)]
     gram = np.power(d, np.log2(shared).astype(int)).astype(float)
     return _freeze_commutant(terms, gram[None])
 
@@ -226,7 +226,7 @@ def _pf_commutant(d: int, t: int) -> _Commutant:
         weights = np.stack([(group == v) @ place for v in range(k)], axis=1)  # (classes, k)
         relabelings = np.array(list(permutations(range(d), k)))
         flat = np.sort(weights @ relabelings.T, axis=1)  # (classes, (d)_k)
-        terms.append((flat // n, flat % n, 1.0))
+        terms.append((flat // n, flat % n))
         sizes += [flat.shape[1]] * len(flat)
     return _freeze_commutant(terms, np.array(sizes, dtype=float)[:, None, None])
 
@@ -237,10 +237,10 @@ def _support_layout(basis: _Commutant, n: int, dim_e: int) -> tuple:
     the (k, m, dim_e, dim_e) shape of each term's entries; the sorted
     distinct flat positions of all of them; for every entry, all terms in
     order, its index among those and the flat index of its coefficient in
-    the (operators, dim_e, dim_e) stack; and each operator's scale."""
+    the (operators, dim_e, dim_e) stack."""
     total, span = n * dim_e, np.arange(dim_e)
     places, owners, first = [], [], 0
-    for r, c, _ in basis.terms:
+    for r, c in basis.terms:
         places.append(((r[..., None] * dim_e + span) * total)[..., :, None]
                       + (c[..., None] * dim_e + span)[..., None, :])
         operator = np.arange(first, first + len(r))[:, None, None, None]
@@ -248,8 +248,7 @@ def _support_layout(basis: _Commutant, n: int, dim_e: int) -> tuple:
         owners.append(np.broadcast_to(coefficient, places[-1].shape).ravel())
         first += len(r)
     positions, inverse = np.unique(np.concatenate([p.ravel() for p in places]), return_inverse=True)
-    scale = np.repeat([s for _, _, s in basis.terms], [len(r) for r, _, _ in basis.terms])
-    layout = (tuple(p.shape for p in places), positions, inverse, np.concatenate(owners), scale)
+    layout = (tuple(p.shape for p in places), positions, inverse, np.concatenate(owners))
     for array in layout[1:]:
         array.setflags(write=False)
     return layout
@@ -263,26 +262,22 @@ def _project_onto_commutant(state, d: int, t: int, basis: _Commutant):
     workspace factor rides along as matrix-valued coefficients.  A pure
     input is paired from psi, as sum_i psi[r_i, :] (x) conj(psi[c_i, :]) per
     operator; a matrix, dense or on its support, by flat ``take``s."""
-    if isinstance(state, SupportOperator):
-        payload, was_state = state, isinstance(state, DensityMatrix)
-    else:
-        payload, was_state = _payload(state)
+    payload, was_state = _payload(state)
     total = payload.shape[0]
     check_capacity(total)
     dim_e = workspace_dim(total, d, t)
-    shapes, positions, inverse, owner, scale = _support_layout(basis, d**t, dim_e)
+    shapes, positions, inverse, owner = _support_layout(basis, d**t, dim_e)
     if payload.ndim == 1:
         psi = payload.reshape(d**t, dim_e)
-        pairs = [s * (psi[r].swapaxes(1, 2) @ psi[c].conj()) for r, c, s in basis.terms]
+        pairs = [psi[r].swapaxes(1, 2) @ psi[c].conj() for r, c in basis.terms]
     else:
         entries = payload.take(positions)[inverse]  # every term's entries, in term order
         gathered = np.split(entries, np.cumsum([np.prod(shape) for shape in shapes[:-1]]))
-        pairs = [s * g.reshape(shape).sum(axis=1)
-                 for g, shape, (_, _, s) in zip(gathered, shapes, basis.terms)]
+        pairs = [g.reshape(shape).sum(axis=1) for g, shape in zip(gathered, shapes)]
     pairings = np.concatenate(pairs)
     blocks, m, _ = basis.gram_pinv.shape
     coeffs = (basis.gram_pinv @ pairings.reshape(blocks, m, -1)).reshape(pairings.shape)
-    entries = (coeffs * scale[:, None, None]).reshape(-1)[owner]  # in term order
+    entries = coeffs.reshape(-1)[owner]  # in term order
     values = np.empty(len(positions), dtype=complex)  # summed in term order where operators overlap
     values.real = np.bincount(inverse, entries.real, len(positions))
     values.imag = np.bincount(inverse, entries.imag, len(positions))
@@ -314,7 +309,7 @@ def _blockwise_twirl(state, decomp: IsotypicDecomposition, weyl_state):
     output is rotated back one orbit block at a time and returned on the
     orbit blocks' support."""
     payload, was_state = _payload(state)
-    rotated = _rotate_rows(payload, decomp, False) if payload.ndim == 1 else rotate_to_basis(payload, decomp)
+    rotated = _rotate_rows(payload, decomp, False) if payload.ndim == 1 else rotate_to_basis(_dense(payload), decomp)
     out = np.zeros((len(rotated),) * 2, dtype=complex)
     for block, rows, footprint in block_footprints(rotated, decomp):
         w, (v, e) = block.weyl_dim, footprint.shape[:2]
@@ -329,26 +324,23 @@ def haar_twirl_schur_weyl(state, decomp: IsotypicDecomposition):
     return _blockwise_twirl(state, decomp, lambda block: np.eye(block.weyl_dim) / block.weyl_dim)
 
 
-def pf_twirl_basis_element(x, y, d: int) -> DenseOperator:
-    """Exact permutation-phase twirl of the matrix unit |x><y|."""
+def pf_twirl_basis_element(x, y, d: int) -> SupportOperator:
+    """Exact permutation-phase twirl of the matrix unit |x><y|, held on its support."""
     x, y = tuple(int(v) for v in x), tuple(int(v) for v in y)
     t = len(x)
     if len(y) != t:
         raise DomainError("tuples must have equal length")
     if any(not 0 <= v < d for v in x + y):
         raise DomainError(f"tuple values must lie in [0, {d})")
-    n = d**t
-    check_capacity(n)
-    unit = np.zeros((n, n), dtype=complex)
-    unit[np.ravel_multi_index(x, (d,) * t), np.ravel_multi_index(y, (d,) * t)] = 1.0
-    return pf_twirl(unit, d, t)
+    unit = np.ravel_multi_index(x + y, (d,) * (2 * t))  # the flat position x * d^t + y
+    return pf_twirl(SupportOperator([unit], [1.0], d**t), d, t)
 
 
 def pf_twirl_distinct_formula(state, decomp: IsotypicDecomposition):
     """Block formula for inputs supported on distinct tuples: the
     distinct-block mixed state replaces the maximally mixed one."""
     d, t = decomp.d, decomp.t
-    x = _payload(state)[0]
+    x = _dense(_payload(state)[0])
     mask = np.repeat(distinct_mask(d, t), workspace_dim(len(x), d, t)).astype(float)
     # sqrt(dim) ||rho - P rho P||_F bounds the trace norm of the leak; for rho =
     # psi psi^dag, u = psi - P psi, that is ||u|| sqrt(||psi||^2 + ||P psi||^2)
@@ -383,7 +375,7 @@ def _factors(state):
     matrix, was_state = _payload(state)
     if matrix.ndim == 1:
         return matrix[:, None], np.ones(1), matrix[:, None], was_state
-    u, s, vh = np.linalg.svd(matrix)
+    u, s, vh = np.linalg.svd(_dense(matrix))
     keep = s > s[0] * matrix.shape[0] * np.finfo(float).eps
     return u[:, keep], s[keep], vh[keep].conj().T, was_state
 

@@ -37,7 +37,6 @@ from pru_lab.operators import (
     hermitian_eigvalsh,
     subsystem_perm_index_map,
     trace_norm,
-    transpose,
 )
 
 from conftest import random_state
@@ -253,16 +252,6 @@ EDGE_SIZES = [1, TILE - 1, TILE, TILE + 1, 2 * TILE + 2, 4 * TILE]
 
 
 @pytest.mark.parametrize("n", EDGE_SIZES)
-def test_tiled_transpose_matches_numpy(n):
-    rng = np.random.default_rng(n)
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    out = transpose(a)
-    assert out.flags.c_contiguous and np.array_equal(out, a.T)
-    pattern = a.real > 0
-    assert np.array_equal(transpose(pattern), pattern.T)
-
-
-@pytest.mark.parametrize("n", EDGE_SIZES)
 def test_trace_norm_tests_hermiticity_as_array_equal(n, monkeypatch):
     """The tiled test reads every mirrored pair, the partial tiles too, and
     compares with ``==``, so a signed zero still counts as equal."""
@@ -312,34 +301,43 @@ def test_density_matrix_checks_hermiticity_in_the_last_partial_tile(n, entry, ac
 
 
 def test_density_matrix_allocates_one_matrix_and_tile_scratch():
+    """The constructor allocates its copy and tile scratch; ``_adopt`` of a
+    C-contiguous buffer only the scratch, as it stores into the buffer."""
     n = 1024
     given = np.eye(n, dtype=complex) / n
+    buffer = given.copy()
     tracemalloc.start()
     try:
         DensityMatrix(given)
         peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        adopted = DensityMatrix._adopt(buffer).entries
+        adopt_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 16 * n * n + 8 * 16 * TILE * TILE
+    assert adopt_peak <= 8 * 16 * TILE * TILE
+    assert np.shares_memory(adopted, buffer) and np.array_equal(adopted, given)
 
 
 @pytest.mark.parametrize("n", [3, TILE + 1])
 def test_density_matrix_copies_and_adopt_takes_over(n):
     """The public constructor leaves its input alone, in C or Fortran order;
-    ``_adopt`` stores the same Hermitian part in the buffer it is handed,
-    also when that is the transposed view of a C-contiguous buffer."""
+    ``_adopt`` stores the same Hermitian part in the C-contiguous buffer it
+    is handed."""
     rho = random_state(n, 6).to_density().entries
     A = np.random.default_rng(7).standard_normal((n, n)) * (1 + 1j)
-    for given in (rho + 1e-12 * (A - A.conj().T), np.asfortranarray(rho + 1e-12 * (A - A.conj().T))):
-        before = given.copy(order="K")
-        copied = DensityMatrix(given).entries
-        assert np.array_equal(given, before) and given.flags.writeable
-        assert not np.shares_memory(copied, given)
-        buffer = given.copy(order="K")
-        adopted = DensityMatrix._adopt(buffer).entries
-        assert np.shares_memory(adopted, buffer) and adopted.flags.c_contiguous
-        assert np.array_equal(adopted, copied)
-        assert np.array_equal(adopted, adopted.conj().T)
+    given = rho + 1e-12 * (A - A.conj().T)
+    for layout in (given, np.asfortranarray(given)):
+        before = layout.copy(order="K")
+        copied = DensityMatrix(layout).entries
+        assert np.array_equal(layout, before) and layout.flags.writeable
+        assert not np.shares_memory(copied, layout)
+    buffer = given.copy()
+    adopted = DensityMatrix._adopt(buffer).entries
+    assert np.shares_memory(adopted, buffer) and adopted.flags.c_contiguous
+    assert np.array_equal(adopted, copied)
+    assert np.array_equal(adopted, adopted.conj().T)
 
 
 @pytest.mark.parametrize("n", [3, TILE + 1])
@@ -494,6 +492,19 @@ def test_support_operator_sums_repeats_in_order_and_drops_exact_zeros():
     assert np.array_equal(op.diagonal(), np.diagonal(op.entries))
     with pytest.raises(DomainError, match="support positions"):
         SupportOperator([9], [1.0], 3)
+
+
+@pytest.mark.parametrize("cls", [SupportOperator, SupportDensity])
+@pytest.mark.parametrize("positions, values", [
+    ([0, 1], [1.0]),  # more positions than values
+    ([0, 3], [0.5]),
+    ([0], [0.5, 0.5]),  # more values than positions
+    ([0.5], [1.0]),  # not an integer position
+    ([0.0, 3.0], [0.5, 0.5]),
+])
+def test_support_positions_must_be_integers_one_per_value(cls, positions, values):
+    with pytest.raises(DomainError, match="one per value"):
+        cls(positions, values, 2)
 
 
 def _support_of(matrix, cls=SupportDensity):

@@ -175,6 +175,34 @@ def test_pf_basis_element_vs_exhaustive_ensemble(d):
             assert np.abs(oracle - got).max() < 1e-12, (x, y)
 
 
+@pytest.mark.parametrize("d, t", [(4, 2), (3, 3)])
+def test_pf_basis_element_equals_the_twirl_of_the_dense_unit(d, t):
+    """The matrix unit held on its one entry is twirled bit for bit as its
+    dense copy is."""
+    n = d**t
+    for x in itertools.product(range(d), repeat=t):
+        for y in itertools.product(range(d), repeat=t):
+            unit = np.zeros((n, n), dtype=complex)
+            unit[np.ravel_multi_index(x, (d,) * t), np.ravel_multi_index(y, (d,) * t)] = 1.0
+            got, want = pf_twirl_basis_element(x, y, d), pf_twirl(unit, d, t)
+            assert np.array_equal(got.positions, want.positions), (x, y)
+            assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64)), (x, y)
+
+
+def test_pf_basis_element_at_d16_t3_builds_no_dense_matrix():
+    """The dense 4096^2 matrix unit alone would be 256 MiB; the twirl of
+    |x><y| is its even pattern class, (16)_3 = 3360 entries of 1/3360."""
+    tracemalloc.start()
+    try:
+        out = pf_twirl_basis_element((0, 1, 2), (1, 0, 2), 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+    assert out.dim == 4096 and len(out.positions) == 3360
+    assert np.all(out.values == 1 / 3360)
+
+
 def test_pf_identity_fixed_point():
     X = DenseOperator(np.eye(16))
     assert np.abs(pf_twirl(X, 4, 2).entries - np.eye(16)).max() < 1e-12
@@ -320,10 +348,10 @@ def test_pf_commutant_is_the_even_class_span(d, t):
     basis = twirls._pf_commutant(d, t)
     n = d**t
     ops = []
-    for rows, cols, scale in basis.terms:
+    for rows, cols in basis.terms:
         for r, c in zip(rows, cols):
             op = np.zeros((n, n))
-            op[r, c] = scale
+            op[r, c] = 1.0
             ops.append(op)
     group = _signed_permutations(d)
     for g in group:
@@ -369,13 +397,13 @@ def _pf_commutant_by_pattern_code(d, t):
     pairs = np.flatnonzero(even[labels])
     pairs = pairs[np.argsort(labels[pairs], kind="stable")]  # grouped by class
     blocks = [pairs[sizes[labels[pairs]] == size].reshape(-1, size) for size in sorted(set(sizes[even]))]
-    terms = [(block // n, block % n, 1.0) for block in blocks]
+    terms = [(block // n, block % n) for block in blocks]
     return twirls._freeze_commutant(terms, np.sort(sizes[even]).astype(float)[:, None, None])
 
 
 def _classes(basis, n):
     """Every spanning operator's support as its list of flat pair indices x n + y."""
-    return sorted((rows * n + cols).tolist() for r, c, _ in basis.terms for rows, cols in zip(r, c))
+    return sorted((rows * n + cols).tolist() for r, c in basis.terms for rows, cols in zip(r, c))
 
 
 @pytest.mark.parametrize("d, t", [
@@ -391,8 +419,8 @@ def test_pf_commutant_matches_the_pattern_code_oracle(d, t):
     classes = _classes(basis, n)
     assert all(members == sorted(members) for members in classes)
     assert classes == _classes(oracle, n)
-    sizes = [len(rows) for r, _, _ in basis.terms for rows in r]  # in Gram order
-    assert sorted(sizes) == sorted(len(rows) for r, _, _ in oracle.terms for rows in r)
+    sizes = [len(rows) for r, _ in basis.terms for rows in r]  # in Gram order
+    assert sorted(sizes) == sorted(len(rows) for r, _ in oracle.terms for rows in r)
     assert np.array_equal(basis.gram_pinv.ravel(), 1.0 / np.array(sizes))
     assert basis.meta == oracle.meta
     for dim_e in (1, 2):
@@ -411,7 +439,7 @@ def test_pf_commutant_counts_past_the_default_grid(d, t, count, sizes):
         len(p) for p in _set_partitions(list(range(2 * t)))
         if len(p) <= d and all(len(block) % 2 == 0 for block in p)
     ]
-    got = sorted(len(rows) for r, _, _ in basis.terms for rows in r)
+    got = sorted(len(rows) for r, _ in basis.terms for rows in r)
     assert len(got) == basis.meta["gram_rank"] == len(even) == count
     assert got == sorted(factorial(d) // factorial(d - k) for k in even)
     assert set(got) == sizes
@@ -646,9 +674,9 @@ def test_lagrangian_operators_commute_with_three_qubit_cliffords():
     vecs = rng.normal(size=(d**t, 2)) + 1j * rng.normal(size=(d**t, 2))
 
     def apply(term, v):  # sum_i |rows[0, i]><cols[0, i]| on the columns of v
-        rows, cols, scale = term
+        rows, cols = term
         out = np.zeros(v.shape, dtype=complex)
-        np.add.at(out, rows[0], scale * v[cols[0]])
+        np.add.at(out, rows[0], v[cols[0]])
         return out
 
     def clifford_power(v):  # (count, d^t, 2): C^{x4} on each column
