@@ -14,7 +14,7 @@ import time
 import zlib
 from collections import Counter
 from dataclasses import dataclass
-from math import factorial, log2, sqrt
+from math import factorial, log2, perm, sqrt
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .operators import (
     apply_tensor_power,
     distinct_mask,
     distinct_projector,
-    falling_factorial,
     haar_unitaries,
     hermitian_eigvalsh,
     perm_op,
@@ -59,7 +58,6 @@ from .symgroup import (
 )
 from .twirls import (
     CLIFFORD_EXACT_T_CAP,
-    clifford_exact_is_haar,
     clifford_twirl,
     default_clifford_method,
     distinct_overlap_after_clifford,
@@ -339,7 +337,7 @@ def _check_deficits(ctx: SuiteContext, d: int, t: int):
         prod = 1
         for (i, j) in r.partition.cells():
             prod *= d + j - i
-        closed = 1.0 - falling_factorial(d, t) / prod
+        closed = 1.0 - perm(d, t) / prod
         worst = max(worst, abs(float(r.deficit) - closed))
     max_deficit = max(float(r.deficit) for r in records)
     return [
@@ -492,7 +490,7 @@ def _check_pf_basis_rule(ctx: SuiteContext, d: int, t: int):
         for signs in itertools.product((1.0, -1.0), repeat=d)
     ])  # (group order, n * n)
     superop = (flat.T @ flat.conj() / len(flat)).reshape(n, n, n, n).transpose(0, 2, 1, 3)
-    distinct = distinct_projector(d, t).entries / falling_factorial(d, t)
+    distinct = distinct_projector(d, t).entries / perm(d, t)
     worst = 0.0
     for x in itertools.product(range(d), repeat=t):
         for y in itertools.product(range(d), repeat=t):
@@ -533,8 +531,8 @@ def _check_density_outputs(ctx: SuiteContext, d: int, t: int):
     st = _random_states(d, t, dim_e, 1, ctx.check_seed("twirl_outputs_are_density", d, t))[0]
     outputs = [haar_twirl_exact(st, d, t), pf_twirl(st, d, t)]
     n = _n_of(d)
-    if n is not None and t <= CLIFFORD_EXACT_T_CAP:  # the Haar output itself at t <= 3
-        outputs.append(outputs[0] if clifford_exact_is_haar(t) else clifford_twirl(st, n, t, method="exact"))
+    if n is not None and t <= CLIFFORD_EXACT_T_CAP:
+        outputs.append(clifford_twirl(st, n, t, method="exact"))
     min_eig = min(float(out.eigenvalues()[0]) for out in outputs)
     trace_dev = max(abs(float(out.diagonal().sum().real) - 1) for out in outputs)
     params = {"d": d, "t": t, "n": n, "dim_e": dim_e}
@@ -584,7 +582,7 @@ def _check_two_design(ctx: SuiteContext, d: int, t: int):
 @per_cell_check("clifford_distinct_overlap")
 def _check_overlap(ctx: SuiteContext, d: int, t: int):
     n = _n_of(d)
-    if n is None or t < 2:
+    if n is None or t < 2 or d < t:  # d < t: no distinct tuple, so 0 against a negative bound
         return []
     params = {"d": d, "t": t, "n": n}
     psi = build_state("adversarial_colliding", n, t, 1, ctx.check_seed("clifford_distinct_overlap", d, t))
@@ -635,12 +633,12 @@ def _check_collapse(ctx: SuiteContext, d: int, t: int):
 
 @per_cell_check("gentle_measurement_examples")
 def _check_gentle(ctx: SuiteContext, d: int, t: int):
-    if t < 2 or falling_factorial(d, t) == 0:
+    if t < 2 or perm(d, t) == 0:
         return []
     nA = d**t
     xi = DensityMatrix(np.eye(nA) / nA)
     g = gentle_normalize(xi, d, t)
-    bound = 2 * sqrt(1 - falling_factorial(d, t) / nA)
+    bound = 2 * sqrt(1 - perm(d, t) / nA)
     return [
         BoundCheck.make(
             "gentle_measurement_examples", {"d": d, "t": t, "n": _n_of(d)}, g.delta, bound,

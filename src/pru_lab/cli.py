@@ -109,19 +109,23 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_security(args) -> int:
-    method = default_clifford_method(args.n, args.t) if args.clifford == "auto" else args.clifford
-    config = ExperimentConfig(
-        n=args.n,
-        t=args.t,
+def _experiment_config(args, n: int, t: int) -> ExperimentConfig:
+    """The security experiment of ``security`` and of a ``sweep`` cell."""
+    method = getattr(args, "clifford", "auto")  # ``sweep`` has no --clifford
+    return ExperimentConfig(
+        n=n,
+        t=t,
         dim_e=args.dim_e,
         state_family=args.state,
-        clifford_method=method,
+        clifford_method=default_clifford_method(n, t) if method == "auto" else method,
         clifford_samples=args.samples,
         num_keys=args.keys,
         seed=args.seed,
     )
-    report = run_security_experiment(config)
+
+
+def _cmd_security(args) -> int:
+    report = run_security_experiment(_experiment_config(args, args.n, args.t))
     _emit(report, args)
     return 0 if report.passed else 1
 
@@ -198,17 +202,7 @@ def _cmd_sweep(args) -> int:
     )
     for n in args.n:
         for t in args.t:
-            config = ExperimentConfig(
-                n=n,
-                t=t,
-                dim_e=args.dim_e,
-                state_family=args.state,
-                clifford_method=default_clifford_method(n, t),
-                clifford_samples=args.samples,
-                num_keys=args.keys,
-                seed=args.seed,
-            )
-            cell = run_security_experiment(config)
+            cell = run_security_experiment(_experiment_config(args, n, t))
             combined.checks.extend(cell.checks)
             combined.quantities[f"n{n}_t{t}"] = cell.quantities
             combined.timings[f"n{n}_t{t}_ms"] = cell.timings["total_ms"]

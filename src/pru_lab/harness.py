@@ -37,7 +37,7 @@ from .operators import (
 )
 from .pru import pru_average_state
 from .schur_weyl import ratio_report
-from .twirls import clifford_exact_is_haar, distinct_overlap_after_clifford, haar_twirl_exact, pf_twirl
+from .twirls import distinct_overlap_after_clifford, haar_twirl_exact, pf_twirl
 
 SCHEMA = "pru-lab/1"
 
@@ -302,10 +302,7 @@ def run_security_experiment(config: ExperimentConfig) -> ExperimentReport:
         )
         xi = overlap_info.pop("state")
         mc_slack = config.mc_sigma * overlap_info["std_error"]
-    if config.clifford_method == "exact" and clifford_exact_is_haar(t):
-        rho_hr = xi  # the same projection onto span{R_pi}
-    else:
-        rho_hr = haar_twirl_exact(psi, d, t)
+    rho_hr = haar_twirl_exact(psi, d, t)
     rho_fr = pf_twirl(xi, d, t)
     distance = trace_distance(rho_fr, rho_hr)
     del rho_hr

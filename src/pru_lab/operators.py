@@ -120,6 +120,15 @@ def _hermitian_part(arr: np.ndarray) -> float:
     return residual
 
 
+def _check_density(residual: float, trace: complex) -> None:
+    """The density-matrix contract: Hermiticity residual within 1e-10 and
+    trace within 1e-9 of 1; NaN fails both."""
+    if not residual <= 1e-10:
+        raise DomainError("density matrix is not Hermitian within 1e-10")
+    if not abs(trace - 1.0) <= 1e-9:
+        raise DomainError(f"density matrix trace {trace} != 1 within 1e-9")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A density matrix: Hermitian, unit trace; positivity checked on demand.
@@ -151,10 +160,7 @@ class DensityMatrix:
             raise DomainError(f"density entries must be square, got shape {arr.shape}")
         check_capacity(arr.shape[0])
         trace = np.trace(arr)  # read before the Hermitian part overwrites ``arr``
-        if not _hermitian_part(arr) <= 1e-10:  # NaN fails too
-            raise DomainError("density matrix is not Hermitian within 1e-10")
-        if not abs(trace - 1.0) <= 1e-9:
-            raise DomainError(f"density matrix trace {trace} != 1 within 1e-9")
+        _check_density(_hermitian_part(arr), trace)
         object.__setattr__(self, "entries", _freeze(arr))
 
     @property
@@ -286,12 +292,8 @@ class SupportDensity(SupportOperator, DensityMatrix):
             positions = _sorted_union(positions, _transposed(positions, dim))
             values, half = given.take(positions), np.conjugate(given.take(_transposed(positions, dim)))
         trace = values[positions % (dim + 1) == 0].sum()
-        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails below
-            residual = np.abs(half - values).max(initial=0.0)
-        if not residual <= 1e-10:
-            raise DomainError("density matrix is not Hermitian within 1e-10")
-        if not abs(trace - 1.0) <= 1e-9:
-            raise DomainError(f"density matrix trace {trace} != 1 within 1e-9")
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the check
+            _check_density(np.abs(half - values).max(initial=0.0), trace)
         half += values
         half *= 0.5
         self._hold(positions, half, dim, meta)
@@ -403,13 +405,6 @@ def distinct_projector(d: int, t: int) -> DenseOperator:
     mask = distinct_mask(d, t)
     meta = {"empty": True} if t > d else None
     return DenseOperator(np.diag(mask.astype(complex)), meta=meta)
-
-
-def falling_factorial(d: int, t: int) -> int:
-    out = 1
-    for k in range(t):
-        out *= d - k
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial
+from math import factorial, perm
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from .operators import (
     DenseOperator,
     check_capacity,
     distinct_mask,
-    falling_factorial,
     haar_unitaries,
     subsystem_perm_index_map,
     system_dim,
@@ -394,7 +393,7 @@ def ratio_report(d: int, t: int, decomp: IsotypicDecomposition | None = None) ->
     When a decomposition is supplied the numeric block traces are attached;
     the ``distinct_block_trace`` check record compares them with the rationals.
     """
-    tr_lambda = falling_factorial(d, t)
+    tr_lambda = perm(d, t)
     records = []
     for lam in partitions(t):
         if lam.rows > d:

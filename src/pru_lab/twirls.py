@@ -12,8 +12,8 @@ matrix, and returned on its support (``operators.SupportDensity``, or
 by the tensor-slot permutations (Gram matrix d^{#cycles}, singular when
 d < t).  The Clifford commutant is spanned by one operator per stochastic
 Lagrangian subspace of F_2^{2t}; for t <= 3 these are the permutation
-graphs alone (a unitary 3-design).  The
-permutation-phase commutant is spanned by the indicators of the even
+graphs alone, so the Clifford record is the Haar one (a unitary 3-design).
+The permutation-phase commutant is spanned by the indicators of the even
 pattern classes: basis pairs (x, y) whose 2t digits have the same equality
 pattern, with every value occurring an even number of times.  Each class
 is enumerated as its even pattern times the injective relabelings of the
@@ -27,11 +27,12 @@ Clifford twirls, ``ensemble_twirl`` and the keyed average in ``pru`` --
 goes through one driver, ``_average_conjugation``, and stays dense.  It
 conjugates thin factors of the input by batches of single-register
 unitaries, one system slot at a time through ``operators.apply_tensor_power``.
-``distinct_overlap_after_clifford`` takes its per-sample overlaps from the
-same pass and also returns the twirled state, so one Clifford pass serves
-both.  It returns the overlap next to its bound and does not judge them:
-the ``clifford_distinct_overlap`` records of the security experiment and
-of the ``verify`` suite do.
+``distinct_overlap_after_clifford`` reads the overlap off the twirled
+state's diagonal and also returns that state, so one Clifford pass serves
+both; under Monte-Carlo that pass also yields the per-sample overlaps
+behind its standard error.  It returns the overlap next to its bound and
+does not judge them: the ``clifford_distinct_overlap`` records of the
+security experiment and of the ``verify`` suite do.
 
 Every Monte-Carlo twirl is one call of ``_sampled_twirl`` with its own
 ``draw(count, chunk_seed)``: chunk c of MC_CHUNK samples is drawn from the
@@ -46,6 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
+from math import factorial
 from typing import NamedTuple
 
 import numpy as np
@@ -168,7 +170,10 @@ def _commutant(d: int, t: int, clifford: bool) -> _Commutant:
     element (x_q, y_q) of T for each qubit q, with x_q[j] (y_q[j]) as bit q
     of slot j's row (column) digit.  The operators overlap, so each is its
     own term; the one Gram block is Tr[R(T)^dag R(T')] = d^{dim(T n T')}.
+    When all T are permutation graphs (t <= 3), it is the Haar record.
     """
+    if clifford and len(_lagrangian_subspaces(t)) == factorial(t):
+        return _commutant(d, t, False)
     labels = np.arange(system_dim(d, t))
     perms = all_permutations(t)
     terms = [(subsystem_perm_index_map(pi, d)[None], labels[None]) for pi in perms]
@@ -490,16 +495,12 @@ def ensemble_twirl(state, ops, d: int, t: int):
 CLIFFORD_EXACT_T_CAP = 5  # t = 6 has 4,590 Lagrangian subspaces, so a 4,590^2 Gram matrix
 
 
-def clifford_exact_is_haar(t: int) -> bool:
-    """Whether the exact Clifford twirl of t copies is the exact Haar twirl:
-    the Clifford group is a unitary 3-design, so it is for every t <= 3."""
-    return t <= 3
-
-
 def default_clifford_method(n: int, t: int) -> str:
-    """The ``--clifford auto`` choice: exact up to EXACT_QUBIT_CAP qubits and
-    CLIFFORD_EXACT_T_CAP copies, Monte-Carlo otherwise."""
-    return "exact" if n <= EXACT_QUBIT_CAP and t <= CLIFFORD_EXACT_T_CAP else "monte_carlo"
+    """The ``--clifford auto`` choice: exact up to EXACT_QUBIT_CAP qubits,
+    Monte-Carlo otherwise.  Past CLIFFORD_EXACT_T_CAP copies n <= 2 gives
+    d <= 4 < t, which the security experiment refuses and the overlap
+    check skips."""
+    return "exact" if n <= EXACT_QUBIT_CAP else "monte_carlo"
 
 
 def _clifford_average(state, n: int, t: int, method: str, samples: int, seed, weights=None):
@@ -512,7 +513,7 @@ def _clifford_average(state, n: int, t: int, method: str, samples: int, seed, we
                 f"the exact Clifford twirl covers t <= {CLIFFORD_EXACT_T_CAP}, got t = {t}; "
                 "use method='monte_carlo'"
             )
-        return _project_onto_commutant(state, d, t, _commutant(d, t, not clifford_exact_is_haar(t))), None
+        return _project_onto_commutant(state, d, t, _commutant(d, t, True)), None
     if method != "monte_carlo":
         raise DomainError(f"unknown method {method!r}")
 
@@ -525,9 +526,9 @@ def clifford_twirl(state, n: int, t: int, method: str = "exact", samples: int = 
     """Average conjugation by C^{x t} over the Clifford group.
 
     The exact twirl is the projection onto the commutant of C^{x t}, spanned
-    by the operators of the stochastic Lagrangian subspaces (the slot
-    permutations alone for t <= 3).  It runs at every n under the dimension
-    cap, for t <= CLIFFORD_EXACT_T_CAP.
+    by the operators of the stochastic Lagrangian subspaces; for t <= 3 it
+    is the exact Haar twirl, through the same cached record.  It runs at
+    every n under the dimension cap, for t <= CLIFFORD_EXACT_T_CAP.
     Monte-Carlo averaging samples and converts ``samples`` tableaus one
     MC_CHUNK batch at a time, sample i drawn from the seed (seed,
     i // MC_CHUNK, i % MC_CHUNK), and attaches the Frobenius standard error
@@ -544,27 +545,16 @@ def distinct_overlap_after_clifford(
 
     The bound multiplies the t(t-1)/2 colliding pairs by the operator norm
     2/(d(d+1)) of the Haar average of a doubled projector, times the
-    collision projector trace d.  Under Monte-Carlo the overlap is a
-    per-sample scalar from the same pass that builds the twirled state, so
-    the reported standard error is the plain sample one.  The twirled
-    state itself is returned under "state".  An overlap below the bound is
-    returned as is; the caller's check record judges it.
+    collision projector trace d.  Under either method the overlap is read
+    off the twirled state's diagonal.  Under Monte-Carlo the same pass
+    yields the per-sample overlaps, whose plain sample standard error is
+    reported (0 for the exact projection).  The twirled state itself is
+    returned under "state".  An overlap below the bound is returned as is;
+    the caller's check record judges it.
     """
     d = 2**n
-    bound = 1.0 - t * (t - 1) / (d + 1)
     mask = distinct_mask(d, t)
     twirled, values = _clifford_average(state, n, t, method, samples, seed, weights=mask)
-    if values is None:
-        diag = np.real(twirled.diagonal()).reshape(d**t, -1)
-        overlap, se = float(diag[mask].sum()), 0.0
-    else:
-        overlap = float(values.real.mean())
-        se = float(values.real.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
-    return {
-        "overlap": overlap,
-        "bound": bound,
-        "std_error": se,
-        "method": method,
-        "samples": samples,
-        "state": twirled,
-    }
+    overlap = float(np.real(twirled.diagonal()).reshape(d**t, -1)[mask].sum())
+    se = float(values.real.std(ddof=1) / np.sqrt(samples)) if values is not None and samples > 1 else 0.0
+    return {"overlap": overlap, "bound": 1.0 - t * (t - 1) / (d + 1), "std_error": se, "state": twirled}

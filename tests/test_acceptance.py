@@ -10,7 +10,7 @@ import itertools
 import json
 import time
 from fractions import Fraction
-from math import factorial, sqrt
+from math import factorial, perm, sqrt
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from pru_lab import (
     young_orthogonal_rep,
 )
 from pru_lab.harness import build_state
-from pru_lab.operators import falling_factorial
 
 from conftest import random_distinct_state, random_state
 
@@ -84,7 +83,7 @@ def test_criterion_02_distinct_block_trace_identity():
             dec = schur_weyl_basis(d, t)
             for rec in ratio_report(d, t, dec):
                 symbolic = Fraction(
-                    specht_dim(rec.partition) * falling_factorial(d, t), factorial(t)
+                    specht_dim(rec.partition) * perm(d, t), factorial(t)
                 )
                 assert rec.tr_distinct_block == symbolic
                 worst = max(worst, abs(rec.numeric_tr_distinct_block - float(symbolic)))
@@ -106,7 +105,7 @@ def test_criterion_03_deficit_closed_form_and_envelope():
                 prod = 1
                 for (i, j) in rec.partition.cells():
                     prod *= d + j - i
-                closed = 1.0 - falling_factorial(d, t) / prod
+                closed = 1.0 - perm(d, t) / prod
                 worst_eq = max(worst_eq, abs(float(rec.deficit) - closed))
                 if dec is not None:
                     measured = 1.0 - rec.numeric_tr_distinct_block / rec.tr_weyl

@@ -156,6 +156,23 @@ def test_sweep_grid(capsys):
     assert set(rep["quantities"]) == {"n1_t1", "n1_t2", "n2_t1", "n2_t2"}
 
 
+def test_sweep_cells_are_the_security_experiments(capsys):
+    """Each sweep cell runs the experiment that ``security`` runs with the
+    same arguments and ``--clifford auto``: same quantities and records."""
+    code, out = run_cli(capsys, "sweep", "--n", "2", "--t", "2", "--t", "3", "--keys", "16", "--seed", "3")
+    assert code == 0
+    sweep = strip_timing_fields(json.loads(out))
+    records = sweep["checks"]
+    for t in (2, 3):
+        code, out = run_cli(capsys, "security", "--n", "2", "--t", str(t), "--keys", "16", "--seed", "3")
+        assert code == 0
+        single = strip_timing_fields(json.loads(out))
+        assert sweep["quantities"][f"n2_t{t}"] == single["quantities"]
+        cell, records = records[: len(single["checks"])], records[len(single["checks"]) :]
+        assert cell == single["checks"]
+    assert records == []
+
+
 def test_error_reported_as_exit_one(capsys):
     code = cli_main(["security", "--n", "1", "--t", "3", "--seed", "0"])  # t > 2^n
     captured = capsys.readouterr()

@@ -5,7 +5,9 @@ file under ``tests/golden/``: pass flags, strings and structure exactly,
 every number within 1e-12.  A change that alters a sampled stream on
 purpose regenerates the files and says so in its change notes:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
+
+which rewrites only the named cases, or every case when none is named.
 """
 
 import json
@@ -120,8 +122,12 @@ def test_report_matches_golden(name):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or sorted(CASES)
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown cases {unknown}; known: {sorted(CASES)}")
     os.makedirs(GOLDEN_DIR, exist_ok=True)
-    for case_name, run in sorted(CASES.items()):
+    for case_name in names:
         with open(_path(case_name), "w") as out:
-            out.write(run().canonical_json() + "\n")
+            out.write(CASES[case_name]().canonical_json() + "\n")
         print(f"wrote {_path(case_name)}", file=sys.stderr)

@@ -297,13 +297,12 @@ def test_permutation_checks_match_dense_products(monkeypatch, broken):
 
 def test_clifford_checks_past_five_copies_use_monte_carlo():
     """The exact Clifford twirl stops at t = 5: past it the density check
-    keeps its Haar and permutation-phase outputs and the overlap check
-    samples."""
+    keeps its Haar and permutation-phase outputs, and at d = 2 < t the
+    overlap check has no distinct tuple to measure and makes no record."""
     names = ["twirl_outputs_are_density", "clifford_distinct_overlap"]
     report = run_lemma_suite(ds=(2,), ts=(6,), samples_clifford=200, check_names=names)
     ids = [c.check_id for c in report.checks]
-    assert ids == ["twirl_output_psd", "twirl_output_trace", "clifford_distinct_overlap"]
-    assert report.checks[-1].params["method"] == "monte_carlo"
+    assert ids == ["twirl_output_psd", "twirl_output_trace"]
     assert report.passed
 
 
@@ -399,16 +398,10 @@ def test_tensor_power_commutator_on_the_support_matches_dense_kronecker_products
         assert abs(checks._tensor_power_commutator(V, X, t) - oracle) < 1e-12
 
 
-def test_density_check_reuses_the_haar_output_up_to_three_copies(monkeypatch):
-    """The exact Clifford twirl is the Haar twirl for t <= 3, so the check
-    projects twice there and three times at t = 4."""
-    calls = []
-
-    def clifford_twirl(state, n, t, **kwargs):
-        calls.append(t)
-        return haar_twirl_exact(state, 2**n, t)
-
-    monkeypatch.setattr(checks, "clifford_twirl", clifford_twirl)
-    report = run_lemma_suite(ds=(2, 4), ts=(2, 3, 4), check_names=["twirl_outputs_are_density"])
+def test_overlap_check_records_only_cells_with_distinct_tuples():
+    """Where d < t there is no distinct tuple, and an overlap of 0 against the
+    negative bound 1 - t(t-1)/(d+1) would check nothing, so no record is made."""
+    report = run_lemma_suite(ds=(2, 4), ts=(2, 3, 4), check_names=["clifford_distinct_overlap"])
+    cells = [(c.params["d"], c.params["t"]) for c in report.checks]
+    assert cells == [(2, 2), (4, 2), (4, 3), (4, 4)]
     assert report.passed
-    assert calls == [4, 4]

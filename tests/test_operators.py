@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+from math import perm
 
 import numpy as np
 import pytest
@@ -32,7 +33,6 @@ from pru_lab.operators import (
     TILE,
     dim_cap,
     distinct_mask,
-    falling_factorial,
     haar_unitaries,
     hermitian_eigvalsh,
     subsystem_perm_index_map,
@@ -117,7 +117,7 @@ def test_distinct_projector_trace_and_cases():
     zero = distinct_projector(2, 3)
     assert np.abs(zero.entries).max() == 0
     assert zero.meta == {"empty": True}
-    assert falling_factorial(4, 2) == 12 and falling_factorial(2, 3) == 0
+    assert perm(4, 2) == 12 and perm(2, 3) == 0  # the trace (d)_t, 0 when t > d
 
 
 def test_distinct_projector_enumeration_oracle():

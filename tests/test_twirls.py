@@ -688,6 +688,28 @@ def test_lagrangian_operators_commute_with_three_qubit_cliffords():
         assert np.abs(after - before).max() < 1e-10
 
 
+@pytest.mark.parametrize("d, t", [(d, t) for d in (2, 4, 8) for t in range(1, 6) if (d, t) != (8, 5)])
+def test_clifford_commutant_is_the_haar_record_exactly_up_to_three_copies(d, t):
+    """Up to t = 3 every stochastic Lagrangian subspace is a permutation
+    graph, so the Clifford commutant is the Haar one, the same cached record;
+    past it the further subspaces make a record of their own.  (8, 5) is left
+    out: it builds 390 operators of 8^5 entries, about 150 MB, to show what
+    (2, 5) and (4, 5) already show."""
+    same = twirls._commutant(d, t, True) is twirls._commutant(d, t, False)
+    assert same is (t <= 3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_exact_clifford_twirl_is_the_haar_twirl_bit_for_bit_up_to_three_copies(n, t):
+    st = random_state(2 ** (n * t) * 2, 10 * n + t)
+    for state in (st, st.to_density()):
+        clifford, haar = clifford_twirl(state, n, t, method="exact"), haar_twirl_exact(state, 2**n, t)
+        assert np.array_equal(clifford.positions, haar.positions)
+        assert np.array_equal(clifford.values, haar.values)
+        assert clifford.meta == haar.meta
+
+
 def test_clifford_fixed_point():
     mix = DensityMatrix(np.eye(16) / 16)
     assert trace_distance(clifford_twirl(mix, 2, 2, method="exact"), mix) < 1e-10
