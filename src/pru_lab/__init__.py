@@ -26,7 +26,6 @@ from .symgroup import (
     young_orthogonal_rep,
 )
 from .operators import (
-    BooleanFunction,
     DenseOperator,
     DensityMatrix,
     StateVector,
@@ -34,7 +33,6 @@ from .operators import (
     SupportOperator,
     distinct_projector,
     perm_op,
-    phase_op,
     subsystem_perm_op,
     tensor_power,
     trace_distance,

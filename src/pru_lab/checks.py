@@ -43,7 +43,6 @@ from .schur_weyl import (
     isotypic_projector,
     ratio_report,
     rotate_from_basis,
-    rotate_to_basis,
     schur_weyl_basis,
     verify_decomposition,
 )
@@ -609,7 +608,8 @@ def _check_collapse(ctx: SuiteContext, d: int, t: int):
     decomp = schur_weyl_basis(d, t)
     n = d**t
     perms = all_permutations(t)
-    rotated = np.stack([rotate_to_basis(subsystem_perm_op(pi, d).entries, decomp) for pi in perms])
+    B = decomp.basis_matrix  # B^T R_pi B, with R_pi B as B with its rows gathered
+    rotated = np.stack([B.T @ B[np.argsort(subsystem_perm_index_map(pi, d))] for pi in perms])
     worst = 0.0
     for sl, block in zip(decomp.block_slices(), decomp.blocks):
         v = block.specht_dim

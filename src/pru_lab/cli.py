@@ -27,7 +27,7 @@ from .harness import (
     build_state,
     run_security_experiment,
 )
-from .operators import register_dim, trace_distance
+from .operators import SupportOperator, register_dim, trace_distance
 from .schur_weyl import ratio_report
 from .twirls import (clifford_twirl, default_clifford_method, haar_twirl_exact, haar_twirl_mc,
                      pf_twirl, pf_twirl_mc)
@@ -149,10 +149,10 @@ def _cmd_twirl(args) -> int:
         out = clifford_twirl(psi, args.n, args.t, method=args.method, samples=args.samples, seed=args.seed)
 
     haar_ref = haar_twirl_exact(psi, d, args.t)
-    entries = out.entries  # built once: an exact twirl's output is held on its support
+    held = out.values if isinstance(out, SupportOperator) else out.entries  # an exact output's support
     quantities = {
-        "trace": float(np.trace(entries).real),
-        "purity": float(np.trace(entries @ entries).real),
+        "trace": float(out.diagonal().sum().real),
+        "purity": float(np.vdot(held, held).real),  # Tr[X^2] = sum |x_ij|^2, as X is Hermitian
         "distance_to_haar_twirl": trace_distance(out, haar_ref),
         "block_deficits": [
             {"partition": list(r.partition.parts), "deficit": float(r.deficit)}
@@ -164,7 +164,7 @@ def _cmd_twirl(args) -> int:
         quantities["operator"] = {
             "dim": out.dim,
             "registers": [d**args.t, args.dim_e],
-            "entries": [[float(z.real), float(z.imag)] for z in entries.reshape(-1)],
+            "entries": [[float(z.real), float(z.imag)] for z in out.entries.reshape(-1)],
         }
     report = ExperimentReport(
         kind="twirl",

@@ -40,6 +40,8 @@ from .schur_weyl import ratio_report
 from .twirls import distinct_overlap_after_clifford, haar_twirl_exact, pf_twirl
 
 SCHEMA = "pru-lab/1"
+TOL_ABS = 1e-8  # absolute tolerance of the trace-distance chain and the keyed comparison
+MC_SIGMA = 3.0  # Monte-Carlo envelopes span this many standard errors
 
 STATE_FAMILIES = (
     "random_pure",
@@ -62,8 +64,6 @@ class ExperimentConfig:
     clifford_samples: int = 10000
     num_keys: int = 0  # > 0 additionally compares the keyed ensemble average
     seed: int = 0
-    tol_abs: float = 1e-8
-    mc_sigma: float = 3.0
 
     def __post_init__(self):
         if self.t < 1:
@@ -301,7 +301,7 @@ def run_security_experiment(config: ExperimentConfig) -> ExperimentReport:
             seed=[config.seed, 1],
         )
         xi = overlap_info.pop("state")
-        mc_slack = config.mc_sigma * overlap_info["std_error"]
+        mc_slack = MC_SIGMA * overlap_info["std_error"]
     rho_hr = haar_twirl_exact(psi, d, t)
     rho_fr = pf_twirl(xi, d, t)
     distance = trace_distance(rho_fr, rho_hr)
@@ -338,22 +338,22 @@ def run_security_experiment(config: ExperimentConfig) -> ExperimentReport:
     checks = [
         BoundCheck.make(
             "td_triangle_chain", params, distance, step_phi + 2 * gentle.delta, "le",
-            config.tol_abs,
+            TOL_ABS,
             "||fr - hr||_1 <= ||pf(phi) - haar(phi)||_1 + 2 ||phi - xi||_1 (channels contract the 1-norm)",
         ),
         BoundCheck.make(
-            "pf_vs_haar_block_bound", params, step_phi, 2 * max_deficit, "le", config.tol_abs,
+            "pf_vs_haar_block_bound", params, step_phi, 2 * max_deficit, "le", TOL_ABS,
             "per-block mixed states differ by 2 - 2 Tr[distinct block]/Tr[identity block]; "
             "footprint norms sum to 1, so the max deficit bounds the distance",
         ),
         BoundCheck.make(
             "gentle_measurement", params, gentle.delta, 2 * sqrt(max(1 - gentle.overlap, 0.0)),
-            "le", config.tol_abs,
+            "le", TOL_ABS,
             "project-and-renormalize moves a state at most 2 sqrt(1 - success probability) in 1-norm",
         ),
         BoundCheck.make(
             "td_total_bound", params, distance, 2 * max_deficit + 2 * gentle.delta, "le",
-            config.tol_abs,
+            TOL_ABS,
             "composition of the triangle chain with the per-block deficit bound",
         ),
     ]
@@ -376,12 +376,12 @@ def run_security_experiment(config: ExperimentConfig) -> ExperimentReport:
         )
 
     if config.num_keys > 0:
-        envelope = config.mc_sigma * sqrt(psi.dim) * keyed_se
+        envelope = MC_SIGMA * sqrt(psi.dim) * keyed_se
         quantities["keyed_vs_fully_random"] = keyed_dist
         quantities["keyed_std_error_fro"] = keyed_se
         checks.append(
             BoundCheck.make(
-                "keyed_vs_fully_random", params, keyed_dist, envelope, "le", config.tol_abs,
+                "keyed_vs_fully_random", params, keyed_dist, envelope, "le", TOL_ABS,
                 "statistical agreement of the keyed ensemble average with the fully random "
                 "construction: 1-norm <= sqrt(dim) * Frobenius standard error, at mc_sigma sigmas",
             )
@@ -399,6 +399,4 @@ def run_security_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 
 def _config_dict(config: ExperimentConfig) -> dict:
-    out = asdict(config)
-    out["d"] = config.d
-    return out
+    return {**asdict(config), "d": config.d, "tol_abs": TOL_ABS, "mc_sigma": MC_SIGMA}

@@ -1,7 +1,7 @@
 """Dense complex linear algebra on (C^d)^{x t} (x) E and the concrete
 operators the experiments are built from: permutation operators on basis
-labels, binary phase operators, tensor-slot permutations, the
-distinct-tuple projector, and Haar-random unitaries.
+labels, tensor-slot permutations, the distinct-tuple projector, and
+Haar-random unitaries.
 
 Operators are complex-double matrices, system slots first and any
 workspace factor last (``workspace_dim``): dense arrays, or
@@ -98,10 +98,6 @@ class DenseOperator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def is_unitary(self, tol: float = 1e-10) -> bool:
-        delta = self.entries.conj().T @ self.entries - np.eye(self.dim)
-        return bool(np.abs(delta).max() <= tol)
-
 
 def _hermitian_part(arr: np.ndarray) -> float:
     """Overwrite a square A with (A + A^dag)/2 and return max |A - A^dag|
@@ -172,12 +168,6 @@ class DensityMatrix:
 
     def diagonal(self) -> np.ndarray:
         return np.diagonal(self.entries)
-
-    def validate(self, psd_tol: float = 1e-9):
-        lo = self.eigenvalues()[0]
-        if lo < -psd_tol:
-            raise DomainError(f"density matrix has eigenvalue {lo} < -{psd_tol}")
-        return self
 
 
 def _transposed(positions: np.ndarray, dim: int) -> np.ndarray:
@@ -320,30 +310,6 @@ class StateVector:
         return DensityMatrix._adopt(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
-@dataclass(frozen=True)
-class BooleanFunction:
-    """A total function [d] -> {0, 1}, stored as a bit table."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        bits = tuple(int(b) for b in self.bits)
-        if any(b not in (0, 1) for b in bits):
-            raise DomainError("boolean function table must contain only 0/1")
-        object.__setattr__(self, "bits", bits)
-
-    @property
-    def d(self) -> int:
-        return len(self.bits)
-
-    def __call__(self, x: int) -> int:
-        return self.bits[x]
-
-    @staticmethod
-    def zero(d: int) -> "BooleanFunction":
-        return BooleanFunction((0,) * d)
-
-
 # ---------------------------------------------------------------------------
 # Concrete operator constructors.
 # ---------------------------------------------------------------------------
@@ -355,12 +321,6 @@ def perm_op(pi: PermutationT) -> DenseOperator:
     M = np.zeros((d, d), dtype=complex)
     M[np.asarray(pi.images), np.arange(d)] = 1.0
     return DenseOperator(M)
-
-
-def phase_op(f: BooleanFunction) -> DenseOperator:
-    """The diagonal operator |x> -> (-1)^f(x) |x>."""
-    signs = 1.0 - 2.0 * np.asarray(f.bits, dtype=float)
-    return DenseOperator(np.diag(signs.astype(complex)))
 
 
 def subsystem_perm_index_map(pi: PermutationT, d: int) -> np.ndarray:
@@ -551,12 +511,9 @@ def trace_norm(A: np.ndarray) -> float:
     ``DensityMatrix`` entries, takes the sum of its absolute eigenvalues,
     one connected component of its nonzero pattern at a time
     (``hermitian_eigvalsh``); anything else takes the singular values.
-    Hermiticity is ``np.array_equal(A, A.conj().T)``, tested one mirrored
-    pair of tiles at a time.
     """
     A = np.asarray(A)
-    square = A.ndim == 2 and A.shape[0] == A.shape[1]
-    if square and all((A[I, J] == A[J, I].conj().T).all() for I, J in _tile_pairs(len(A))):
+    if A.ndim == 2 and np.array_equal(A, A.conj().T):
         return float(np.abs(hermitian_eigvalsh(A)).sum())
     return float(np.linalg.svd(A, compute_uv=False).sum())
 

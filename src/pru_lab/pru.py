@@ -3,10 +3,11 @@
 Keys are triples of independent 16-byte strings.  The permutation and
 phase components are *toy* keyed schemes backed by a counter-mode digest
 stream: statistically uniform and perfectly replayable, which is all the
-desk-scale statistical experiments need.  (A production instantiation
-would slot a cipher-based permutation and PRF behind the same interface;
-nothing downstream would change.)  The Clifford component is keyed by
-seeding the uniform tableau sampler.
+desk-scale statistical experiments need.  Each scheme's interface is
+``table(key)``: the permutation's image table, or the phase bit of every
+basis label.  (A production instantiation would slot a cipher-based
+permutation and PRF behind ``table``; nothing downstream would change.)
+The Clifford component is keyed by seeding the uniform tableau sampler.
 
 Keyed unitaries are built in batches: the Clifford stack of a batch of
 keys comes from one call into the batched sampler, and P F C is that
@@ -18,7 +19,6 @@ average feeds the averaging driver one batch per MC_CHUNK sorted keys.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +26,6 @@ import numpy as np
 from .clifford import sample_clifford_unitaries
 from .errors import DomainError
 from .operators import (
-    BooleanFunction,
     DenseOperator,
     DensityMatrix,
     StateVector,
@@ -51,17 +50,6 @@ class PruKey:
         for part in (self.k1, self.k2, self.k3):
             if len(part) != KEY_BYTES:
                 raise DomainError(f"key components must be {KEY_BYTES} bytes")
-
-    def digest(self) -> str:
-        return hashlib.sha256(b"pru-key" + self.k1 + self.k2 + self.k3).hexdigest()[:16]
-
-    def to_json(self) -> str:
-        return json.dumps({"k1": self.k1.hex(), "k2": self.k2.hex(), "k3": self.k3.hex()})
-
-    @staticmethod
-    def from_json(text: str) -> "PruKey":
-        obj = json.loads(text)
-        return PruKey(bytes.fromhex(obj["k1"]), bytes.fromhex(obj["k2"]), bytes.fromhex(obj["k3"]))
 
 
 def sample_key(n: int, seed) -> PruKey:
@@ -104,13 +92,11 @@ class PrfScheme:
     def d(self) -> int:
         return 2**self.n
 
-    def eval(self, key: bytes, x: int) -> int:
-        if not 0 <= x < self.d:
-            raise DomainError(f"input {x} outside domain [0, {self.d})")
-        return hashlib.sha256(b"prf" + key + x.to_bytes(8, "big")).digest()[0] & 1
-
-    def table(self, key: bytes) -> BooleanFunction:
-        return BooleanFunction(tuple(self.eval(key, x) for x in range(self.d)))
+    def table(self, key: bytes) -> tuple[int, ...]:
+        """The keyed phase bit of each of the d basis labels."""
+        return tuple(
+            hashlib.sha256(b"prf" + key + x.to_bytes(8, "big")).digest()[0] & 1 for x in range(self.d)
+        )
 
 
 @dataclass(frozen=True)
@@ -136,12 +122,6 @@ class PrpScheme:
             images[i], images[j] = images[j], images[i]
         return PermutationT(tuple(images))
 
-    def eval(self, key: bytes, x: int) -> int:
-        return self.table(key)(x)
-
-    def inverse(self, key: bytes, y: int) -> int:
-        return self.table(key).inverse()(y)
-
 
 def clifford_seed(k3: bytes) -> int:
     return int.from_bytes(k3, "big")
@@ -158,7 +138,7 @@ def _keyed_unitaries(n: int, keys) -> np.ndarray:
     prp, prf = PrpScheme(n), PrfScheme(n)
     cliffords = sample_clifford_unitaries(n, [clifford_seed(key.k3) for key in keys])
     inverse = np.argsort([prp.table(key.k1).images for key in keys], axis=1)
-    signs = 1.0 - 2.0 * np.array([prf.table(key.k2).bits for key in keys], dtype=float)
+    signs = 1.0 - 2.0 * np.array([prf.table(key.k2) for key in keys], dtype=float)
     k = np.arange(len(keys))[:, None]
     U = signs[k, inverse][:, :, None] * cliffords[k, inverse]
     if not np.abs(U.conj().transpose(0, 2, 1) @ U - np.eye(2**n)).max() <= 1e-10:

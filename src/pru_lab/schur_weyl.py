@@ -231,7 +231,8 @@ def schur_weyl_basis(d: int, t: int) -> IsotypicDecomposition:
 
 def verify_decomposition(decomp: IsotypicDecomposition, seed: int = 7) -> dict:
     """Measure the constructed basis against everything it promises:
-    orthonormality, completeness of the projectors, block-diagonal action
+    orthonormality, each block's columns spanning its isotypic subspace
+    (B_lam B_lam^T = P_lam), block-diagonal action
     of U^{x t} with the Specht factor untouched, and tensor-slot
     permutations acting by the same orthogonal matrices used to build it.
 
@@ -243,11 +244,10 @@ def verify_decomposition(decomp: IsotypicDecomposition, seed: int = 7) -> dict:
     if B.shape != (n, n):
         raise ConsistencyError(f"basis is not square: {B.shape}")
     residuals = {"orthonormality": float(np.abs(B.T @ B - np.eye(n)).max())}
-    completeness = -np.eye(n, dtype=complex)
-    for b in decomp.blocks:
-        completeness += isotypic_projector(b.partition, d, t).entries
-    residuals["completeness"] = float(np.abs(completeness).max())
-    del completeness
+    residuals["completeness"] = max(
+        float(np.abs(b.basis @ b.basis.T - isotypic_projector(b.partition, d, t).entries).max())
+        for b in decomp.blocks
+    )
 
     U = DenseOperator(haar_unitaries(d, 1, np.random.default_rng(seed))[0])
     rotated = rotate_to_basis(tensor_power(U, t).entries, decomp)

@@ -289,11 +289,11 @@ def test_criterion_09_end_to_end_chain():
     rep_mc = run_security_experiment(
         ExperimentConfig(
             n=3, t=2, dim_e=4, state_family="random_pure", seed=5,
-            clifford_method="monte_carlo", clifford_samples=10000, tol_abs=1e-6,
+            clifford_method="monte_carlo", clifford_samples=10000,
         )
     )
     rep_exact = run_security_experiment(
-        ExperimentConfig(n=1, t=2, dim_e=4, state_family="random_pure", seed=5, tol_abs=1e-8)
+        ExperimentConfig(n=1, t=2, dim_e=4, state_family="random_pure", seed=5)
     )
     elapsed = time.perf_counter() - t0
     ok = rep_mc.passed and rep_exact.passed and elapsed < 600

@@ -10,7 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pru_lab import StateVector, checks, cli_main, harness, schur_weyl, strip_timing_fields, twirls
+from pru_lab import (StateVector, SupportOperator, checks, cli_main, harness, schur_weyl, strip_timing_fields,
+                     twirls)
 
 
 def run_cli(capsys, *argv):
@@ -144,6 +145,30 @@ def test_exact_clifford_twirl_at_five_copies(capsys):
     code, out = run_cli(capsys, "twirl", "--channel", "clifford", "--n", "1", "--t", "5")
     assert code == 0
     assert json.loads(out)["quantities"]["meta"]["gram_rank"] == 51
+
+
+@pytest.mark.parametrize("channel", ["haar", "pf", "clifford"])
+def test_exact_twirl_summary_never_builds_the_dense_output(capsys, monkeypatch, channel):
+    """Without --dump-operator, the trace and purity of an exact output are
+    read off its support."""
+    monkeypatch.setattr(SupportOperator, "entries", property(lambda op: pytest.fail("dense output built")))
+    code, out = run_cli(capsys, "twirl", "--channel", channel, "--n", "2", "--t", "3", "--seed", "1")
+    assert code == 0
+    assert json.loads(out)["quantities"]["trace"] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("method", ["exact", "monte_carlo"])
+@pytest.mark.parametrize("channel", ["haar", "pf", "clifford"])
+def test_twirl_trace_and_purity_are_those_of_the_dense_output(capsys, channel, method):
+    code, out = run_cli(
+        capsys, "twirl", "--channel", channel, "--method", method, "--n", "2", "--t", "2",
+        "--dim-e", "2", "--samples", "200", "--dump-operator", "--seed", "3",
+    )
+    assert code == 0
+    q = json.loads(out)["quantities"]
+    e = (np.array(q["operator"]["entries"]) @ [1, 1j]).reshape(q["operator"]["dim"], -1)
+    assert abs(q["trace"] - np.trace(e).real) <= 1e-12
+    assert abs(q["purity"] - np.trace(e @ e).real) <= 1e-12
 
 
 def test_sweep_grid(capsys):
@@ -307,6 +332,26 @@ def test_a_basis_entry_moved_by_1e6_fails_its_record(capsys, monkeypatch):
     assert len(records) == 7
     assert records["basis_orthonormality"]["passed"] is False
     assert records["basis_orthonormality"]["measured"] > 1e-6
+
+
+def test_a_column_swapped_between_blocks_fails_the_completeness_record(capsys, monkeypatch):
+    """Column 0 traded between the first two blocks keeps the basis
+    orthonormal, but neither block then spans its isotypic subspace."""
+    def swapped(d, t):
+        decomp = schur_weyl.schur_weyl_basis(d, t)
+        first, second = (b.basis.copy() for b in decomp.blocks[:2])
+        first[:, 0], second[:, 0] = decomp.blocks[1].basis[:, 0], decomp.blocks[0].basis[:, 0]
+        blocks = (dataclasses.replace(decomp.blocks[0], basis=first),
+                  dataclasses.replace(decomp.blocks[1], basis=second))
+        return dataclasses.replace(decomp, blocks=blocks + decomp.blocks[2:])
+
+    monkeypatch.setattr(checks, "schur_weyl_basis", swapped)
+    code, out = run_cli(capsys, "verify", "--n", "2", "--t", "2", "--check", "basis_block_action")
+    assert code == 1
+    records = _records(out)
+    assert records["basis_orthonormality"]["passed"] is True
+    assert records["basis_completeness"]["passed"] is False
+    assert records["basis_completeness"]["measured"] == pytest.approx(1.0)
 
 
 def test_a_basis_entry_moved_off_its_orbit_is_an_error(capsys, monkeypatch):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from pru_lab import (
-    BooleanFunction,
     CapacityError,
     DenseOperator,
     DensityMatrix,
@@ -23,7 +22,6 @@ from pru_lab import (
     gentle_normalize,
     distinct_projector,
     perm_op,
-    phase_op,
     subsystem_perm_op,
     tensor_power,
     trace_distance,
@@ -53,15 +51,6 @@ def test_perm_op_group_inverse():
     P = perm_op(pi)
     Pinv = perm_op(pi.inverse())
     assert np.allclose(P.entries @ Pinv.entries, np.eye(4))
-
-
-def test_phase_op_examples():
-    assert np.allclose(phase_op(BooleanFunction.zero(4)).entries, np.eye(4))
-    Z = phase_op(BooleanFunction((0, 1)))
-    assert np.allclose(Z.entries, [[1, 0], [0, -1]])
-    f = BooleanFunction((1, 0, 1, 1))
-    F = phase_op(f)
-    assert np.allclose(F.entries @ F.entries, np.eye(4))
 
 
 def test_subsystem_perm_swap_matrix():
@@ -140,7 +129,7 @@ def test_distinct_commutes_with_slot_perms():
 
 def test_haar_unitary_basics():
     U = haar_unitaries(5, 1, np.random.default_rng(7))[0]
-    assert DenseOperator(U).is_unitary(1e-10)
+    assert np.abs(U.conj().T @ U - np.eye(5)).max() <= 1e-10
     assert not np.allclose(U, haar_unitaries(5, 1, np.random.default_rng(8))[0])
     assert np.array_equal(U, haar_unitaries(5, 1, np.random.default_rng(7))[0])
 
@@ -253,8 +242,8 @@ EDGE_SIZES = [1, TILE - 1, TILE, TILE + 1, 2 * TILE + 2, 4 * TILE]
 
 @pytest.mark.parametrize("n", EDGE_SIZES)
 def test_trace_norm_tests_hermiticity_as_array_equal(n, monkeypatch):
-    """The tiled test reads every mirrored pair, the partial tiles too, and
-    compares with ``==``, so a signed zero still counts as equal."""
+    """The test reads every mirrored pair of entries and compares with
+    ``==``, so a signed zero still counts as equal."""
     rng = np.random.default_rng(n)
     X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     H = X + X.conj().T
@@ -412,7 +401,7 @@ def test_density_eigenvalues_are_sorted_and_complete():
         evals = rho.eigenvalues()
         assert np.all(np.diff(evals) >= 0)
         assert np.abs(evals - np.linalg.eigvalsh(rho.entries)).max() < 1e-15
-        assert rho.validate() is rho
+        assert evals[0] >= -1e-9
 
 
 def test_state_and_density_validation():
@@ -423,7 +412,7 @@ def test_state_and_density_validation():
     with pytest.raises(DomainError):
         DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not Hermitian
     rho = random_state(8, 3).to_density()
-    rho.validate()
+    assert rho.eigenvalues()[0] >= -1e-9
 
 
 @pytest.mark.parametrize("make", [
