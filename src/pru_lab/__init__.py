@@ -14,7 +14,6 @@ from .errors import (
     PruLabError,
 )
 from .symgroup import (
-    IrrepMatrices,
     Partition,
     PermutationT,
     all_permutations,
@@ -26,7 +25,6 @@ from .symgroup import (
     young_orthogonal_rep,
 )
 from .operators import (
-    DenseOperator,
     DensityMatrix,
     StateVector,
     SupportDensity,

@@ -20,9 +20,8 @@ import numpy as np
 
 from .clifford import enumerate_cliffords
 from .errors import DomainError
-from .harness import BoundCheck, ExperimentReport, build_state, draw_state, gentle_normalize
+from .harness import MC_SIGMA, BoundCheck, ExperimentReport, build_state, draw_state, gentle_normalize
 from .operators import (
-    DenseOperator,
     DensityMatrix,
     StateVector,
     SupportOperator,
@@ -194,7 +193,7 @@ def _check_schur_orthogonality(ctx: SuiteContext, t: int):
             got = np.einsum("pij,pkl->ikjl", A, Bm) / len(perms)
             expect = np.zeros_like(got)
             if la == lb:
-                dim = ra.dim
+                dim = specht_dim(la)
                 eye = np.eye(dim)
                 expect = np.einsum("ik,jl->ikjl", eye, eye) / dim
             worst = max(worst, float(np.abs(got - expect).max()))
@@ -247,7 +246,7 @@ def _check_completeness(ctx: SuiteContext, d: int, t: int):
     decomp = schur_weyl_basis(d, t)
     n = d**t
     params = {"d": d, "t": t, "n": _n_of(d)}
-    projectors = [isotypic_projector(b.partition, d, t).entries for b in decomp.blocks]
+    projectors = [isotypic_projector(b.partition, d, t) for b in decomp.blocks]
     res_complete = float(np.abs(sum(projectors) - np.eye(n)).max())
     res_orth = 0.0
     for i, a in enumerate(projectors):
@@ -318,7 +317,7 @@ def _check_distinct_reconstruction(ctx: SuiteContext, d: int, t: int):
     emb = np.zeros((d**t, d**t))
     for sl, b in zip(decomp.block_slices(), decomp.blocks):
         emb[sl, sl] = np.kron(b.distinct_block, np.eye(b.specht_dim))
-    worst = float(np.abs(rotate_from_basis(emb, decomp) - distinct_projector(d, t).entries).max())
+    worst = float(np.abs(rotate_from_basis(emb, decomp) - distinct_projector(d, t)).max())
     return [
         BoundCheck.make(
             "distinct_reconstruction", {"d": d, "t": t, "n": _n_of(d)}, worst, 0, "eq", 1e-9,
@@ -483,13 +482,12 @@ def _check_pf_basis_rule(ctx: SuiteContext, d: int, t: int):
     # Independent oracle: the mean of U^{x t} (x) conj(U^{x t}) over every
     # label permutation and sign pattern, as one superoperator.
     flat = np.stack([
-        tensor_power(DenseOperator(perm_op(PermutationT(images)).entries * np.array(signs)), t)
-        .entries.reshape(-1)
+        tensor_power(perm_op(PermutationT(images)) * np.array(signs), t).reshape(-1)
         for images in itertools.permutations(range(d))
         for signs in itertools.product((1.0, -1.0), repeat=d)
     ])  # (group order, n * n)
     superop = (flat.T @ flat.conj() / len(flat)).reshape(n, n, n, n).transpose(0, 2, 1, 3)
-    distinct = distinct_projector(d, t).entries / perm(d, t)
+    distinct = distinct_projector(d, t) / perm(d, t)
     worst = 0.0
     for x in itertools.product(range(d), repeat=t):
         for y in itertools.product(range(d), repeat=t):
@@ -499,7 +497,7 @@ def _check_pf_basis_rule(ctx: SuiteContext, d: int, t: int):
             if len(set(x)) == t and sorted(x) == sorted(y):
                 # y = x_sigma with sigma(i) the position of y_i in x
                 sigma = PermutationT(tuple(x.index(v) for v in y))
-                closed = subsystem_perm_op(sigma, d).entries @ distinct
+                closed = subsystem_perm_op(sigma, d) @ distinct
                 worst = max(worst, float(np.abs(got - closed).max()))
     return [
         BoundCheck.make(
@@ -568,7 +566,7 @@ def _check_two_design(ctx: SuiteContext, d: int, t: int):
         mc = clifford_twirl(st, n, t, method="monte_carlo", samples=N,
                             seed=ctx.check_seed("clifford_two_design", d, t, 1))
         err = trace_distance(mc, haar_twirl_exact(st, d, t))
-        envelope = 3 * sqrt(mc.dim) * mc.meta["std_error_fro"]
+        envelope = MC_SIGMA * sqrt(mc.dim) * mc.meta["std_error_fro"]
         return [
             BoundCheck.make(
                 "clifford_two_design_mc", params | {"samples": N}, err, envelope, "le", 0,
@@ -590,7 +588,7 @@ def _check_overlap(ctx: SuiteContext, d: int, t: int):
         psi, n, t, method=method, samples=ctx.samples_clifford,
         seed=ctx.check_seed("clifford_distinct_overlap", d, t, 1),
     )
-    slack = 3 * info["std_error"]
+    slack = MC_SIGMA * info["std_error"]
     return [
         BoundCheck.make(
             "clifford_distinct_overlap", params | {"method": method}, info["overlap"],
@@ -694,7 +692,7 @@ def _check_pru(ctx: SuiteContext, d: int, t: int):
     keyed = pru_average_state(st, t, n, ctx.num_keys, ctx.check_seed("pru_scheme", d, t, 2))
     fr = pf_twirl(clifford_twirl(st, n, t, method="exact"), d, t)
     dist = trace_distance(keyed, fr)
-    envelope = 3 * sqrt(keyed.dim) * keyed.meta["std_error_fro"]
+    envelope = MC_SIGMA * sqrt(keyed.dim) * keyed.meta["std_error_fro"]
     return [
         BoundCheck.make("pru_prp_bijective", params, bijective, 0, "eq", 0,
                         "keyed permutation tables are exhaustively bijective"),

@@ -52,7 +52,7 @@ from functools import cache
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .operators import DenseOperator, as_generator, check_capacity
+from .operators import _freeze, as_generator, check_capacity
 
 # Bounds enumeration, and is the policy for exact Clifford twirls under `--clifford
 # auto` and in the overlap check (``twirls.default_clifford_method``); the exact
@@ -164,11 +164,10 @@ class CliffordElement:
     def identity(n: int) -> "CliffordElement":
         return CliffordElement(n, np.eye(2 * n, dtype=np.uint8), np.zeros(2 * n, dtype=np.uint8))
 
-    def to_dense(self) -> DenseOperator:
+    def to_dense(self) -> np.ndarray:
         """Exact dense unitary realizing the tableau (global phase fixed
         by making the first nonzero amplitude of U|0..0> real positive)."""
-        U = tableau_unitaries(self.n, self.symplectic[None], self.phase[None])[0]
-        return DenseOperator(U)
+        return _freeze(tableau_unitaries(self.n, self.symplectic[None], self.phase[None])[0])
 
 
 # ---------------------------------------------------------------------------

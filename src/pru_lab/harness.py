@@ -62,7 +62,7 @@ class ExperimentConfig:
     # the Clifford layer, e.g. for inputs already on the distinct subspace)
     clifford_method: str = "exact"
     clifford_samples: int = 10000
-    num_keys: int = 0  # > 0 additionally compares the keyed ensemble average
+    num_keys: int = 0  # >= 2 additionally compares the keyed ensemble average
     seed: int = 0
 
     def __post_init__(self):
@@ -70,6 +70,8 @@ class ExperimentConfig:
             raise DomainError("t must be at least 1")
         if self.num_keys < 0:
             raise DomainError(f"the key count must be at least 0, got {self.num_keys}")
+        if self.num_keys == 1:
+            raise DomainError("a keyed average needs at least 2 keys, got 1")
         if self.state_family not in STATE_FAMILIES:
             raise DomainError(f"unknown state family {self.state_family!r}")
         if self.t > register_dim(self.n):
@@ -77,6 +79,8 @@ class ExperimentConfig:
         check_capacity(2 ** (self.n * self.t) * self.dim_e)
         if self.clifford_method not in ("exact", "monte_carlo", "none"):
             raise DomainError(f"unknown clifford method {self.clifford_method!r}")
+        if self.clifford_method == "monte_carlo" and self.clifford_samples < 2:
+            raise DomainError(f"a Monte-Carlo average needs at least 2 samples, got {self.clifford_samples}")
 
     @property
     def d(self) -> int:

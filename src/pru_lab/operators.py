@@ -4,10 +4,10 @@ labels, tensor-slot permutations, the distinct-tuple projector, and
 Haar-random unitaries.
 
 Operators are complex-double matrices, system slots first and any
-workspace factor last (``workspace_dim``): dense arrays, or
-``SupportOperator``s that hold only the nonzero entries, as sorted flat
-positions and values.  Exact twirls return the latter, because their
-outputs live on a small known support, and ``hermitian_eigvalsh``,
+workspace factor last (``workspace_dim``): read-only C-contiguous arrays
+(the constructors below), or ``SupportOperator``s that hold only the
+nonzero entries, as sorted flat positions and values.  Exact twirls and
+twirls of non-state inputs return the latter; ``hermitian_eigvalsh``,
 ``trace_distance`` and the twirls read them without building the dense
 matrix.  A global dimension cap (env var PRU_LAB_DIM_CAP, default 2**14)
 makes oversized constructions fail early instead of exhausting memory.
@@ -74,29 +74,6 @@ def _tile_pairs(n: int) -> list[tuple[slice, slice]]:
     slices, I <= J: tile (I, J) of A.T is tile (J, I) of A, transposed."""
     starts = range(0, n, TILE)
     return [(slice(i, i + TILE), slice(j, j + TILE)) for i in starts for j in starts if i <= j]
-
-
-@dataclass(frozen=True)
-class DenseOperator:
-    """A square complex matrix.
-
-    Instances are immutable: the wrapped array is made read-only on
-    construction, so operators are safe to share across threads.
-    """
-
-    entries: np.ndarray
-    meta: dict = field(default=None, compare=False, repr=False, kw_only=True)
-
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DomainError(f"operator entries must be square, got shape {arr.shape}")
-        check_capacity(arr.shape[0])
-        object.__setattr__(self, "entries", _freeze(arr))
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 def _hermitian_part(arr: np.ndarray) -> float:
@@ -314,13 +291,13 @@ class StateVector:
 # Concrete operator constructors.
 # ---------------------------------------------------------------------------
 
-def perm_op(pi: PermutationT) -> DenseOperator:
+def perm_op(pi: PermutationT) -> np.ndarray:
     """The operator |x> -> |pi(x)> on C^d, for a permutation pi of the d = pi.t
     basis labels."""
     d = pi.t
     M = np.zeros((d, d), dtype=complex)
     M[np.asarray(pi.images), np.arange(d)] = 1.0
-    return DenseOperator(M)
+    return _freeze(M)
 
 
 def subsystem_perm_index_map(pi: PermutationT, d: int) -> np.ndarray:
@@ -333,14 +310,14 @@ def subsystem_perm_index_map(pi: PermutationT, d: int) -> np.ndarray:
     return np.arange(d**pi.t).reshape((d,) * pi.t).transpose(pi.images).reshape(-1)
 
 
-def subsystem_perm_op(pi: PermutationT, d: int) -> DenseOperator:
+def subsystem_perm_op(pi: PermutationT, d: int) -> np.ndarray:
     """The unitary permuting the t tensor slots of (C^d)^{x t}."""
     n = d**pi.t
     check_capacity(n)
     m = subsystem_perm_index_map(pi, d)
     M = np.zeros((n, n), dtype=complex)
     M[m, np.arange(n)] = 1.0
-    return DenseOperator(M)
+    return _freeze(M)
 
 
 def distinct_mask(d: int, t: int) -> np.ndarray:
@@ -354,17 +331,14 @@ def distinct_mask(d: int, t: int) -> np.ndarray:
     return mask
 
 
-def distinct_projector(d: int, t: int) -> DenseOperator:
+def distinct_projector(d: int, t: int) -> np.ndarray:
     """Diagonal projector onto tuples with pairwise distinct labels.
 
-    Trace is d!/(d-t)!; for t > d there are no distinct tuples and the zero
-    operator is returned, flagged in the metadata.
+    Trace is d!/(d-t)!; for t > d there are no distinct tuples and it is
+    the zero matrix.
     """
-    n = d**t
-    check_capacity(n)
-    mask = distinct_mask(d, t)
-    meta = {"empty": True} if t > d else None
-    return DenseOperator(np.diag(mask.astype(complex)), meta=meta)
+    check_capacity(d**t)
+    return _freeze(np.diag(distinct_mask(d, t).astype(complex)))
 
 
 # ---------------------------------------------------------------------------
@@ -396,12 +370,13 @@ def haar_unitaries(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return q * (diag / np.abs(diag))[:, None, :]
 
 
-def tensor_power(U: DenseOperator, t: int) -> DenseOperator:
-    check_capacity(U.dim**t)
-    out = U.entries
+def tensor_power(U: np.ndarray, t: int) -> np.ndarray:
+    """U^{x t} for a square matrix U."""
+    check_capacity(len(U) ** t)
+    out = np.array(U, dtype=complex)
     for _ in range(t - 1):
-        out = np.kron(out, U.entries)
-    return DenseOperator(out)
+        out = np.kron(out, U)
+    return _freeze(out)
 
 
 def apply_tensor_power(mats: np.ndarray, tensor: np.ndarray, t: int) -> np.ndarray:

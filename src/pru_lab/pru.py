@@ -25,13 +25,7 @@ import numpy as np
 
 from .clifford import sample_clifford_unitaries
 from .errors import DomainError
-from .operators import (
-    DenseOperator,
-    DensityMatrix,
-    StateVector,
-    as_generator,
-    check_capacity,
-)
+from .operators import DensityMatrix, StateVector, _freeze, as_generator, check_capacity
 from .symgroup import PermutationT
 from .twirls import MC_CHUNK, _average_conjugation
 
@@ -146,9 +140,9 @@ def _keyed_unitaries(n: int, keys) -> np.ndarray:
     return U
 
 
-def pru_unitary(key: PruKey, n: int) -> DenseOperator:
+def pru_unitary(key: PruKey, n: int) -> np.ndarray:
     """Dense keyed unitary: permutation operator * phase operator * Clifford."""
-    return DenseOperator(_keyed_unitaries(n, [key])[0])
+    return _freeze(_keyed_unitaries(n, [key])[0])
 
 
 def sample_keys(n: int, count: int, seed) -> list[PruKey]:
@@ -171,4 +165,6 @@ def pru_average_state_from_keys(psi: StateVector, t: int, n: int, keys) -> Densi
 
 def pru_average_state(psi: StateVector, t: int, n: int, num_keys: int, seed) -> DensityMatrix:
     """Monte-Carlo ensemble average over freshly sampled keys."""
+    if num_keys < 2:
+        raise DomainError(f"a keyed average needs at least 2 keys, got {num_keys}")
     return pru_average_state_from_keys(psi, t, n, sample_keys(n, num_keys, seed))

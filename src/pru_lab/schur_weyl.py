@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError
 from .operators import (
-    DenseOperator,
+    _freeze,
     check_capacity,
     distinct_mask,
     haar_unitaries,
@@ -76,7 +76,7 @@ def _char_weighted_perm_sum(coeffs: dict[PermutationT, float], d: int, t: int) -
     return out
 
 
-def isotypic_projector(lam: Partition, d: int, t: int) -> DenseOperator:
+def isotypic_projector(lam: Partition, d: int, t: int) -> np.ndarray:
     """Projector onto the isotypic block of ``lam``: (dim V/t!) sum of
     chi(pi^{-1}) R_pi.  Characters are real, so chi(pi^{-1}) = chi(pi)."""
     if lam.t != t:
@@ -86,7 +86,7 @@ def isotypic_projector(lam: Partition, d: int, t: int) -> DenseOperator:
     check_capacity(d**t)
     scale = specht_dim(lam) / factorial(t)
     coeffs = {pi: scale * character(lam, pi) for pi in all_permutations(t)}
-    return DenseOperator(_char_weighted_perm_sum(coeffs, d, t))
+    return _freeze(_char_weighted_perm_sum(coeffs, d, t).astype(complex))
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,7 @@ def schur_weyl_basis(d: int, t: int) -> IsotypicDecomposition:
         if lam.rows > d:
             continue
         rep = young_orthogonal_rep(lam)
-        vdim = rep.dim
+        vdim = specht_dim(lam)
         wdim = weyl_dim(lam, d)
         scale = vdim / tfact
 
@@ -245,12 +245,12 @@ def verify_decomposition(decomp: IsotypicDecomposition, seed: int = 7) -> dict:
         raise ConsistencyError(f"basis is not square: {B.shape}")
     residuals = {"orthonormality": float(np.abs(B.T @ B - np.eye(n)).max())}
     residuals["completeness"] = max(
-        float(np.abs(b.basis @ b.basis.T - isotypic_projector(b.partition, d, t).entries).max())
+        float(np.abs(b.basis @ b.basis.T - isotypic_projector(b.partition, d, t)).max())
         for b in decomp.blocks
     )
 
-    U = DenseOperator(haar_unitaries(d, 1, np.random.default_rng(seed))[0])
-    rotated = rotate_to_basis(tensor_power(U, t).entries, decomp)
+    U = haar_unitaries(d, 1, np.random.default_rng(seed))[0]
+    rotated = rotate_to_basis(tensor_power(U, t), decomp)
     slices = decomp.block_slices()
     mask = np.ones((n, n), dtype=bool)
     for sl in slices:

@@ -1,9 +1,9 @@
 """Combinatorics and representation theory of the symmetric group S_t.
 
 Provides integer partitions (Young diagrams), exact irreducible characters
-via the Murnaghan-Nakayama rule, hook-length dimensions of the Specht
-modules, the matching polynomial dimensions of the Weyl modules, and
-explicit real-orthogonal irrep matrices in Young's orthogonal form.
+via the Murnaghan-Nakayama rule, hook-length Specht dimensions, matching
+polynomial Weyl dimensions, and Young's orthogonal form of each irrep as a
+read-only map from permutation to real orthogonal matrix.
 
 All arithmetic on dimensions, traces and characters is exact (Python
 integers); floating point enters only in the orthogonal irrep matrices,
@@ -13,9 +13,10 @@ whose entries involve square roots of rationals.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, reduce
 from math import factorial, sqrt
+from types import MappingProxyType
 
 import numpy as np
 
@@ -267,29 +268,12 @@ def _tableau_positions(tab) -> dict[int, tuple[int, int]]:
     return {entry: (i, j) for i, row in enumerate(tab) for j, entry in enumerate(row)}
 
 
-@dataclass(frozen=True)
-class IrrepMatrices:
-    """Real orthogonal irrep matrices for every element of S_t.
-
-    ``matrices`` maps each permutation to a dim x dim orthogonal matrix;
-    the basis is indexed by standard tableaux in canonical order and the
-    map is a homomorphism for ``compose``.
-    """
-
-    partition: Partition
-    matrices: dict[PermutationT, np.ndarray] = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return next(iter(self.matrices.values())).shape[0]
-
-    def __getitem__(self, pi: PermutationT) -> np.ndarray:
-        return self.matrices[pi]
-
-
 @cache
-def young_orthogonal_rep(lam: Partition) -> IrrepMatrices:
-    """Young's orthogonal form of the irrep ``lam``, materialized on all of S_t.
+def young_orthogonal_rep(lam: Partition) -> MappingProxyType:
+    """Young's orthogonal form of the irrep ``lam``, materialized on all of S_t:
+    a read-only map from each permutation to its read-only specht_dim(lam)
+    square orthogonal matrix.  The basis is indexed by standard tableaux in
+    canonical order and the map is a homomorphism for ``compose``.
 
     Generator matrices for adjacent transpositions come from axial distances
     between consecutive entries of each standard tableau; general elements
@@ -337,4 +321,4 @@ def young_orthogonal_rep(lam: Partition) -> IrrepMatrices:
     assert len(matrices) == factorial(t)
     for M in matrices.values():
         M.setflags(write=False)
-    return IrrepMatrices(partition=lam, matrices=matrices)
+    return MappingProxyType(matrices)

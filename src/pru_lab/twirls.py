@@ -24,8 +24,9 @@ for the Haar and permutation-phase twirls share one footprint loop in
 
 Every ensemble average -- the Monte-Carlo Haar, permutation-phase and
 Clifford twirls, ``ensemble_twirl`` and the keyed average in ``pru`` --
-goes through one driver, ``_average_conjugation``, and stays dense.  It
-conjugates thin factors of the input by batches of single-register
+goes through one driver, ``_average_conjugation``: a state's mean is a
+dense ``DensityMatrix``; any other input's mean is a ``SupportOperator``.
+It conjugates thin factors of the input by batches of single-register
 unitaries, one system slot at a time through ``operators.apply_tensor_power``.
 ``distinct_overlap_after_clifford`` reads the overlap off the twirled
 state's diagonal and also returns that state, so one Clifford pass serves
@@ -55,7 +56,6 @@ import numpy as np
 from .clifford import EXACT_QUBIT_CAP, sample_clifford_unitaries
 from .errors import DomainError
 from .operators import (
-    DenseOperator,
     DensityMatrix,
     StateVector,
     SupportDensity,
@@ -95,10 +95,12 @@ def _payload(state) -> tuple:
 
 
 def _wrap(matrix: np.ndarray, was_state: bool, meta: dict | None = None):
-    """Wrap the array a twirl has just built; a state result takes it over."""
+    """Wrap the array a twirl has just built: a state result takes it over,
+    anything else is held on its nonzero entries."""
     if was_state:
         return DensityMatrix._adopt(matrix, meta=meta)
-    return DenseOperator(matrix, meta=meta)
+    flat = np.flatnonzero(matrix)
+    return SupportOperator(flat, matrix.reshape(-1)[flat], len(matrix), meta=meta)
 
 
 def _wrap_support(positions: np.ndarray, values: np.ndarray, dim: int, was_state: bool, meta=None):
@@ -446,14 +448,16 @@ def _pf_unitaries(d: int, count: int, rng) -> np.ndarray:
 
 
 def _sampled_twirl(state, d: int, t: int, samples: int, seed, draw, weights=None, **meta):
-    """The Monte-Carlo mean over ``samples`` unitaries, and the per-sample
-    values of ``weights`` (see ``_average_conjugation``).
+    """The Monte-Carlo mean over ``samples`` >= 2 unitaries (one has no standard
+    error), and the per-sample values of ``weights`` (see ``_average_conjugation``).
 
     Chunk c holds samples c * MC_CHUNK onwards, at most MC_CHUNK of them,
     and is the stack ``draw(count, derive_seed(seed, c))``; chunks are drawn
     one at a time and reduced in ascending order.  ``meta`` is added to the
     result's metadata.
     """
+    if samples < 2:
+        raise DomainError(f"a Monte-Carlo average needs at least 2 samples, got {samples}")
     batches = (
         draw(min(MC_CHUNK, samples - start), derive_seed(seed, start // MC_CHUNK))
         for start in range(0, samples, MC_CHUNK)
@@ -485,8 +489,8 @@ def pf_twirl_mc(state, d: int, t: int, samples: int, seed):
 
 def ensemble_twirl(state, ops, d: int, t: int):
     """Exact t-fold twirl over an explicit ensemble of unitaries on C^d:
-    a list of ``DenseOperator``s or d x d arrays, or one (count, d, d) stack."""
-    us = np.array([op.entries if isinstance(op, DenseOperator) else op for op in ops])
+    a list of d x d arrays, or one (count, d, d) stack."""
+    us = np.asarray(ops)
     batches = (us[i : i + MC_CHUNK] for i in range(0, len(us), MC_CHUNK))
     avg = _average_conjugation(state, d, t, batches)
     return _wrap(avg.mean, avg.was_state, meta={"method": "exact", "samples": len(us)})
@@ -556,5 +560,5 @@ def distinct_overlap_after_clifford(
     mask = distinct_mask(d, t)
     twirled, values = _clifford_average(state, n, t, method, samples, seed, weights=mask)
     overlap = float(np.real(twirled.diagonal()).reshape(d**t, -1)[mask].sum())
-    se = float(values.real.std(ddof=1) / np.sqrt(samples)) if values is not None and samples > 1 else 0.0
+    se = float(values.real.std(ddof=1) / np.sqrt(samples)) if values is not None else 0.0
     return {"overlap": overlap, "bound": 1.0 - t * (t - 1) / (d + 1), "std_error": se, "state": twirled}

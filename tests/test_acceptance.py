@@ -57,7 +57,7 @@ def test_criterion_01_schur_weyl_completeness():
         for t in (2, 3):
             dec = schur_weyl_basis(d, t)
             n = d**t
-            projectors = [isotypic_projector(b.partition, d, t).entries for b in dec.blocks]
+            projectors = [isotypic_projector(b.partition, d, t) for b in dec.blocks]
             worst_complete = max(worst_complete, float(np.abs(sum(projectors) - np.eye(n)).max()))
             for i, a in enumerate(projectors):
                 for b in projectors[i + 1 :]:
@@ -193,7 +193,7 @@ def test_criterion_06_collapse_and_schur_orthogonality():
         B = dec.basis_matrix
         perms = all_permutations(t)
         rotated = np.stack(
-            [B.conj().T @ subsystem_perm_op(p, d).entries @ B for p in perms]
+            [B.conj().T @ subsystem_perm_op(p, d) @ B for p in perms]
         )
         labels = [
             (bi, i, j)
@@ -228,8 +228,8 @@ def test_criterion_06_collapse_and_schur_orthogonality():
                 Bm = np.stack([rb[p] for p in perms])
                 got = np.einsum("pij,pkl->ikjl", A, Bm) / len(perms)
                 if la == lb:
-                    eye = np.eye(ra.dim)
-                    expect = np.einsum("ik,jl->ikjl", eye, eye) / ra.dim
+                    eye = np.eye(specht_dim(la))
+                    expect = np.einsum("ik,jl->ikjl", eye, eye) / specht_dim(la)
                 else:
                     expect = np.zeros_like(got)
                 worst_orth = max(worst_orth, float(np.abs(got - expect).max()))

@@ -262,6 +262,22 @@ def test_negative_key_counts_are_domain_errors(capsys, command):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["security", "--n", "2", "--t", "2", "--keys", "1"],
+    ["security", "--n", "3", "--t", "2", "--samples", "1", "--state", "adversarial_colliding"],
+    ["security", "--n", "3", "--t", "2", "--samples", "1", "--state", "adversarial_colliding", "--seed", "2"],
+    ["verify", "--n", "2", "--t", "2", "--samples-unitary", "1", "--check", "haar_mc_agreement"],
+], ids=["one-key", "one-clifford-sample", "one-clifford-sample-seed-2", "one-unitary-sample"])
+def test_a_monte_carlo_average_of_one_draw_is_an_error(capsys, argv):
+    """One draw has a standard error of 0 (or none), so its envelope would
+    be empty or vacuous; the run stops before judging anything."""
+    code = cli_main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: a ") and "needs at least 2" in captured.err
+    assert captured.out == ""
+
+
 def test_a_verify_run_that_measures_nothing_fails(capsys):
     code = cli_main(["verify", "--n", "1", "--t", "2", "--check", "pf_mc_agreement"])
     captured = capsys.readouterr()

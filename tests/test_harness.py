@@ -285,7 +285,7 @@ def test_permutation_checks_match_dense_products(monkeypatch, broken):
     perm = _measured(report, "perm_phase_commutation")
     assert sorted(perm) == [(d, t) for d in (2, 3) for t in (2, 3, 4)]
     for (d, t), c in perm.items():
-        Ps = [tensor_power(perm_op(PermutationT.transposition(d, k - 1, k)), t).entries for k in range(1, d)]
+        Ps = [tensor_power(perm_op(PermutationT.transposition(d, k - 1, k)), t) for k in range(1, d)]
         oracle = max(
             float(np.abs(P @ R - R @ P).max())
             for R in (_dense_from_map(index_map(pi, d)) for pi in all_permutations(t))
@@ -331,7 +331,7 @@ def test_distinct_commutation_check_matches_dense_products(monkeypatch, broken):
         L = np.diag(mask(d, t).astype(float))
         oracle = max(
             float(np.abs(L @ R - R @ L).max())
-            for R in (subsystem_perm_op(pi, d).entries for pi in all_permutations(t))
+            for R in (subsystem_perm_op(pi, d) for pi in all_permutations(t))
         )
         assert c.measured == oracle == (1.0 if broken else 0.0)
         assert c.passed is not broken

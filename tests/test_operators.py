@@ -9,7 +9,6 @@ import pytest
 
 from pru_lab import (
     CapacityError,
-    DenseOperator,
     DensityMatrix,
     DomainError,
     PermutationT,
@@ -26,7 +25,8 @@ from pru_lab import (
     tensor_power,
     trace_distance,
 )
-from pru_lab import haar_twirl_exact, haar_twirl_mc, operators, pf_twirl
+from pru_lab import (Partition, haar_twirl_exact, haar_twirl_mc, isotypic_projector, operators, pf_twirl,
+                     pru_unitary, sample_clifford, sample_key)
 from pru_lab.operators import (
     TILE,
     dim_cap,
@@ -41,30 +41,30 @@ from conftest import random_state
 
 
 def test_perm_op_identity_and_swap():
-    assert np.allclose(perm_op(PermutationT.identity(3)).entries, np.eye(3))
+    assert np.allclose(perm_op(PermutationT.identity(3)), np.eye(3))
     X = perm_op(PermutationT((1, 0)))
-    assert np.allclose(X.entries, [[0, 1], [1, 0]])
+    assert np.allclose(X, [[0, 1], [1, 0]])
 
 
 def test_perm_op_group_inverse():
     pi = PermutationT((2, 0, 3, 1))
     P = perm_op(pi)
     Pinv = perm_op(pi.inverse())
-    assert np.allclose(P.entries @ Pinv.entries, np.eye(4))
+    assert np.allclose(P @ Pinv, np.eye(4))
 
 
 def test_subsystem_perm_swap_matrix():
     S = subsystem_perm_op(PermutationT((1, 0)), 2)
     expected = np.zeros((4, 4))
     expected[0, 0] = expected[3, 3] = expected[1, 2] = expected[2, 1] = 1
-    assert np.allclose(S.entries, expected)
-    assert np.allclose(subsystem_perm_op(PermutationT.identity(3), 2).entries, np.eye(8))
+    assert np.allclose(S, expected)
+    assert np.allclose(subsystem_perm_op(PermutationT.identity(3), 2), np.eye(8))
 
 
 @pytest.mark.parametrize("d,t", [(2, 2), (2, 3), (3, 3), (2, 4)])
 def test_subsystem_perm_representation_property(d, t):
     perms = all_permutations(t)
-    ops = {p: subsystem_perm_op(p, d).entries for p in perms}
+    ops = {p: subsystem_perm_op(p, d) for p in perms}
     for a in perms:
         for b in perms:
             assert np.abs(ops[a] @ ops[b] - ops[a.compose(b)]).max() < 1e-12
@@ -86,26 +86,25 @@ def test_subsystem_perm_trace_counts_cycles():
     d, t = 4, 3
     for pi in all_permutations(t):
         R = subsystem_perm_op(pi, d)
-        assert abs(np.trace(R.entries) - d**pi.num_cycles()) < 1e-12
+        assert abs(np.trace(R) - d**pi.num_cycles()) < 1e-12
 
 
 def test_perm_tensor_power_commutes_with_slots():
     rng = np.random.default_rng(5)
     d, t = 3, 3
     P = perm_op(PermutationT(tuple(int(x) for x in rng.permutation(d))))
-    Pt = tensor_power(P, t).entries
+    Pt = tensor_power(P, t)
     for sigma in all_permutations(t):
-        R = subsystem_perm_op(sigma, d).entries
+        R = subsystem_perm_op(sigma, d)
         assert np.abs(Pt @ R - R @ Pt).max() < 1e-12
 
 
 def test_distinct_projector_trace_and_cases():
     L = distinct_projector(4, 2)
-    assert abs(np.trace(L.entries) - 12) < 1e-12
-    assert np.allclose(distinct_projector(3, 1).entries, np.eye(3))
+    assert abs(np.trace(L) - 12) < 1e-12
+    assert np.allclose(distinct_projector(3, 1), np.eye(3))
     zero = distinct_projector(2, 3)
-    assert np.abs(zero.entries).max() == 0
-    assert zero.meta == {"empty": True}
+    assert np.abs(zero).max() == 0
     assert perm(4, 2) == 12 and perm(2, 3) == 0  # the trace (d)_t, 0 when t > d
 
 
@@ -116,14 +115,14 @@ def test_distinct_projector_enumeration_oracle():
     count = sum(
         1 for tup in itertools.product(range(d), repeat=t) if len(set(tup)) == t
     )
-    assert abs(np.trace(distinct_projector(d, t).entries) - count) < 1e-12
+    assert abs(np.trace(distinct_projector(d, t)) - count) < 1e-12
 
 
 def test_distinct_commutes_with_slot_perms():
     d, t = 3, 3
-    L = distinct_projector(d, t).entries
+    L = distinct_projector(d, t)
     for pi in all_permutations(t):
-        R = subsystem_perm_op(pi, d).entries
+        R = subsystem_perm_op(pi, d)
         assert np.abs(L @ R - R @ L).max() < 1e-12
 
 
@@ -418,8 +417,7 @@ def test_state_and_density_validation():
 @pytest.mark.parametrize("make", [
     lambda: DensityMatrix(np.eye(2) / 2, (2,)),
     lambda: StateVector(np.array([1.0, 0.0]), (2,)),
-    lambda: DenseOperator(np.eye(2), (2,)),
-], ids=["density", "state", "operator"])
+], ids=["density", "state"])
 def test_a_second_positional_argument_is_rejected(make):
     """Only the entries are positional; ``meta`` is keyword-only."""
     with pytest.raises(TypeError):
@@ -454,10 +452,37 @@ def test_capacity_cap_must_be_an_integer(monkeypatch, capsys):
     assert "error: PRU_LAB_DIM_CAP" in capsys.readouterr().err
 
 
+CONSTRUCTORS = {  # each operator constructor, with the shape it documents
+    "perm_op": (lambda: perm_op(PermutationT((2, 0, 1))), (3, 3)),
+    "subsystem_perm_op": (lambda: subsystem_perm_op(PermutationT((2, 0, 1)), 2), (8, 8)),
+    "distinct_projector": (lambda: distinct_projector(3, 2), (9, 9)),
+    "tensor_power": (lambda: tensor_power(haar_unitaries(2, 1, np.random.default_rng(0))[0], 3), (8, 8)),
+    "isotypic_projector": (lambda: isotypic_projector(Partition((2, 1)), 2, 3), (8, 8)),
+    "to_dense": (lambda: sample_clifford(2, 0).to_dense(), (4, 4)),
+    "pru_unitary": (lambda: pru_unitary(sample_key(2, 0), 2), (4, 4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+def test_operator_constructors_return_read_only_complex_arrays(name):
+    make, shape = CONSTRUCTORS[name]
+    op = make()
+    assert type(op) is np.ndarray and op.shape == shape and op.dtype == complex
+    assert op.flags.c_contiguous and not op.flags.writeable
+    with pytest.raises(ValueError):
+        op[0, 0] = 1.0
+
+
+def test_tensor_power_copies_its_input():
+    U = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert np.array_equal(tensor_power(U, 1), U) and np.array_equal(tensor_power(U, 2), np.kron(U, U))
+    U[0, 0] = 1.0  # the caller's array stays writable
+
+
 def test_distinct_mask_matches_projector():
     d, t = 3, 2
     mask = distinct_mask(d, t)
-    assert np.allclose(np.diag(mask.astype(float)), distinct_projector(d, t).entries.real)
+    assert np.allclose(np.diag(mask.astype(float)), distinct_projector(d, t).real)
 
 
 # --- operators held on their support --------------------------------------------

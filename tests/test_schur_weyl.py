@@ -49,32 +49,31 @@ def footprint_traces(rho, dec):
 
 def test_symmetric_projector_closed_form():
     P = isotypic_projector(Partition((2,)), 4, 2)
-    swap = subsystem_perm_op(PermutationT((1, 0)), 4).entries
-    assert np.abs(P.entries - (np.eye(16) + swap) / 2).max() < 1e-12
+    swap = subsystem_perm_op(PermutationT((1, 0)), 4)
+    assert np.abs(P - (np.eye(16) + swap) / 2).max() < 1e-12
 
 
 def test_antisymmetric_trace_and_rank():
     P = isotypic_projector(Partition((1, 1)), 4, 2)
-    assert abs(np.trace(P.entries) - 6) < 1e-9
-    assert projector_rank(P.entries) == 6
+    assert abs(np.trace(P) - 6) < 1e-9
+    assert projector_rank(P) == 6
 
 
 def test_mixed_block_trace():
     P = isotypic_projector(Partition((2, 1)), 4, 3)
-    assert abs(np.trace(P.entries) - 40) < 1e-9
-    assert projector_rank(P.entries) == 40
-    assert projector_rank(P.entries) // specht_dim(Partition((2, 1))) == weyl_dim(Partition((2, 1)), 4)
+    assert abs(np.trace(P) - 40) < 1e-9
+    assert projector_rank(P) == 40
+    assert projector_rank(P) // specht_dim(Partition((2, 1))) == weyl_dim(Partition((2, 1)), 4)
 
 
 @pytest.mark.parametrize("d,t", [(2, 2), (4, 2), (8, 2), (2, 3), (4, 3), (8, 3)])
 def test_projector_completeness_and_orthogonality(d, t):
     blocks = [isotypic_projector(lam, d, t) for lam in partitions(t) if lam.rows <= d]
-    total = sum(b.entries for b in blocks)
-    assert np.abs(total - np.eye(d**t)).max() < 1e-8
+    assert np.abs(sum(blocks) - np.eye(d**t)).max() < 1e-8
     for i, a in enumerate(blocks):
-        assert np.abs(a.entries @ a.entries - a.entries).max() < 1e-9
+        assert np.abs(a @ a - a).max() < 1e-9
         for b in blocks[i + 1 :]:
-            assert np.abs(a.entries @ b.entries).max() < 1e-8
+            assert np.abs(a @ b).max() < 1e-8
 
 
 def test_basis_dims_d2t2():
@@ -214,7 +213,7 @@ def test_perm_action_matches_yor_matrices():
     dec = schur_weyl_basis(d, t)
     B = dec.basis_matrix
     for pi in all_permutations(t):
-        R = subsystem_perm_op(pi, d).entries
+        R = subsystem_perm_op(pi, d)
         rotated = B.conj().T @ R @ B
         for sl, block in zip(dec.block_slices(), dec.blocks):
             expected = np.kron(np.eye(block.weyl_dim), young_orthogonal_rep(block.partition)[pi])
@@ -257,7 +256,7 @@ def test_distinct_reconstruction():
         )
         recon += B @ emb @ B.conj().T
         off += b.block_dim
-    assert np.abs(recon - distinct_projector(d, t).entries).max() < 1e-9
+    assert np.abs(recon - distinct_projector(d, t)).max() < 1e-9
 
 
 def test_partial_trace_over_w_completeness():

@@ -213,7 +213,7 @@ def test_yor_orthogonal_and_homomorphic(t):
     perms = all_permutations(t)
     for lam in partitions(t):
         rep = young_orthogonal_rep(lam)
-        eye = np.eye(rep.dim)
+        eye = np.eye(specht_dim(lam))
         for pi in perms:
             M = rep[pi]
             assert np.abs(M @ M.T - eye).max() < 1e-12
@@ -250,8 +250,8 @@ def test_yor_full_schur_orthogonality(t):
             B = np.stack([rb[p] for p in perms])
             got = np.einsum("pij,pkl->ikjl", A, B) / len(perms)
             if la == lb:
-                eye = np.eye(ra.dim)
-                expected = np.einsum("ik,jl->ikjl", eye, eye) / ra.dim
+                eye = np.eye(specht_dim(la))
+                expected = np.einsum("ik,jl->ikjl", eye, eye) / specht_dim(la)
             else:
                 expected = np.zeros_like(got)
             assert np.abs(got - expected).max() < 1e-12
@@ -260,3 +260,15 @@ def test_yor_full_schur_orthogonality(t):
 def test_yor_capacity():
     with pytest.raises(CapacityError):
         young_orthogonal_rep(Partition((7,)))
+
+
+def test_young_orthogonal_rep_is_a_read_only_map_of_read_only_matrices():
+    lam = Partition((2, 1))
+    rep = young_orthogonal_rep(lam)
+    with pytest.raises(TypeError):
+        rep[PermutationT.identity(3)] = np.eye(2)
+    assert sorted(rep, key=lambda pi: pi.images) == sorted(all_permutations(3), key=lambda pi: pi.images)
+    for M in rep.values():
+        assert M.shape == (specht_dim(lam),) * 2 and not M.flags.writeable
+        with pytest.raises(ValueError):
+            M[0, 0] = 0.0

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from pru_lab import (
-    DenseOperator,
     DensityMatrix,
+    DomainError,
     ExperimentConfig,
     StateVector,
+    SupportOperator,
     build_state,
     clifford_twirl,
+    distinct_overlap_after_clifford,
     ensemble_twirl,
     enumerate_cliffords,
     gentle_normalize,
@@ -18,6 +20,7 @@ from pru_lab import (
     haar_twirl_mc,
     pf_twirl,
     pf_twirl_mc,
+    pru_average_state,
     run_security_experiment,
     sample_clifford,
     trace_distance,
@@ -47,7 +50,7 @@ def kron_oracle(X: np.ndarray, us: np.ndarray, t: int):
 def _clifford_batch(d, count, rng):
     n = d.bit_length() - 1
     seeds = rng.integers(0, 2**31, size=count)
-    return np.stack([sample_clifford(n, int(s)).to_dense().entries for s in seeds])
+    return np.stack([sample_clifford(n, int(s)).to_dense() for s in seeds])
 
 
 ENSEMBLES = {"haar": haar_unitaries, "pf": twirls._pf_unitaries, "clifford": _clifford_batch}
@@ -62,15 +65,15 @@ def _inputs(d, t, dim_e, seed):
     return {
         "pure": psi,
         "rank1_density": psi.to_density(),
-        "full_rank_hermitian": DenseOperator(A + A.conj().T),
-        "non_hermitian": DenseOperator(A),
+        "full_rank_hermitian": A + A.conj().T,
+        "non_hermitian": A,
     }
 
 
 def _matrix(x):
     if isinstance(x, StateVector):
         return np.outer(x.amplitudes, x.amplitudes.conj())
-    return np.asarray(x.entries)
+    return np.asarray(getattr(x, "entries", x))
 
 
 # d = 3 is not a qubit register, so it has no Clifford ensemble
@@ -127,7 +130,7 @@ def test_per_sample_overlaps_match_direct_projection():
     mask = np.repeat(distinct_mask(d, t), dim_e)
     direct = []
     for i in range(samples):
-        U = sample_clifford(n, [seed, i // MC_CHUNK, i % MC_CHUNK]).to_dense().entries
+        U = sample_clifford(n, [seed, i // MC_CHUNK, i % MC_CHUNK]).to_dense()
         big = np.kron(np.kron(U, U), np.eye(dim_e))
         direct.append(float(np.sum(np.abs((big @ psi.amplitudes)[mask]) ** 2)))
     assert info["overlap"] == pytest.approx(np.mean(direct), abs=1e-12)
@@ -223,18 +226,70 @@ def test_exact_security_run_at_four_copies_needs_no_enumeration(monkeypatch, dim
 def test_twirls_keep_non_hermitian_operators():
     X = np.zeros((4, 4), dtype=complex)
     X[1, 2] = 1j  # i|01><10| on two qubit registers
-    op = DenseOperator(X)
-    haar = haar_twirl_exact(op, 2, 2).entries
-    pf = pf_twirl(op, 2, 2).entries
+    haar = haar_twirl_exact(X, 2, 2).entries
+    pf = pf_twirl(X, 2, 2).entries
     assert np.abs(haar).max() == pytest.approx(1 / 3)
     assert np.abs(pf).max() == pytest.approx(1 / 2)
     # the single-qubit Clifford group is a 2-design
-    group_mean = ensemble_twirl(op, enumerate_cliffords(1), 2, 2).entries
+    group_mean = ensemble_twirl(X, enumerate_cliffords(1), 2, 2).entries
     assert np.abs(group_mean - haar).max() < 1e-12
     for mc, exact in (
-        (haar_twirl_mc(op, 2, 2, 4000, 7), haar),
-        (pf_twirl_mc(op, 2, 2, 4000, 8), pf),
-        (clifford_twirl(op, 1, 2, method="monte_carlo", samples=2000, seed=9), haar),
+        (haar_twirl_mc(X, 2, 2, 4000, 7), haar),
+        (pf_twirl_mc(X, 2, 2, 4000, 8), pf),
+        (clifford_twirl(X, 1, 2, method="monte_carlo", samples=2000, seed=9), haar),
     ):
         envelope = 3 * np.sqrt(mc.dim) * mc.meta["std_error_fro"]
         assert trace_distance(mc.entries, exact) < envelope
+
+
+@pytest.mark.parametrize("method", ["exact", "monte_carlo", "ensemble_twirl"])
+def test_a_twirl_of_a_state_is_a_density_matrix_and_of_anything_else_a_support_operator(method):
+    d, t, group = 2, 2, enumerate_cliffords(1)
+    twirl = {
+        "exact": lambda x: haar_twirl_exact(x, d, t),
+        "monte_carlo": lambda x: haar_twirl_mc(x, d, t, 64, 5),
+        "ensemble_twirl": lambda x: ensemble_twirl(x, group, d, t),
+    }[method]
+    psi = random_state(d**t, 3)
+    rho = twirl(psi)
+    assert isinstance(rho, DensityMatrix) and isinstance(twirl(psi.to_density()), DensityMatrix)
+    X = np.zeros((4, 4), dtype=complex)
+    X[1, 2] = 1j  # i|01><10|, dense and on its support
+    for x in (X, SupportOperator([6], [1j], 4)):
+        out = twirl(x)
+        assert type(out) is SupportOperator
+        assert out.meta.keys() == rho.meta.keys() and out.meta["method"] == rho.meta["method"]
+    if method == "ensemble_twirl":  # the driver's mean, held on its nonzero entries
+        assert np.array_equal(out.entries, twirls._average_conjugation(X, d, t, [group]).mean)
+
+
+@pytest.mark.parametrize("average", [
+    lambda psi: haar_twirl_mc(psi, 2, 2, 1, 0),
+    lambda psi: pf_twirl_mc(psi, 2, 2, 1, 0),
+    lambda psi: clifford_twirl(psi, 1, 2, method="monte_carlo", samples=1, seed=0),
+    lambda psi: distinct_overlap_after_clifford(psi, 1, 2, method="monte_carlo", samples=1),
+    lambda psi: pru_average_state(psi, 2, 1, 1, 0),
+], ids=["haar", "pf", "clifford", "overlap", "keyed"])
+def test_a_monte_carlo_average_of_one_draw_is_refused(average):
+    """One draw has no spread to estimate a standard error from."""
+    with pytest.raises(DomainError, match="at least 2"):
+        average(random_state(4, 0))
+
+
+def test_an_explicit_ensemble_of_one_is_averaged():
+    """Unlike a Monte-Carlo average, an explicit ensemble is exact at any size
+    (a single key: ``test_single_key_average_is_pure``)."""
+    out = ensemble_twirl(random_state(4, 0), enumerate_cliffords(1)[:1], 2, 2)
+    assert abs(np.linalg.eigvalsh(out.entries)[-1] - 1) < 1e-10  # one unitary keeps the state pure
+
+
+@pytest.mark.parametrize("settings", [
+    {"num_keys": 1},
+    {"clifford_method": "monte_carlo", "clifford_samples": 1},
+    {"clifford_method": "monte_carlo", "clifford_samples": 0},
+])
+def test_experiment_config_refuses_one_draw_averages(settings):
+    with pytest.raises(DomainError, match="at least 2"):
+        ExperimentConfig(n=2, t=2, **settings)
+    ExperimentConfig(n=2, t=2, **settings | {"num_keys": 2, "clifford_samples": 2})
+    ExperimentConfig(n=2, t=2, clifford_method="exact", clifford_samples=1)  # the count goes unused

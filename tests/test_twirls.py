@@ -14,7 +14,6 @@ from pru_lab import (
     SupportDensity,
     SupportOperator,
     CapacityError,
-    DenseOperator,
     DensityMatrix,
     DomainError,
     PermutationT,
@@ -66,7 +65,7 @@ def test_haar_t1_maximally_mixes():
 def test_haar_fixes_commutant_elements():
     S = subsystem_perm_op(PermutationT((1, 0)), 4)
     out = haar_twirl_exact(S, 4, 2)
-    assert np.abs(out.entries - S.entries).max() < 1e-9
+    assert np.abs(out.entries - S).max() < 1e-9
 
 
 def test_haar_exact_equals_block_formula(dec42):
@@ -82,7 +81,7 @@ def test_haar_block_formula_symmetric_product():
     e00 = np.zeros(4, dtype=complex)
     e00[0] = 1
     out = haar_twirl_schur_weyl(StateVector(e00), dec)
-    sym = (np.eye(4) + subsystem_perm_op(PermutationT((1, 0)), 2).entries) / 2
+    sym = (np.eye(4) + subsystem_perm_op(PermutationT((1, 0)), 2)) / 2
     assert np.abs(out.entries - sym / 3).max() < 1e-10
 
 
@@ -137,8 +136,8 @@ def test_gram_pseudo_inverse_is_the_weingarten_function(d, t):
 
 def test_pf_basis_element_distinct_pair():
     M = pf_twirl_basis_element((0, 1), (1, 0), 4)
-    L = distinct_projector(4, 2).entries
-    R = subsystem_perm_op(PermutationT((1, 0)), 4).entries
+    L = distinct_projector(4, 2)
+    R = subsystem_perm_op(PermutationT((1, 0)), 4)
     assert np.abs(M.entries - L @ R / 12).max() < 1e-12
 
 
@@ -204,7 +203,7 @@ def test_pf_basis_element_at_d16_t3_builds_no_dense_matrix():
 
 
 def test_pf_identity_fixed_point():
-    X = DenseOperator(np.eye(16))
+    X = np.eye(16)
     assert np.abs(pf_twirl(X, 4, 2).entries - np.eye(16)).max() < 1e-12
 
 
@@ -234,11 +233,11 @@ def test_pf_formula_rejects_colliding_support(dec42):
 
 def test_pf_formula_rejects_a_tiny_colliding_leak(dec42):
     rho = random_distinct_state(4, 2, 4, 3).to_density().entries
-    pf_twirl_distinct_formula(DenseOperator(rho), dec42)  # distinct support passes
+    pf_twirl_distinct_formula(rho, dec42)  # distinct support passes
     leak = rho.copy()
     leak[0, 4] = 1e-8  # row 0 is |00> (x) |0>, a colliding tuple
     with pytest.raises(DomainError):
-        pf_twirl_distinct_formula(DenseOperator(leak), dec42)
+        pf_twirl_distinct_formula(leak, dec42)
 
 
 @pytest.mark.parametrize("t", [0, -1])
@@ -505,7 +504,7 @@ def test_haar_twirl_channel_properties(n, t, dim_e, seed):
 def test_clifford_twirl_channel_properties(n, t, dim_e, seed):
     """The commutation against a sampled Clifford ties the sampler to the
     commutant projection."""
-    g = sample_clifford(n, seed).to_dense().entries
+    g = sample_clifford(n, seed).to_dense()
     _check_channel_properties(lambda x: clifford_twirl(x, n, t, "exact"), 2**n, t, dim_e, seed, g)
 
 
@@ -545,7 +544,7 @@ def test_group_sum_collapse(t):
     n = d**t
     B = dec.basis_matrix
     perms = all_permutations(t)
-    rotated = np.stack([B.conj().T @ subsystem_perm_op(p, d).entries @ B for p in perms])
+    rotated = np.stack([B.conj().T @ subsystem_perm_op(p, d) @ B for p in perms])
     labels = [
         (bi, i, j)
         for bi, block in enumerate(dec.blocks)
@@ -605,7 +604,7 @@ def test_ensemble_twirl_matches_clifford_exact(n, t, dim_e):
     b = np.ravel_multi_index(([1, 0] + [0] * t)[:t], (d,) * t)
     X[a * dim_e, b * dim_e] = 1j
     group = enumerate_cliffords(n)
-    for st in (random_state(d**t * dim_e, 19 + t), DenseOperator(X)):
+    for st in (random_state(d**t * dim_e, 19 + t), X):
         want = ensemble_twirl(st, group, d, t).entries
         got = clifford_twirl(st, n, t, method="exact").entries
         assert np.abs(got - want).max() < 1e-12
@@ -888,7 +887,7 @@ def test_twirls_of_a_support_input_equal_those_of_its_dense_copy(d, t, dim_e):
     support; the outputs equal, bit for bit, those of the dense copy."""
     state = pf_twirl(random_state(d**t * dim_e, 2), d, t)
     op = pf_twirl(_random_operator(d, t, dim_e, 3), d, t)
-    for x, dense in ((state, DensityMatrix(state.entries)), (op, DenseOperator(op.entries))):
+    for x, dense in ((state, DensityMatrix(state.entries)), (op, op.entries)):
         for twirl in (lambda y: pf_twirl(y, d, t), lambda y: haar_twirl_exact(y, d, t)):
             got, want = twirl(x), twirl(dense)
             assert type(got) is type(want)
