@@ -723,8 +723,17 @@ def run_lemma_suite(
     """Run every named check over the (d, t) grid and collect one report.
 
     ``check_names`` restricts the run to a subset; unknown names raise, and
-    so does a run that produces no record.
+    so does a run that produces no record.  Sample and key counts below 2
+    raise before any check runs: a Monte-Carlo average of one draw has no
+    standard error.  Each check call's time goes under ``timings`` once,
+    keyed ``<check>_d<d>_t<t>_ms`` (``<check>_t<t>_ms`` for a per-t check);
+    each of its records also carries that time as ``wall_ms``.
     """
+    for samples in (samples_clifford, samples_unitary):
+        if samples < 2:
+            raise DomainError(f"a Monte-Carlo average needs at least 2 samples, got {samples}")
+    if num_keys < 2:
+        raise DomainError(f"a keyed average needs at least 2 keys, got {num_keys}")
     ctx = SuiteContext(
         seed=seed,
         samples_clifford=samples_clifford,
@@ -744,15 +753,26 @@ def run_lemma_suite(
 
     t_start = time.perf_counter()
     checks: list[BoundCheck] = []
+    timings: dict = {}
+
+    def timed(key, fn, *cell):
+        t0 = time.perf_counter()
+        results = fn(ctx, *cell)
+        elapsed = (time.perf_counter() - t0) * 1e3
+        timings[key] = elapsed
+        for r in results:
+            r.wall_ms = elapsed
+        checks.extend(results)
+
     for t in ts:
         for name, fn in PER_T_CHECKS.items():
             if want(name):
-                checks.extend(_timed(fn, ctx, t))
+                timed(f"{name}_t{t}_ms", fn, t)
     for d in ds:
         for t in ts:
             for name, fn in PER_CELL_CHECKS.items():
                 if want(name):
-                    checks.extend(_timed(fn, ctx, d, t))
+                    timed(f"{name}_d{d}_t{t}_ms", fn, d, t)
     if not checks:
         raise DomainError(
             f"checks {sorted(check_names) if check_names else 'all'} produced no record on "
@@ -773,14 +793,5 @@ def run_lemma_suite(
         quantities={"num_checks": len(checks)},
         checks=checks,
         seed=seed,
-        timings={"total_ms": (time.perf_counter() - t_start) * 1e3},
+        timings={**timings, "total_ms": (time.perf_counter() - t_start) * 1e3},
     )
-
-
-def _timed(fn, ctx, *cell) -> list[BoundCheck]:
-    t0 = time.perf_counter()
-    results = fn(ctx, *cell)
-    elapsed = (time.perf_counter() - t0) * 1e3
-    for r in results:
-        r.wall_ms = elapsed
-    return results

@@ -28,6 +28,8 @@ goes through one driver, ``_average_conjugation``: a state's mean is a
 dense ``DensityMatrix``; any other input's mean is a ``SupportOperator``.
 It conjugates thin factors of the input by batches of single-register
 unitaries, one system slot at a time through ``operators.apply_tensor_power``.
+A state vector is its own right factor, so it is conjugated once per
+sub-batch; any other input's left and right factors are conjugated apart.
 ``distinct_overlap_after_clifford`` reads the overlap off the twirled
 state's diagonal and also returns that state, so one Clifford pass serves
 both; under Monte-Carlo that pass also yields the per-sample overlaps
@@ -376,12 +378,14 @@ class _Average(NamedTuple):
 def _factors(state):
     """Thin factors of X = L diag(w) R^dag plus the was-a-state flag.
 
-    A state vector is its own one-column factor; anything else goes through
-    an SVD with numerically zero singular values dropped.
+    A state vector is one column that is both factors, the same object, so
+    the driver conjugates it once; anything else goes through an SVD with
+    numerically zero singular values dropped.
     """
     matrix, was_state = _payload(state)
     if matrix.ndim == 1:
-        return matrix[:, None], np.ones(1), matrix[:, None], was_state
+        column = matrix[:, None]
+        return column, np.ones(1), column, was_state
     u, s, vh = np.linalg.svd(_dense(matrix))
     keep = s > s[0] * matrix.shape[0] * np.finfo(float).eps
     return u[:, keep], s[keep], vh[keep].conj().T, was_state
@@ -393,7 +397,8 @@ def _average_conjugation(state, d: int, t: int, batches, weights=None) -> _Avera
     ``batches`` yields (count, d, d) stacks of single-register unitaries.
     Each stack is applied to the t system slots of the factors of X by
     ``apply_tensor_power``, put back in slot-then-workspace order and
-    folded into the sum with one matrix product.  The Frobenius
+    folded into the sum with one matrix product.  A state vector is its own
+    right factor, so each sub-batch conjugates it once.  The Frobenius
     standard error of the mean comes for free, because conjugation keeps
     the Frobenius norm sample by sample.  Given a diagonal observable
     ``weights`` on the system factor (length d^t), the per-sample values
@@ -489,8 +494,10 @@ def pf_twirl_mc(state, d: int, t: int, samples: int, seed):
 
 def ensemble_twirl(state, ops, d: int, t: int):
     """Exact t-fold twirl over an explicit ensemble of unitaries on C^d:
-    a list of d x d arrays, or one (count, d, d) stack."""
+    a non-empty list of d x d arrays, or one non-empty (count, d, d) stack."""
     us = np.asarray(ops)
+    if us.ndim != 3 or not len(us) or us.shape[1:] != (d, d):
+        raise DomainError(f"an ensemble on C^{d} is a non-empty (count, {d}, {d}) stack, got shape {us.shape}")
     batches = (us[i : i + MC_CHUNK] for i in range(0, len(us), MC_CHUNK))
     avg = _average_conjugation(state, d, t, batches)
     return _wrap(avg.mean, avg.was_state, meta={"method": "exact", "samples": len(us)})

@@ -278,6 +278,26 @@ def test_a_monte_carlo_average_of_one_draw_is_an_error(capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--samples", "1", "a Monte-Carlo average needs at least 2 samples, got 1"),
+    ("--samples-unitary", "1", "a Monte-Carlo average needs at least 2 samples, got 1"),
+    ("--keys", "1", "a keyed average needs at least 2 keys, got 1"),
+    ("--keys", "0", "a keyed average needs at least 2 keys, got 0"),
+], ids=["one-clifford-sample", "one-unitary-sample", "one-key", "no-keys"])
+def test_verify_refuses_a_one_draw_average_before_any_check_runs(capsys, monkeypatch, flag, value, message):
+    def refuse(*args):
+        raise AssertionError("a check ran before the sample and key counts were checked")
+
+    for registry in (checks.PER_T_CHECKS, checks.PER_CELL_CHECKS):
+        for name in registry:
+            monkeypatch.setitem(registry, name, refuse)
+    code = cli_main(["verify", "--n", "1", "--n", "2", "--t", "2", flag, value])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_a_verify_run_that_measures_nothing_fails(capsys):
     code = cli_main(["verify", "--n", "1", "--t", "2", "--check", "pf_mc_agreement"])
     captured = capsys.readouterr()

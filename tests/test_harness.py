@@ -198,6 +198,27 @@ def test_check_records_carry_the_whole_call_time(monkeypatch):
     assert "wall_ms" not in rep.canonical_json()
 
 
+def test_each_check_call_is_timed_once_under_timings(monkeypatch):
+    def per_t(ctx, t):
+        time.sleep(0.01)
+        return [BoundCheck.make("fake_per_t", {"t": t}, 0, 0, "eq", 0, "fake")]
+
+    def per_cell(ctx, d, t):
+        time.sleep(0.01)
+        return [BoundCheck.make(f"fake_{i}", {"d": d, "t": t}, 0, 0, "eq", 0, "fake") for i in range(2)]
+
+    monkeypatch.setitem(checks.PER_T_CHECKS, "fake_t", per_t)
+    monkeypatch.setitem(checks.PER_CELL_CHECKS, "fake_cell", per_cell)
+    rep = run_lemma_suite(ds=(2, 4), ts=(2, 3), check_names=["fake_t", "fake_cell"])
+    calls = {"fake_t_t2_ms", "fake_t_t3_ms", *(f"fake_cell_d{d}_t{t}_ms" for d in (2, 4) for t in (2, 3))}
+    assert set(rep.timings) == calls | {"total_ms"}
+    assert all(rep.timings[key] >= 10 for key in calls)
+    assert sum(rep.timings[key] for key in calls) <= rep.timings["total_ms"]
+    by_cell = {(c.params.get("d"), c.params["t"]): c.wall_ms for c in rep.checks if c.check_id == "fake_1"}
+    assert by_cell == {(d, t): rep.timings[f"fake_cell_d{d}_t{t}_ms"] for d in (2, 4) for t in (2, 3)}
+    assert "timings" not in rep.canonical_json()
+
+
 def _kron_commutator(V, X, t, dim_e):
     big = np.kron(reduce(np.kron, [V] * t), np.eye(dim_e))
     return float(np.abs(big @ X - X @ big).max())

@@ -189,6 +189,46 @@ def test_security_run_samples_each_clifford_once(monkeypatch):
     assert len(set(seeds)) == samples
 
 
+def test_a_state_is_conjugated_once_per_sub_batch(monkeypatch):
+    """A state vector is its own right factor, so every Monte-Carlo path
+    hands each sub-batch to the kernel once; a non-Hermitian operator has
+    two factors, so each sub-batch goes through twice.  MC_CHUNK + 1 draws
+    make two chunks, each one sub-batch at this size."""
+    calls = []
+    real = twirls.apply_tensor_power
+
+    def counting(mats, tensor, t):
+        calls.append(len(mats))
+        return real(mats, tensor, t)
+
+    monkeypatch.setattr(twirls, "apply_tensor_power", counting)
+    d, t, samples = 2, 2, MC_CHUNK + 1
+    averages = {
+        "haar": lambda x: haar_twirl_mc(x, d, t, samples, 3),
+        "pf": lambda x: pf_twirl_mc(x, d, t, samples, 3),
+        "clifford": lambda x: clifford_twirl(x, 1, t, method="monte_carlo", samples=samples, seed=3),
+    }
+    inputs = _inputs(d, t, 1, seed=2)
+    for label, average in averages.items():
+        for x, passes in ((inputs["pure"], 1), (inputs["non_hermitian"], 2)):
+            calls.clear()
+            average(x)
+            assert calls == [MC_CHUNK] * passes + [1] * passes, label
+    calls.clear()
+    pru_average_state(inputs["pure"], t, 1, samples, 3)
+    assert calls == [MC_CHUNK, 1]
+
+
+@pytest.mark.parametrize("ops", [
+    np.eye(2),
+    haar_unitaries(3, 4, np.random.default_rng(0)),
+    [],
+], ids=["one-matrix", "wrong-dimension", "empty"])
+def test_an_ensemble_that_is_not_a_stack_of_d_by_d_unitaries_is_a_domain_error(ops):
+    with pytest.raises(DomainError, match=r"non-empty \(count, 2, 2\) stack"):
+        ensemble_twirl(random_state(4, 0), ops, 2, 2)
+
+
 @pytest.mark.parametrize("dim_e, distance", [(1, 0.061328), (2, 0.066929)])
 def test_exact_security_run_at_four_copies_needs_no_enumeration(monkeypatch, dim_e, distance):
     """At t = 4 the Clifford layer is not a design, so the non-permutation
