@@ -56,8 +56,8 @@ from .symgroup import (
 )
 from .twirls import (
     CLIFFORD_EXACT_T_CAP,
+    _require_draws,
     clifford_twirl,
-    default_clifford_method,
     distinct_overlap_after_clifford,
     ensemble_twirl,
     haar_twirl_exact,
@@ -579,20 +579,15 @@ def _check_two_design(ctx: SuiteContext, d: int, t: int):
 @per_cell_check("clifford_distinct_overlap")
 def _check_overlap(ctx: SuiteContext, d: int, t: int):
     n = _n_of(d)
-    if n is None or t < 2 or d < t:  # d < t: no distinct tuple, so 0 against a negative bound
+    # d < t: no distinct tuple, so 0 against a negative bound; past the cap, no exact twirl
+    if n is None or t < 2 or d < t or t > CLIFFORD_EXACT_T_CAP:
         return []
-    params = {"d": d, "t": t, "n": n}
+    params = {"d": d, "t": t, "n": n, "method": "exact"}
     psi = build_state("adversarial_colliding", n, t, 1, ctx.check_seed("clifford_distinct_overlap", d, t))
-    method = default_clifford_method(n, t)
-    info = distinct_overlap_after_clifford(
-        psi, n, t, method=method, samples=ctx.samples_clifford,
-        seed=ctx.check_seed("clifford_distinct_overlap", d, t, 1),
-    )
-    slack = MC_SIGMA * info["std_error"]
+    info = distinct_overlap_after_clifford(psi, n, t)
     return [
         BoundCheck.make(
-            "clifford_distinct_overlap", params | {"method": method}, info["overlap"],
-            info["bound"], "ge", 1e-9 + slack,
+            "clifford_distinct_overlap", params, info["overlap"], info["bound"], "ge", 1e-9,
             "overlap >= 1 - t(t-1)/(d+1) from pair counting times the doubled-copy "
             "operator norm 2/(d(d+1)) times the pair-projector trace d",
         )
@@ -730,10 +725,8 @@ def run_lemma_suite(
     each of its records also carries that time as ``wall_ms``.
     """
     for samples in (samples_clifford, samples_unitary):
-        if samples < 2:
-            raise DomainError(f"a Monte-Carlo average needs at least 2 samples, got {samples}")
-    if num_keys < 2:
-        raise DomainError(f"a keyed average needs at least 2 keys, got {num_keys}")
+        _require_draws(samples, "samples")
+    _require_draws(num_keys, "keys")
     ctx = SuiteContext(
         seed=seed,
         samples_clifford=samples_clifford,

@@ -117,7 +117,7 @@ def _experiment_config(args, n: int, t: int) -> ExperimentConfig:
         t=t,
         dim_e=args.dim_e,
         state_family=args.state,
-        clifford_method=default_clifford_method(n, t) if method == "auto" else method,
+        clifford_method=default_clifford_method(n) if method == "auto" else method,
         clifford_samples=args.samples,
         num_keys=args.keys,
         seed=args.seed,

@@ -55,8 +55,8 @@ from .errors import CapacityError, DomainError
 from .operators import _freeze, as_generator, check_capacity
 
 # Bounds enumeration, and is the policy for exact Clifford twirls under `--clifford
-# auto` and in the overlap check (``twirls.default_clifford_method``); the exact
-# twirl itself runs at any n.
+# auto` of `security` and `sweep` (``twirls.default_clifford_method``); the exact
+# twirl itself runs at any n, and `verify`'s overlap check always takes it.
 EXACT_QUBIT_CAP = 2
 
 

@@ -37,7 +37,7 @@ from .operators import (
 )
 from .pru import pru_average_state
 from .schur_weyl import ratio_report
-from .twirls import distinct_overlap_after_clifford, haar_twirl_exact, pf_twirl
+from .twirls import _require_draws, distinct_overlap_after_clifford, haar_twirl_exact, pf_twirl
 
 SCHEMA = "pru-lab/1"
 TOL_ABS = 1e-8  # absolute tolerance of the trace-distance chain and the keyed comparison
@@ -70,8 +70,8 @@ class ExperimentConfig:
             raise DomainError("t must be at least 1")
         if self.num_keys < 0:
             raise DomainError(f"the key count must be at least 0, got {self.num_keys}")
-        if self.num_keys == 1:
-            raise DomainError("a keyed average needs at least 2 keys, got 1")
+        if self.num_keys:
+            _require_draws(self.num_keys, "keys")
         if self.state_family not in STATE_FAMILIES:
             raise DomainError(f"unknown state family {self.state_family!r}")
         if self.t > register_dim(self.n):
@@ -79,8 +79,8 @@ class ExperimentConfig:
         check_capacity(2 ** (self.n * self.t) * self.dim_e)
         if self.clifford_method not in ("exact", "monte_carlo", "none"):
             raise DomainError(f"unknown clifford method {self.clifford_method!r}")
-        if self.clifford_method == "monte_carlo" and self.clifford_samples < 2:
-            raise DomainError(f"a Monte-Carlo average needs at least 2 samples, got {self.clifford_samples}")
+        if self.clifford_method == "monte_carlo":
+            _require_draws(self.clifford_samples, "samples")
 
     @property
     def d(self) -> int:

@@ -437,10 +437,22 @@ def _dense(op) -> np.ndarray:
 
 
 def _operand(X):
-    """A ``SupportOperator`` as it is; the entries of another operator, or X as an array."""
+    """A ``SupportOperator`` as it is; the entries of a ``DensityMatrix``, or X as an array."""
     if isinstance(X, SupportOperator):
         return X
-    return np.asarray(X.entries if hasattr(X, "entries") else X)
+    return np.asarray(X.entries if isinstance(X, DensityMatrix) else X)
+
+
+def _groups_by_size(label: np.ndarray, keep: np.ndarray | None = None) -> list[np.ndarray]:
+    """The indices of ``label`` grouped by label value, one (groups, size)
+    array per group size, ascending; each row is one group's indices in
+    increasing order.  ``keep`` (boolean, per index) drops indices, and may
+    only drop whole groups."""
+    order = np.argsort(label, kind="stable")  # each group contiguous
+    if keep is not None:
+        order = order[keep[order]]
+    size = np.bincount(label)[label[order]]
+    return [order[size == s].reshape(-1, s) for s in sorted(set(size.tolist()))]
 
 
 def hermitian_eigvalsh(A, B=None) -> np.ndarray:
@@ -465,14 +477,11 @@ def hermitian_eigvalsh(A, B=None) -> np.ndarray:
     nonzero = np.bincount(rows, minlength=n) > 0
     if nonzero.all() and not label.any():
         return np.linalg.eigvalsh(_dense(ops[0]) if B is None else _dense(ops[0]) - _dense(ops[1]))
-    order = np.argsort(label, kind="stable")
-    order = order[nonzero[order]]  # each component contiguous, zero rows dropped
-    size = np.bincount(label)[label[order]]
-    groups = [order[size == s].reshape(-1, s) for s in sorted(set(size.tolist()))]
+    groups = _groups_by_size(label, nonzero)  # zero rows dropped: each is a component of its own
     flat = np.concatenate([np.empty(0, dtype=np.int64)]
                           + [(idx[:, :, None] * n + idx[:, None, :]).ravel() for idx in groups])
     blocks = ops[0].take(flat) if B is None else ops[0].take(flat) - ops[1].take(flat)
-    parts, start = [np.zeros(n - len(order))], 0
+    parts, start = [np.zeros(n - np.count_nonzero(nonzero))], 0
     for count, s in (idx.shape for idx in groups):
         parts.append(np.linalg.eigvalsh(blocks[start : start + count * s * s].reshape(count, s, s)).ravel())
         start += count * s * s

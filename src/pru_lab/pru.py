@@ -27,7 +27,7 @@ from .clifford import sample_clifford_unitaries
 from .errors import DomainError
 from .operators import DensityMatrix, StateVector, _freeze, as_generator, check_capacity
 from .symgroup import PermutationT
-from .twirls import MC_CHUNK, _average_conjugation
+from .twirls import MC_CHUNK, _average_conjugation, _require_draws
 
 KEY_BYTES = 16
 
@@ -165,6 +165,5 @@ def pru_average_state_from_keys(psi: StateVector, t: int, n: int, keys) -> Densi
 
 def pru_average_state(psi: StateVector, t: int, n: int, num_keys: int, seed) -> DensityMatrix:
     """Monte-Carlo ensemble average over freshly sampled keys."""
-    if num_keys < 2:
-        raise DomainError(f"a keyed average needs at least 2 keys, got {num_keys}")
+    _require_draws(num_keys, "keys")
     return pru_average_state_from_keys(psi, t, n, sample_keys(n, num_keys, seed))

@@ -41,6 +41,7 @@ import numpy as np
 from .errors import ConsistencyError, DomainError
 from .operators import (
     _freeze,
+    _groups_by_size,
     check_capacity,
     distinct_mask,
     haar_unitaries,
@@ -128,7 +129,7 @@ class IsotypicDecomposition:
         if not np.array_equal(np.bincount(key, minlength=len(B)), np.bincount(col_key, minlength=len(B))):
             raise ConsistencyError("basis columns do not lie s to each orbit of s tuples")
         factors = [(r, c, B[r[:, :, None], c[:, None, :]])
-                   for r, c in zip(_orbits_by_size(key), _orbits_by_size(col_key))]
+                   for r, c in zip(_groups_by_size(key), _groups_by_size(col_key))]
         if sum(np.count_nonzero(f[2]) for f in factors) != np.count_nonzero(B):
             raise ConsistencyError("basis has a nonzero outside its orbit blocks")
         for array in (a for f in factors for a in f):
@@ -147,13 +148,6 @@ def _orbit_key(d: int, t: int) -> np.ndarray:
     """Each basis tuple's S_t-orbit, labelled by the index of its sorted tuple."""
     digits = np.stack(np.unravel_index(np.arange(d**t), (d,) * t))
     return np.ravel_multi_index(np.sort(digits, axis=0), (d,) * t)
-
-
-def _orbits_by_size(key: np.ndarray) -> list[np.ndarray]:
-    """Indices grouped by orbit ``key``, one (orbits, size) array per size."""
-    order = np.argsort(key, kind="stable")  # each orbit contiguous
-    size = np.bincount(key, minlength=len(key))[key[order]]
-    return [order[size == s].reshape(-1, s) for s in sorted(set(size.tolist()))]
 
 
 def _unit_range(unit: np.ndarray, orbits: list[np.ndarray], lam: Partition) -> np.ndarray:
@@ -187,7 +181,7 @@ def schur_weyl_basis(d: int, t: int) -> IsotypicDecomposition:
     perms = all_permutations(t)
     tfact = factorial(t)
     mask = distinct_mask(d, t).astype(float)
-    orbits = _orbits_by_size(_orbit_key(d, t))
+    orbits = _groups_by_size(_orbit_key(d, t))
     blocks = []
     for lam in partitions(t):
         if lam.rows > d:

@@ -1,9 +1,10 @@
 """Combinatorics and representation theory of the symmetric group S_t.
 
 Provides integer partitions (Young diagrams), exact irreducible characters
-via the Murnaghan-Nakayama rule, hook-length Specht dimensions, matching
-polynomial Weyl dimensions, and Young's orthogonal form of each irrep as a
-read-only map from permutation to real orthogonal matrix.
+via the Murnaghan-Nakayama rule, Specht dimensions as counts of standard
+tableaux (the basis of Young's orthogonal form), matching polynomial Weyl
+dimensions, and Young's orthogonal form of each irrep as a read-only map
+from permutation to real orthogonal matrix.
 
 All arithmetic on dimensions, traces and characters is exact (Python
 integers); floating point enters only in the orthogonal irrep matrices,
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
 from math import factorial, sqrt
 from types import MappingProxyType
 
@@ -22,8 +23,10 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 
-# Enumeration budgets: characters stay cheap up to S_8; materializing all t!
-# irrep matrices is capped at S_6.
+# Enumeration budgets: characters stay cheap up to S_8.  Whatever is built
+# once per permutation is capped at S_6: the irrep matrices, and the slot
+# permutations spanning the exact Haar and Clifford commutants
+# (``twirls._commutant``), whose Gram matrix is t! x t!.
 CHARACTER_T_CAP = 8
 IRREP_T_CAP = 6
 
@@ -54,24 +57,6 @@ class Partition:
         for i, row_len in enumerate(self.parts, start=1):
             for j in range(1, row_len + 1):
                 yield (i, j)
-
-    def conjugate(self) -> "Partition":
-        if not self.parts:
-            return Partition(())
-        return Partition(tuple(sum(1 for p in self.parts if p >= j) for j in range(1, self.parts[0] + 1)))
-
-    def hook_lengths(self) -> dict[tuple[int, int], int]:
-        conj = self.conjugate().parts
-        return {
-            (i, j): (self.parts[i - 1] - j) + (conj[j - 1] - i) + 1
-            for (i, j) in self.cells()
-        }
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
 
     def __repr__(self):
         return f"Partition({self.parts})"
@@ -207,13 +192,11 @@ def _border_strip_removals(parts: tuple[int, ...], ell: int):
         yield tuple(p for p in new_parts if p > 0), height
 
 
+@cache
 def specht_dim(lam: Partition) -> int:
-    """Dimension of the Specht module, by the hook-length formula."""
-    hooks = lam.hook_lengths()
-    denom = reduce(lambda a, b: a * b, hooks.values(), 1)
-    num = factorial(lam.t)
-    assert num % denom == 0
-    return num // denom
+    """Dimension of the Specht module: the number of standard tableaux of
+    shape ``lam``, which index the basis of Young's orthogonal form."""
+    return len(standard_tableaux(lam))
 
 
 def weyl_dim(lam: Partition, d: int) -> int:

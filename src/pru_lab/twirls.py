@@ -56,13 +56,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .clifford import EXACT_QUBIT_CAP, sample_clifford_unitaries
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .operators import (
     DensityMatrix,
     StateVector,
     SupportDensity,
     SupportOperator,
     _dense,
+    _operand,
     apply_tensor_power,
     check_capacity,
     derive_seed,
@@ -79,7 +80,7 @@ from .schur_weyl import (
     block_footprints,
     rotate_to_basis,
 )
-from .symgroup import all_permutations
+from .symgroup import IRREP_T_CAP, all_permutations
 
 MC_CHUNK = 512  # fixed chunk size; seeds derive as (seed, chunk index)
 _SUB_BATCH_ELEMENTS = 1 << 16  # complex entries per conjugated sub-batch; bounds driver memory
@@ -87,13 +88,19 @@ _SUB_BATCH_ELEMENTS = 1 << 16  # complex entries per conjugated sub-batch; bound
 
 def _payload(state) -> tuple:
     """The 1-D amplitudes of a ``StateVector`` (psi psi^dag is never formed),
-    a ``SupportOperator`` as it is, or the matrix of anything else, plus
-    whether the input was a state."""
+    or any other operand as ``operators._operand`` reads it, plus whether
+    the input was a state."""
     if isinstance(state, StateVector):
         return state.amplitudes, True
-    if isinstance(state, SupportOperator):
-        return state, isinstance(state, DensityMatrix)
-    return np.asarray(getattr(state, "entries", state), dtype=complex), isinstance(state, DensityMatrix)
+    return _operand(state), isinstance(state, DensityMatrix)
+
+
+def _require_draws(count: int, unit: str) -> None:
+    """Refuse a Monte-Carlo average of fewer than 2 draws, ``unit`` "samples"
+    or "keys": one draw has no spread to estimate a standard error from."""
+    if count < 2:
+        average = "a keyed average" if unit == "keys" else "a Monte-Carlo average"
+        raise DomainError(f"{average} needs at least 2 {unit}, got {count}")
 
 
 def _wrap(matrix: np.ndarray, was_state: bool, meta: dict | None = None):
@@ -175,7 +182,11 @@ def _commutant(d: int, t: int, clifford: bool) -> _Commutant:
     of slot j's row (column) digit.  The operators overlap, so each is its
     own term; the one Gram block is Tr[R(T)^dag R(T')] = d^{dim(T n T')}.
     When all T are permutation graphs (t <= 3), it is the Haar record.
+    All t! slot permutations are built, so t is capped at IRREP_T_CAP.
     """
+    if t > IRREP_T_CAP:
+        raise CapacityError(f"the exact Haar twirl materializes all t! slot permutations, "
+                            f"capped at t <= {IRREP_T_CAP}, got t = {t}")
     if clifford and len(_lagrangian_subspaces(t)) == factorial(t):
         return _commutant(d, t, False)
     labels = np.arange(system_dim(d, t))
@@ -461,8 +472,7 @@ def _sampled_twirl(state, d: int, t: int, samples: int, seed, draw, weights=None
     one at a time and reduced in ascending order.  ``meta`` is added to the
     result's metadata.
     """
-    if samples < 2:
-        raise DomainError(f"a Monte-Carlo average needs at least 2 samples, got {samples}")
+    _require_draws(samples, "samples")
     batches = (
         draw(min(MC_CHUNK, samples - start), derive_seed(seed, start // MC_CHUNK))
         for start in range(0, samples, MC_CHUNK)
@@ -506,11 +516,11 @@ def ensemble_twirl(state, ops, d: int, t: int):
 CLIFFORD_EXACT_T_CAP = 5  # t = 6 has 4,590 Lagrangian subspaces, so a 4,590^2 Gram matrix
 
 
-def default_clifford_method(n: int, t: int) -> str:
-    """The ``--clifford auto`` choice: exact up to EXACT_QUBIT_CAP qubits,
-    Monte-Carlo otherwise.  Past CLIFFORD_EXACT_T_CAP copies n <= 2 gives
-    d <= 4 < t, which the security experiment refuses and the overlap
-    check skips."""
+def default_clifford_method(n: int) -> str:
+    """The ``--clifford auto`` choice of ``security`` and ``sweep``: exact up
+    to EXACT_QUBIT_CAP qubits, Monte-Carlo otherwise.  Past
+    CLIFFORD_EXACT_T_CAP copies n <= 2 gives d <= 4 < t, which the security
+    experiment refuses."""
     return "exact" if n <= EXACT_QUBIT_CAP else "monte_carlo"
 
 

@@ -458,6 +458,26 @@ def test_cli_import_does_not_load_scipy():
     )
 
 
+@pytest.mark.parametrize("n, t", [(1, 8), (2, 7)])
+def test_the_exact_haar_twirl_past_six_copies_stops_before_it_allocates(n, t):
+    """Its commutant would need all t! slot permutations (a 40,320 x 65,536
+    membership matrix at t = 8): under a 2 GiB address-space limit the run
+    ends in an error line, not a traceback."""
+    import resource
+
+    limit = 2 * 1024**3
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pru_lab.cli", "twirl", "--channel", "haar", "--n", str(n), "--t", str(t)],
+        env=env, capture_output=True, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: the exact Haar twirl materializes all t! slot permutations")
+    assert "Traceback" not in proc.stderr
+
+
 def test_module_run_reports_bad_input_as_an_error_line():
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)

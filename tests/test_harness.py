@@ -327,6 +327,26 @@ def test_clifford_checks_past_five_copies_use_monte_carlo():
     assert report.passed
 
 
+def test_the_overlap_check_takes_the_exact_projection_on_the_default_grid(monkeypatch):
+    """Every cell with a distinct tuple, d = 8 included, calls the exact
+    Clifford projection (no method, sample count or seed is passed), and
+    its record says so."""
+    exact, calls = checks.distinct_overlap_after_clifford, []
+
+    def spy(psi, n, t, *args, **kwargs):
+        calls.append((2**n, t, args, kwargs))
+        return exact(psi, n, t, *args, **kwargs)
+
+    monkeypatch.setattr(checks, "distinct_overlap_after_clifford", spy)
+    report = run_lemma_suite(seed=1, check_names=["clifford_distinct_overlap"])
+    cells = [(2, 2), (4, 2), (4, 3), (8, 2), (8, 3)]
+    assert calls == [(d, t, (), {}) for d, t in cells]
+    assert [(c.params["d"], c.params["t"], c.params["method"]) for c in report.checks] == [
+        (d, t, "exact") for d, t in cells
+    ]
+    assert report.passed and all(c.tol == 1e-9 for c in report.checks)
+
+
 def test_permutation_checks_run_past_four_copies():
     names = ["irrep_schur_orthogonality", "perm_representation_property", "perm_phase_commutation"]
     report = run_lemma_suite(ds=(2,), ts=(5,), check_names=names)

@@ -50,6 +50,18 @@ def brute_syt_count(shape):
     return count
 
 
+def hook_length_dim(shape):
+    """t! over the product of the hook lengths (Frame, Robinson and Thrall):
+    the hook of box (i, j) is the boxes to its right and below, plus itself."""
+    cols = [sum(1 for row in shape if row > j) for j in range(shape[0])]
+    hooks = 1
+    for i, row in enumerate(shape):
+        for j in range(row):
+            hooks *= (row - j - 1) + (cols[j] - i - 1) + 1
+    assert factorial(sum(shape)) % hooks == 0
+    return factorial(sum(shape)) // hooks
+
+
 # --- partitions ---------------------------------------------------------------
 
 def test_partitions_small_exhaustive():
@@ -158,6 +170,12 @@ def test_specht_dim_examples():
     assert specht_dim(Partition((2, 1))) == brute_syt_count((2, 1)) == 2
     assert specht_dim(Partition((2, 2))) == brute_syt_count((2, 2)) == 2
     assert specht_dim(Partition((3, 2, 1))) == brute_syt_count((3, 2, 1))
+
+
+@pytest.mark.parametrize("t", range(1, 9))
+def test_specht_dim_matches_the_hook_length_formula(t):
+    for lam in partitions(t):
+        assert specht_dim(lam) == hook_length_dim(lam.parts)
 
 
 def test_specht_dim_equals_identity_character():

@@ -316,6 +316,21 @@ def test_a_monte_carlo_average_of_one_draw_is_refused(average):
         average(random_state(4, 0))
 
 
+@pytest.mark.parametrize("refuse, message", [
+    (lambda: haar_twirl_mc(random_state(4, 0), 2, 2, 1, 0),
+     "a Monte-Carlo average needs at least 2 samples, got 1"),
+    (lambda: pru_average_state(random_state(4, 0), 2, 1, 1, 0), "a keyed average needs at least 2 keys, got 1"),
+    (lambda: ExperimentConfig(n=2, t=2, num_keys=1), "a keyed average needs at least 2 keys, got 1"),
+    (lambda: ExperimentConfig(n=2, t=2, clifford_method="monte_carlo", clifford_samples=0),
+     "a Monte-Carlo average needs at least 2 samples, got 0"),
+], ids=["sampled-twirl", "keyed-average", "config-keys", "config-samples"])
+def test_a_one_draw_refusal_names_the_average_and_the_count(refuse, message):
+    """The sample and key counts of ``verify`` are pinned in ``test_cli``."""
+    with pytest.raises(DomainError) as exc:
+        refuse()
+    assert str(exc.value) == message
+
+
 def test_an_explicit_ensemble_of_one_is_averaged():
     """Unlike a Monte-Carlo average, an explicit ensemble is exact at any size
     (a single key: ``test_single_key_average_is_pure``)."""
