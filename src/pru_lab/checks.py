@@ -39,6 +39,7 @@ from .operators import (
 )
 from .pru import PrpScheme, pru_average_state, sample_key
 from .schur_weyl import (
+    _perm_in_basis,
     isotypic_projector,
     ratio_report,
     rotate_from_basis,
@@ -391,23 +392,28 @@ def _check_pp_commutation(ctx: SuiteContext, d: int, t: int):
 
 # --- twirl layer -------------------------------------------------------------
 
-@per_cell_check("haar_commutant_vs_block")
-def _check_haar_paths(ctx: SuiteContext, d: int, t: int):
-    decomp = schur_weyl_basis(d, t)
-    dim_e = 4 if (d, t) == (4, 2) else 2
-    count = 20 if (d, t) == (4, 2) else 3
-    states = _random_states(d, t, dim_e, count, ctx.check_seed("haar_commutant_vs_block", d, t))
-    worst = max(
-        trace_distance(haar_twirl_exact(st, d, t), haar_twirl_schur_weyl(st, decomp))
-        for st in states
-    )
-    return [
-        BoundCheck.make(
-            "haar_commutant_vs_block", {"d": d, "t": t, "n": _n_of(d), "dim_e": dim_e},
-            worst, 0, "eq", 1e-8,
-            "Gram-system commutant projection agrees with the blockwise formula",
-        )
-    ]
+def _block_formula_check(name, twirl_pair, count, distinct, formula):
+    """Register ``name``: the worst trace distance between the commutant
+    projection and the Schur-Weyl block formula that ``twirl_pair(state,
+    decomp)`` returns, over ``count`` random states (20 at (4, 2)), on the
+    distinct tuples when ``distinct`` (so no record where d < t)."""
+    @per_cell_check(name)
+    def check(ctx: SuiteContext, d: int, t: int):
+        if distinct and d < t:
+            return []
+        decomp = schur_weyl_basis(d, t)
+        dim_e, size = (4, 20) if (d, t) == (4, 2) else (2, count)
+        states = _random_states(d, t, dim_e, size, ctx.check_seed(name, d, t), distinct)
+        worst = max(trace_distance(*twirl_pair(st, decomp)) for st in states)
+        params = {"d": d, "t": t, "n": _n_of(d), "dim_e": dim_e}
+        return [BoundCheck.make(name, params, worst, 0, "eq", 1e-8, formula)]
+
+
+_block_formula_check(
+    "haar_commutant_vs_block",
+    lambda st, decomp: (haar_twirl_exact(st, decomp.d, decomp.t), haar_twirl_schur_weyl(st, decomp)),
+    3, False, "Gram-system commutant projection agrees with the blockwise formula",
+)
 
 
 @per_cell_check("haar_invariance")
@@ -452,26 +458,11 @@ _mc_agreement_check("haar_mc_agreement", haar_twirl_mc, haar_twirl_exact)
 _mc_agreement_check("pf_mc_agreement", pf_twirl_mc, pf_twirl)
 
 
-@per_cell_check("pf_formula_vs_generic")
-def _check_pf_formula(ctx: SuiteContext, d: int, t: int):
-    if d < t:
-        return []
-    decomp = schur_weyl_basis(d, t)
-    dim_e = 4 if (d, t) == (4, 2) else 2
-    count = 20 if (d, t) == (4, 2) else 5
-    seed = ctx.check_seed("pf_formula_vs_generic", d, t)
-    states = _random_states(d, t, dim_e, count, seed, distinct=True)
-    worst = max(
-        trace_distance(pf_twirl(st, d, t), pf_twirl_distinct_formula(st, decomp))
-        for st in states
-    )
-    return [
-        BoundCheck.make(
-            "pf_formula_vs_generic", {"d": d, "t": t, "n": _n_of(d), "dim_e": dim_e},
-            worst, 0, "eq", 1e-8,
-            "blockwise distinct formula equals the basis-pair channel on distinct-supported states",
-        )
-    ]
+_block_formula_check(
+    "pf_formula_vs_generic",
+    lambda st, decomp: (pf_twirl(st, decomp.d, decomp.t), pf_twirl_distinct_formula(st, decomp)),
+    5, True, "blockwise distinct formula equals the basis-pair channel on distinct-supported states",
+)
 
 
 @per_cell_check("pf_basis_rule")
@@ -601,8 +592,7 @@ def _check_collapse(ctx: SuiteContext, d: int, t: int):
     decomp = schur_weyl_basis(d, t)
     n = d**t
     perms = all_permutations(t)
-    B = decomp.basis_matrix  # B^T R_pi B, with R_pi B as B with its rows gathered
-    rotated = np.stack([B.T @ B[np.argsort(subsystem_perm_index_map(pi, d))] for pi in perms])
+    rotated = np.stack([_perm_in_basis(decomp.basis_matrix, pi, d) for pi in perms])
     worst = 0.0
     for sl, block in zip(decomp.block_slices(), decomp.blocks):
         v = block.specht_dim
@@ -717,12 +707,13 @@ def run_lemma_suite(
 ) -> ExperimentReport:
     """Run every named check over the (d, t) grid and collect one report.
 
-    ``check_names`` restricts the run to a subset; unknown names raise, and
-    so does a run that produces no record.  Sample and key counts below 2
-    raise before any check runs: a Monte-Carlo average of one draw has no
-    standard error.  Each check call's time goes under ``timings`` once,
-    keyed ``<check>_d<d>_t<t>_ms`` (``<check>_t<t>_ms`` for a per-t check);
-    each of its records also carries that time as ``wall_ms``.
+    A repeated d or t runs once, at its first place.  ``check_names``
+    restricts the run to a subset; unknown names raise, and so does a run
+    that produces no record.  Sample and key counts below 2 raise before
+    any check runs: a Monte-Carlo average of one draw has no standard
+    error.  Each check call's time goes under ``timings`` once, keyed
+    ``<check>_d<d>_t<t>_ms`` (``<check>_t<t>_ms`` for a per-t check); each
+    of its records also carries that time as ``wall_ms``.
     """
     for samples in (samples_clifford, samples_unitary):
         _require_draws(samples, "samples")
@@ -733,8 +724,9 @@ def run_lemma_suite(
         samples_unitary=samples_unitary,
         num_keys=num_keys,
     )
+    ds, ts = list(dict.fromkeys(ds)), list(dict.fromkeys(ts))
     if any(t < 1 for t in ts):
-        raise DomainError(f"t must be at least 1, got t in {list(ts)}")
+        raise DomainError(f"t must be at least 1, got t in {ts}")
     known = set(PER_T_CHECKS) | set(PER_CELL_CHECKS)
     if check_names:
         unknown = set(check_names) - known
@@ -769,14 +761,14 @@ def run_lemma_suite(
     if not checks:
         raise DomainError(
             f"checks {sorted(check_names) if check_names else 'all'} produced no record on "
-            f"d in {list(ds)}, t in {list(ts)}"
+            f"d in {ds}, t in {ts}"
         )
 
     return ExperimentReport(
         kind="verify",
         config={
-            "ds": list(ds),
-            "ts": list(ts),
+            "ds": ds,
+            "ts": ts,
             "seed": seed,
             "samples_clifford": samples_clifford,
             "samples_unitary": samples_unitary,

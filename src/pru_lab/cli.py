@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .checks import run_lemma_suite
-from .errors import DomainError, PruLabError
+from .errors import CapacityError, DomainError, PruLabError
 from .harness import (
     STATE_FAMILIES,
     ExperimentConfig,
@@ -148,12 +148,15 @@ def _cmd_twirl(args) -> int:
     else:
         out = clifford_twirl(psi, args.n, args.t, method=args.method, samples=args.samples, seed=args.seed)
 
-    haar_ref = haar_twirl_exact(psi, d, args.t)
+    try:
+        distance = trace_distance(out, haar_twirl_exact(psi, d, args.t))
+    except CapacityError:  # past the exact Haar twirl's t cap there is no reference
+        distance = None
     held = out.values if isinstance(out, SupportOperator) else out.entries  # an exact output's support
     quantities = {
         "trace": float(out.diagonal().sum().real),
         "purity": float(np.vdot(held, held).real),  # Tr[X^2] = sum |x_ij|^2, as X is Hermitian
-        "distance_to_haar_twirl": trace_distance(out, haar_ref),
+        "distance_to_haar_twirl": distance,
         "block_deficits": [
             {"partition": list(r.partition.parts), "deficit": float(r.deficit)}
             for r in ratio_report(d, args.t)
@@ -187,11 +190,12 @@ def _cmd_twirl(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    ns, ts = list(dict.fromkeys(args.n)), list(dict.fromkeys(args.t))  # a repeated value runs once
     combined = ExperimentReport(
         kind="sweep",
         config={
-            "ns": args.n,
-            "ts": args.t,
+            "ns": ns,
+            "ts": ts,
             "state": args.state,
             "dim_e": args.dim_e,
             "samples": args.samples,
@@ -200,8 +204,8 @@ def _cmd_sweep(args) -> int:
         },
         seed=args.seed,
     )
-    for n in args.n:
-        for t in args.t:
+    for n in ns:
+        for t in ts:
             cell = run_security_experiment(_experiment_config(args, n, t))
             combined.checks.extend(cell.checks)
             combined.quantities[f"n{n}_t{t}"] = cell.quantities

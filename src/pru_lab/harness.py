@@ -29,11 +29,11 @@ from .operators import (
     StateVector,
     SupportDensity,
     SupportOperator,
+    _distinct_overlap,
     check_capacity,
     distinct_mask,
     register_dim,
     trace_distance,
-    workspace_dim,
 )
 from .pru import pru_average_state
 from .schur_weyl import ratio_report
@@ -102,7 +102,7 @@ class BoundCheck:
     wall_ms: float = 0.0  # the whole check call that made this record; its sibling records share it
 
     @staticmethod
-    def make(check_id, params, measured, bound, relation, tol, formula, wall_ms=0.0):
+    def make(check_id, params, measured, bound, relation, tol, formula):
         measured = float(measured)
         bound = float(bound)
         if relation == "le":
@@ -113,7 +113,7 @@ class BoundCheck:
             ok = abs(measured - bound) <= tol
         else:
             raise DomainError(f"unknown relation {relation!r}")
-        return BoundCheck(check_id, dict(params), measured, bound, relation, float(tol), bool(ok), formula, wall_ms)
+        return BoundCheck(check_id, dict(params), measured, bound, relation, float(tol), bool(ok), formula)
 
 
 @dataclass
@@ -177,12 +177,8 @@ def _dumps(obj) -> str:
 
 
 def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, tuple):
-        return list(obj)
+    if isinstance(obj, (np.integer, np.floating)):
+        return obj.item()
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
@@ -264,9 +260,7 @@ def gentle_normalize(xi: DensityMatrix, d: int, t: int) -> GentleResult:
     The returned 1-norm displacement always satisfies the gentle-measurement
     bound 2*sqrt(1 - overlap).
     """
-    dim_e = workspace_dim(xi.dim, d, t)
-    mask = np.repeat(distinct_mask(d, t), dim_e)
-    overlap = float(np.real(xi.diagonal())[mask].sum())
+    overlap, mask = _distinct_overlap(xi, d, t)
     if overlap < 1e-12:
         raise DegenerateInputError("state has no distinct-subspace support to normalize onto")
     if isinstance(xi, SupportOperator):  # keep the entries whose row and column are both distinct

@@ -331,6 +331,12 @@ def distinct_mask(d: int, t: int) -> np.ndarray:
     return mask
 
 
+def _distinct_overlap(X, d: int, t: int) -> tuple[float, np.ndarray]:
+    """Tr[(Pi_dist x I) X], read off X's diagonal, and the distinct mask over X's rows."""
+    mask = np.repeat(distinct_mask(d, t), workspace_dim(X.dim, d, t))
+    return float(np.real(X.diagonal())[mask].sum()), mask
+
+
 def distinct_projector(d: int, t: int) -> np.ndarray:
     """Diagonal projector onto tuples with pairwise distinct labels.
 

@@ -223,6 +223,11 @@ def schur_weyl_basis(d: int, t: int) -> IsotypicDecomposition:
     return IsotypicDecomposition(d=d, t=t, blocks=tuple(blocks))
 
 
+def _perm_in_basis(B: np.ndarray, pi: PermutationT, d: int) -> np.ndarray:
+    """B^T R_pi B.  R_pi B is B with its rows gathered: row m(a) of it is row a of B."""
+    return B.T @ B[np.argsort(subsystem_perm_index_map(pi, d))]
+
+
 def verify_decomposition(decomp: IsotypicDecomposition, seed: int = 7) -> dict:
     """Measure the constructed basis against everything it promises:
     orthonormality, each block's columns spanning its isotypic subspace
@@ -261,8 +266,7 @@ def verify_decomposition(decomp: IsotypicDecomposition, seed: int = 7) -> dict:
     del rotated
     perm_res = off_res = 0.0
     for pi in all_permutations(t):
-        # R_pi B is B with its rows gathered: row m(a) of it is row a of B
-        rotated = B.T @ B[np.argsort(subsystem_perm_index_map(pi, d))]
+        rotated = _perm_in_basis(B, pi, d)
         for sl, block in zip(slices, decomp.blocks):
             expected = np.kron(np.eye(block.weyl_dim), young_orthogonal_rep(block.partition)[pi])
             perm_res = max(perm_res, float(np.abs(rotated[sl, sl] - expected).max()))

@@ -281,10 +281,8 @@ def young_orthogonal_rep(lam: Partition) -> MappingProxyType:
         for a, tab in enumerate(tableaux):
             (ri, ci), (rj, cj) = positions[a][k], positions[a][k + 1]
             dist = (cj - rj) - (ci - ri)  # axial distance from k to k+1
-            if abs(dist) == 1:  # same row (+1) or same column (-1)
-                M[a, a] = 1.0 / dist
-            else:
-                M[a, a] = 1.0 / dist
+            M[a, a] = 1.0 / dist
+            if abs(dist) != 1:  # k and k+1 share no row (+1) and no column (-1)
                 b = index[swap_entries(tab, k)]
                 M[b, a] = sqrt(1.0 - 1.0 / dist**2)
         generators.append(M)

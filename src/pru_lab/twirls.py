@@ -10,17 +10,17 @@ gathers and solved with the pseudo-inverse of the spanning operators' Gram
 matrix, and returned on its support (``operators.SupportDensity``, or
 ``SupportOperator`` for a non-state input).  The Haar commutant is spanned
 by the tensor-slot permutations (Gram matrix d^{#cycles}, singular when
-d < t).  The Clifford commutant is spanned by one operator per stochastic
-Lagrangian subspace of F_2^{2t}; for t <= 3 these are the permutation
-graphs alone, so the Clifford record is the Haar one (a unitary 3-design).
-The permutation-phase commutant is spanned by the indicators of the even
-pattern classes: basis pairs (x, y) whose 2t digits have the same equality
-pattern, with every value occurring an even number of times.  Each class
-is enumerated as its even pattern times the injective relabelings of the
-pattern's values, so only kept pairs are built.  Each spanning set is
-built once per (d, t).  The blockwise Schur-Weyl formulas
-for the Haar and permutation-phase twirls share one footprint loop in
-``schur_weyl`` and are returned on their orbit blocks.
+d < t), the Clifford one by one operator per stochastic Lagrangian subspace
+of F_2^{2t}, each of d^t entries, so either is one stacked term; for t <= 3
+these are the permutation graphs alone, so the Clifford record is the Haar
+one (a unitary 3-design).  The permutation-phase commutant is spanned by
+the indicators of the even pattern classes: basis pairs (x, y) whose 2t
+digits have the same equality pattern, with every value occurring an even
+number of times.  Each class is enumerated as its even pattern times the
+injective relabelings of the pattern's values, so only kept pairs are
+built.  Each spanning set is built once per (d, t).  The blockwise
+Schur-Weyl formulas for the Haar and permutation-phase twirls share one
+footprint loop in ``schur_weyl`` and are returned on their orbit blocks.
 
 Every ensemble average -- the Monte-Carlo Haar, permutation-phase and
 Clifford twirls, ``ensemble_twirl`` and the keyed average in ``pru`` --
@@ -63,6 +63,7 @@ from .operators import (
     SupportDensity,
     SupportOperator,
     _dense,
+    _distinct_overlap,
     _operand,
     apply_tensor_power,
     check_capacity,
@@ -124,9 +125,10 @@ def _wrap_support(positions: np.ndarray, values: np.ndarray, dim: int, was_state
 @dataclass(frozen=True, eq=False)  # hashed by identity, so ``_support_layout`` can cache per record
 class _Commutant:
     """Operators spanning a commutant, as terms (rows, cols) that each stack
-    operators sum_i |rows[j, i]><cols[j, i]| with disjoint supports, and the
-    pseudo-inverse of their block-diagonal Gram matrix Tr[B_j^dag B_k] as a
-    (blocks, m, m) stack, operators in term order."""
+    operators of one width, sum_i |rows[j, i]><cols[j, i]| (one term for the
+    Haar and Clifford commutants, one per class width (d)_k for the
+    permutation-phase one), and the pseudo-inverse of their block-diagonal
+    Gram matrix Tr[B_j^dag B_k] as a (blocks, m, m) stack, in term order."""
 
     terms: tuple
     gram_pinv: np.ndarray
@@ -179,8 +181,8 @@ def _commutant(d: int, t: int, clifford: bool) -> _Commutant:
     subspaces: a spanning set of the commutant of C^{x t} (Gross, Nezami
     and Walter, arXiv:1712.08628, Thm. 4.3).  R(T) is d^t ones, one per
     element (x_q, y_q) of T for each qubit q, with x_q[j] (y_q[j]) as bit q
-    of slot j's row (column) digit.  The operators overlap, so each is its
-    own term; the one Gram block is Tr[R(T)^dag R(T')] = d^{dim(T n T')}.
+    of slot j's row (column) digit.  All stack as one term, the t! index maps
+    first; the one Gram block is Tr[R(T)^dag R(T')] = d^{dim(T n T')}.
     When all T are permutation graphs (t <= 3), it is the Haar record.
     All t! slot permutations are built, so t is capped at IRREP_T_CAP.
     """
@@ -189,9 +191,9 @@ def _commutant(d: int, t: int, clifford: bool) -> _Commutant:
                             f"capped at t <= {IRREP_T_CAP}, got t = {t}")
     if clifford and len(_lagrangian_subspaces(t)) == factorial(t):
         return _commutant(d, t, False)
-    labels = np.arange(system_dim(d, t))
     perms = all_permutations(t)
-    terms = [(subsystem_perm_index_map(pi, d)[None], labels[None]) for pi in perms]
+    rows = np.array([subsystem_perm_index_map(pi, d) for pi in perms])
+    cols = np.broadcast_to(np.arange(system_dim(d, t)), rows.shape)
     spaces = np.array([subsystem_perm_index_map(pi, 2) << t | np.arange(2**t) for pi in perms])
     if clifford:
         spaces = np.concatenate([spaces, _lagrangian_subspaces(t)])
@@ -206,9 +208,9 @@ def _commutant(d: int, t: int, clifford: bool) -> _Commutant:
         qubit = places = sum((halves >> k & 1) << n * k for k in range(t))
         for _ in range(n - 1):  # each further qubit one bit below the last, in every slot
             places = (places[..., None] << 1 | qubit[:, :, None]).reshape(2, len(others), places.shape[2] * 2**t)
-        terms += [(r[None], c[None]) for r, c in zip(*places)]
+        rows, cols = np.concatenate([rows, places[0]]), np.concatenate([cols, places[1]])
     gram = np.power(d, np.log2(shared).astype(int)).astype(float)
-    return _freeze_commutant(terms, gram[None])
+    return _freeze_commutant([(rows, cols)], gram[None])
 
 
 @lru_cache(maxsize=8)
@@ -574,8 +576,7 @@ def distinct_overlap_after_clifford(
     the caller's check record judges it.
     """
     d = 2**n
-    mask = distinct_mask(d, t)
-    twirled, values = _clifford_average(state, n, t, method, samples, seed, weights=mask)
-    overlap = float(np.real(twirled.diagonal()).reshape(d**t, -1)[mask].sum())
+    twirled, values = _clifford_average(state, n, t, method, samples, seed, weights=distinct_mask(d, t))
+    overlap = _distinct_overlap(twirled, d, t)[0]
     se = float(values.real.std(ddof=1) / np.sqrt(samples)) if values is not None else 0.0
     return {"overlap": overlap, "bound": 1.0 - t * (t - 1) / (d + 1), "std_error": se, "state": twirled}

@@ -478,6 +478,55 @@ def test_the_exact_haar_twirl_past_six_copies_stops_before_it_allocates(n, t):
     assert "Traceback" not in proc.stderr
 
 
+def test_a_twirl_past_six_copies_reports_no_haar_distance():
+    """The exact Haar twirl, the twirl report's reference, stops at t = 6, but
+    the permutation-phase twirl does not: at t = 8, under a 2 GiB
+    address-space limit, the report comes out with a null distance."""
+    import resource
+
+    limit = 2 * 1024**3
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pru_lab.cli", "twirl", "--channel", "pf", "--n", "1", "--t", "8"],
+        env=env, capture_output=True, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    quantities = json.loads(proc.stdout)["quantities"]
+    assert abs(quantities["trace"] - 1) < 1e-9
+    assert quantities["distance_to_haar_twirl"] is None
+
+
+@pytest.mark.parametrize("channel", ["haar", "pf", "clifford"])
+def test_a_monte_carlo_twirl_past_six_copies_reports_no_haar_distance(capsys, channel):
+    code, out = run_cli(capsys, "twirl", "--channel", channel, "--method", "monte_carlo",
+                        "--n", "1", "--t", "7", "--samples", "20")
+    assert code == 0
+    quantities = json.loads(out)["quantities"]
+    assert abs(quantities["trace"] - 1) < 1e-9
+    assert quantities["distance_to_haar_twirl"] is None
+
+
+@pytest.mark.parametrize("repeated, single", [
+    (["verify", "--n", "1", "--n", "1", "--t", "2", "--t", "2", "--check", "deficit_closed_form"],
+     ["verify", "--n", "1", "--t", "2", "--check", "deficit_closed_form"]),
+    (["sweep", "--n", "1", "--n", "1", "--t", "2"], ["sweep", "--n", "1", "--t", "2"]),
+    (["sweep", "--n", "2", "--n", "1", "--n", "2", "--t", "2", "--t", "1", "--t", "2"],
+     ["sweep", "--n", "2", "--n", "1", "--t", "2", "--t", "1"]),
+])
+def test_a_repeated_grid_value_runs_its_cells_once(capsys, repeated, single):
+    """Each cell runs once, in the order of first occurrence, so every call
+    time has its own ``timings`` key and the config shows the grid that ran."""
+    reports = []
+    for argv in (repeated, single):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        reports.append(json.loads(out))
+    assert strip_timing_fields(reports[0]) == strip_timing_fields(reports[1])
+    assert reports[0]["timings"].keys() == reports[1]["timings"].keys()
+
+
 def test_module_run_reports_bad_input_as_an_error_line():
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)

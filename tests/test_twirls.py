@@ -42,7 +42,7 @@ from pru_lab import (
 )
 from pru_lab import twirls
 from pru_lab.clifford import sample_clifford_unitaries
-from pru_lab.operators import apply_tensor_power, haar_unitaries
+from pru_lab.operators import apply_tensor_power, haar_unitaries, subsystem_perm_index_map
 
 from conftest import random_distinct_state, random_state
 
@@ -667,24 +667,40 @@ def test_lagrangian_operators_commute_with_three_qubit_cliffords():
     products are taken on random vectors, never as dense 4096^2 matrices."""
     d, t = 8, 4
     basis = twirls._commutant(d, t, True)
-    assert len(basis.terms) == 30 and basis.meta["gram_rank"] == 30
+    (rows, cols), = basis.terms
+    assert len(rows) == len(cols) == 30 and basis.meta["gram_rank"] == 30
     us = sample_clifford_unitaries(3, [[13, j] for j in range(3)])
     rng = np.random.default_rng(13)
     vecs = rng.normal(size=(d**t, 2)) + 1j * rng.normal(size=(d**t, 2))
 
-    def apply(term, v):  # sum_i |rows[0, i]><cols[0, i]| on the columns of v
-        rows, cols = term
+    def apply(operator, v):  # sum_i |r[i]><c[i]| on the columns of v
+        r, c = operator
         out = np.zeros(v.shape, dtype=complex)
-        np.add.at(out, rows[0], v[cols[0]])
+        np.add.at(out, r, v[c])
         return out
 
     def clifford_power(v):  # (count, d^t, 2): C^{x4} on each column
         return apply_tensor_power(us, v, t).swapaxes(1, 2)
 
-    for term in basis.terms:
-        after = clifford_power(apply(term, vecs))
-        before = np.stack([apply(term, w) for w in clifford_power(vecs)])
+    for operator in zip(rows, cols):
+        after = clifford_power(apply(operator, vecs))
+        before = np.stack([apply(operator, w) for w in clifford_power(vecs)])
         assert np.abs(after - before).max() < 1e-10
+
+
+@pytest.mark.parametrize("clifford", [False, True])
+@pytest.mark.parametrize("d, t", [(d, t) for d in (2, 4) for t in range(2, 6)] + [(8, 2), (8, 3), (8, 4)])
+def test_the_haar_and_clifford_commutants_are_one_stacked_term(d, t, clifford):
+    """Every spanning operator has d^t entries, so all stack as one term: the
+    slot permutations' index maps first, in ``all_permutations`` order, each
+    against the identity column labels, then the further Lagrangian ones."""
+    basis = twirls._commutant(d, t, clifford)
+    (rows, cols), = basis.terms
+    perms = all_permutations(t)
+    assert rows.shape == cols.shape == (len(basis.gram_pinv[0]), d**t)
+    assert np.array_equal(rows[: len(perms)], [subsystem_perm_index_map(pi, d) for pi in perms])
+    assert (cols[: len(perms)] == np.arange(d**t)).all()
+    assert len(rows) == (len(twirls._lagrangian_subspaces(t)) if clifford else factorial(t))
 
 
 @pytest.mark.parametrize("d, t", [(d, t) for d in (2, 4, 8) for t in range(1, 6) if (d, t) != (8, 5)])
